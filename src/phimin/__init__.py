@@ -10,10 +10,8 @@ bounds the counting argument rests on.
 from .arith import (
     Factorization,
     crt_combine,
-    discrete_log,
     euler_phi,
     factorize,
-    infty_quotient,
     is_prime,
     log_integral,
     log_integral_between,

@@ -1,11 +1,13 @@
 """Elementary arithmetic: factorization, multiplicative functions, CRT,
-discrete logarithms, and the logarithmic integral Li(x) = int_2^x dt/log t.
+primitive roots, and the logarithmic integral Li(x) = int_2^x dt/log t.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -63,6 +65,33 @@ class Factorization:
             prev = p
 
 
+def _trial_divide(n: int, divisors: Iterable[int]) -> tuple[list[tuple[int, int]], int]:
+    """Divide out each d of the increasing `divisors` while d * d <= n.
+    Returns the (d, exponent) pairs found and the cofactor left over."""
+    out = []
+    for d in divisors:
+        if d * d > n:
+            break
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+    return out, n
+
+
+def trial_factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division, without sieve tables: for the
+    moduli, conductors and group orders that stay small."""
+    if n < 1:
+        raise DomainError(f"cannot factor {n}")
+    out, rest = _trial_divide(n, itertools.count(2))
+    if rest > 1:
+        out.append((rest, 1))
+    return Factorization(tuple(out))
+
+
 def factorize(n: int, tables: SieveTables) -> Factorization:
     """Factor n >= 1.  Uses the SPF table when it covers n, otherwise
     trial division by the stored primes with a primality test on the
@@ -71,8 +100,8 @@ def factorize(n: int, tables: SieveTables) -> Factorization:
         raise DomainError(f"cannot factor {n}")
     if n == 1:
         return Factorization(())
-    out = []
     if n <= tables.spf_limit:
+        out = []
         spf = tables.spf
         while n > 1:
             p = int(spf[n])
@@ -82,16 +111,7 @@ def factorize(n: int, tables: SieveTables) -> Factorization:
                 e += 1
             out.append((p, e))
         return Factorization(tuple(out))
-    for p in tables.primes:
-        p = int(p)
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
+    out, n = _trial_divide(n, map(int, tables.primes))
     if n > 1:
         if not is_prime(n):
             raise BoundsError(
@@ -108,23 +128,14 @@ def euler_phi(f: Factorization) -> int:
     return out
 
 
+def divisor_count(f: Factorization) -> int:
+    return math.prod(e + 1 for _, e in f.factors)
+
+
 def moebius(f: Factorization) -> int:
     if any(e >= 2 for _, e in f.factors):
         return 0
     return -1 if len(f.factors) % 2 else 1
-
-
-def infty_quotient(r: int, d: int) -> int:
-    """Largest divisor of r coprime to d: delete from r every prime it
-    shares with d, to full multiplicity."""
-    if r < 1 or d < 1:
-        raise DomainError("arguments must be positive")
-    q = r
-    while True:
-        g = math.gcd(q, d)
-        if g == 1:
-            return q
-        q //= g
 
 
 def crt_combine(residues: list[tuple[int, int]]) -> tuple[int, int]:
@@ -152,17 +163,7 @@ def primitive_root(p: int, alpha: int = 1) -> int:
     if alpha < 1:
         raise DomainError("alpha must be >= 1")
     order = p ** (alpha - 1) * (p - 1)
-    q = order
-    prime_parts = []
-    t = 2
-    while t * t <= q:
-        if q % t == 0:
-            prime_parts.append(t)
-            while q % t == 0:
-                q //= t
-        t += 1
-    if q > 1:
-        prime_parts.append(q)
+    prime_parts = trial_factorize(order).primes()
     mod = p**alpha
     for g in range(2, mod):
         if g % p == 0:
@@ -170,62 +171,6 @@ def primitive_root(p: int, alpha: int = 1) -> int:
         if all(pow(g, order // l, mod) != 1 for l in prime_parts):
             return g
     raise DomainError(f"no primitive root found mod {p}^{alpha}")  # unreachable
-
-
-def _bsgs(base: int, target: int, order: int, mod: int) -> int:
-    """x with base^x = target (mod mod), 0 <= x < order (order of base)."""
-    m = math.isqrt(order - 1) + 1
-    table = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = cur * base % mod
-    # giant step: base^{-m}
-    step = pow(base, (order - m) % order, mod)
-    cur = target
-    for i in range(m):
-        j = table.get(cur)
-        if j is not None:
-            return (i * m + j) % order
-        cur = cur * step % mod
-    raise DomainError("target not in the cyclic subgroup")
-
-
-def discrete_log(g: int, x: int, p: int, alpha: int = 1) -> int:
-    """Exponent k with g^k = x (mod p^alpha) via Pohlig-Hellman, with
-    baby-step/giant-step inside each prime-power block of the group order.
-    """
-    mod = p**alpha
-    if math.gcd(x, p) != 1:
-        raise DomainError(f"{x} is not a unit mod {p}^{alpha}")
-    n = p ** (alpha - 1) * (p - 1)
-    x %= mod
-    # factor the group order by trial division (n is small here)
-    parts = []
-    t, q = 2, n
-    while t * t <= q:
-        if q % t == 0:
-            e = 0
-            while q % t == 0:
-                q //= t
-                e += 1
-            parts.append((t, e))
-        t += 1
-    if q > 1:
-        parts.append((q, 1))
-    congruences = []
-    for l, e in parts:
-        le = l**e
-        g_l = pow(g, n // le, mod)  # order l^e
-        h_l = pow(x, n // le, mod)
-        gamma = pow(g_l, l ** (e - 1), mod)  # order l
-        y = 0
-        for j in range(e):
-            h_j = pow(h_l * pow(g_l, -y, mod) % mod, l ** (e - 1 - j), mod)
-            d = _bsgs(gamma, h_j, l, mod)
-            y += d * l**j
-        congruences.append((y, le))
-    return crt_combine(congruences)[0]
 
 
 # 32-point Gauss-Legendre nodes; exact to machine precision for 1/log t

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import divisor_count, trial_factorize
 from .characters import DirichletCharacter, UnitGroupContext
 from .errors import ConsistencyError, DomainError
 from .intervals import (
@@ -81,35 +82,6 @@ def interval_count_accuracy(
     return actual, predicted, rel
 
 
-def _tau(n: int) -> int:
-    out, t, q = 1, 2, n
-    while t * t <= q:
-        if q % t == 0:
-            e = 0
-            while q % t == 0:
-                q //= t
-                e += 1
-            out *= e + 1
-        t += 1
-    if q > 1:
-        out *= 2
-    return out
-
-
-def _coprime_radical(m: int, q: int) -> int:
-    out, t, rest = 1, 2, m
-    while t * t <= rest:
-        if rest % t == 0:
-            if q % t:
-                out *= t
-            while rest % t == 0:
-                rest //= t
-        t += 1
-    if rest > 1 and q % rest:
-        out *= rest
-    return out
-
-
 def rakhmonov_inequality_check(
     chi: DirichletCharacter, x: float, m: int, tables: SieveTables
 ) -> tuple[float, float, bool]:
@@ -135,13 +107,14 @@ def rakhmonov_inequality_check(
     if x < 2:
         return lhs, 0.0, lhs <= 0.0
     q = chi.conductor()
-    q1 = _coprime_radical(m, q)
+    q1 = math.prod(p for p in trial_factorize(m).primes() if q % p)
+    tau_q, tau_q1 = (divisor_count(trial_factorize(n)) for n in (q, q1))
     logx = math.log(x)
     rhs = (
         x
         * logx**5
-        * _tau(q)
-        * (math.sqrt(1.0 / q + q * _tau(q1) ** 2 / x) + x ** (-1 / 6) * _tau(q1))
+        * tau_q
+        * (math.sqrt(1.0 / q + q * tau_q1**2 / x) + x ** (-1 / 6) * tau_q1)
     )
     return lhs, rhs, lhs <= rhs
 

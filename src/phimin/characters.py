@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .arith import factorize, primitive_root
+from .arith import crt_combine, factorize, primitive_root
 from .errors import ConsistencyError, DomainError, EvenModulusError
 from .sieve import SieveTables
 
@@ -304,13 +304,9 @@ def primitive_inducing(chi: DirichletCharacter) -> DirichletCharacter:
 
 def _lift_unit(x: int, keep_prime: int, ctx: UnitGroupContext) -> int:
     """Unit mod m congruent to x mod keep_prime^alpha and 1 elsewhere."""
-    lift, mod = 0, 1
-    for comp in ctx.components:
-        r = x % comp.prime_power if comp.prime == keep_prime else 1
-        t = (r - lift) * pow(mod, -1, comp.prime_power) % comp.prime_power
-        lift += mod * t
-        mod *= comp.prime_power
-    return lift % max(mod, 1)
+    return crt_combine(
+        [(x if c.prime == keep_prime else 1, c.prime_power) for c in ctx.components]
+    )[0]
 
 
 # -- export -------------------------------------------------------------

@@ -106,9 +106,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     m, a, k = args.m, args.a, args.k
-    needed = int(m ** (1 + 1 / k)) + 2
+    search.check_reduced_odd(a, m)
+    needed = intervals.interval_sieve_limit(m, k)
     tables = build_sieve(_sieve_limit(args, max(needed, 100)))
-    witness = search.constructive_search(a, m, k, tables)
+    ivs = [build_interval(j, m, k, tables) for j in (1, 2, 3)]
+    witness = search.constructive_search(a, m, *ivs)
     record = {"command": "search", "m": m, "a": a, "k": k, "found": witness is not None}
     if witness is not None:
         record.update(
@@ -125,7 +127,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     m, a, k = args.m, args.a, args.k
-    needed = int(m ** (1 + 1 / k)) + 2
+    needed = intervals.interval_sieve_limit(m, k)
     tables = build_sieve(_sieve_limit(args, max(needed, 100)))
     ivs = tuple(build_interval(j, m, k, tables) for j in (1, 2, 3))
     ctx = build_unit_group(m, tables)

@@ -15,9 +15,15 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .arith import euler_phi, trial_factorize
 from .characters import UnitGroupContext, psi_character
 from .errors import ConsistencyError, DomainError
-from .intervals import PrimeIntervalSet, character_sums_all
+from .intervals import (
+    PrimeIntervalSet,
+    character_sums_all,
+    require_disjoint,
+    require_modulus,
+)
 
 ORACLE_REL_TOL = 1e-6
 ENUMERATION_CAP = 10**6
@@ -30,18 +36,6 @@ def indicator_1am(a: int, m: int) -> int:
     if math.gcd(a, m) != 1:
         raise DomainError(f"gcd({a}, {m}) > 1; the class contains no reduced residue")
     return 1 if m % 3 == 0 and a % 3 == 2 else 0
-
-
-def _require_disjoint(i1: PrimeIntervalSet, i2: PrimeIntervalSet, i3: PrimeIntervalSet) -> None:
-    for x, y in ((i1, i2), (i1, i3), (i2, i3)):
-        if np.intersect1d(x.primes, y.primes).size:
-            raise DomainError("interval prime sets must be pairwise disjoint")
-
-
-def _require_modulus(m: int, *intervals: PrimeIntervalSet) -> None:
-    for iv in intervals:
-        if iv.modulus != m:
-            raise DomainError(f"interval modulus {iv.modulus} differs from {m}")
 
 
 def _inverse_table(m: int) -> np.ndarray:
@@ -64,8 +58,8 @@ def count_solutions_direct(
     Pure integer arithmetic: for each unit pair (b1, b2) the third
     residue is forced, so J = sum c1[b1] c2[b2] c3[a (1+d)^-1 (b1 b2)^-1].
     """
-    _require_modulus(m, i1, i2, i3)
-    _require_disjoint(i1, i2, i3)
+    require_modulus(m, i1, i2, i3)
+    require_disjoint(i1, i2, i3)
     delta = indicator_1am(a, m)
     if m == 1:
         return i1.size * i2.size * i3.size
@@ -94,17 +88,20 @@ def count_solutions_enumerate(
     """Debug path: literal loop over all prime triples.
 
     Independent of the convolution route; refuses products above 10^6.
+    Each p - 1 is reduced mod m as a Python int, so the products stay
+    exact at any prime size.
     """
-    _require_modulus(m, i1, i2, i3)
-    _require_disjoint(i1, i2, i3)
+    require_modulus(m, i1, i2, i3)
+    require_disjoint(i1, i2, i3)
     if i1.size * i2.size * i3.size > ENUMERATION_CAP:
         raise DomainError("triple enumeration capped at 10^6 combinations")
     delta = indicator_1am(a, m)
+    r1, r2, r3 = ([(int(p) - 1) % m for p in iv.primes] for iv in (i1, i2, i3))
     total = 0
-    for p1 in i1.primes:
-        for p2 in i2.primes:
-            for p3 in i3.primes:
-                if (1 + delta) * (p1 - 1) * (p2 - 1) * (p3 - 1) % m == a % m:
+    for x1 in r1:
+        for x2 in r2:
+            for x3 in r3:
+                if (1 + delta) * x1 * x2 * x3 % m == a % m:
                     total += 1
     return total
 
@@ -123,10 +120,10 @@ def count_solutions_characters(
 
     The imaginary part must vanish; a residual above tolerance raises.
     """
-    _require_modulus(m, i1, i2, i3)
+    require_modulus(m, i1, i2, i3)
     if ctx.modulus != m:
         raise DomainError("context modulus mismatch")
-    _require_disjoint(i1, i2, i3)
+    require_disjoint(i1, i2, i3)
     delta = indicator_1am(a, m)
     s1 = character_sums_all(ctx, i1)
     s2 = character_sums_all(ctx, i2)
@@ -141,21 +138,6 @@ def count_solutions_characters(
     return total.real / ctx.phi
 
 
-def _phi_of(m: int) -> int:
-    out, t, q = 1, 2, m
-    while t * t <= q:
-        if q % t == 0:
-            e = 0
-            while q % t == 0:
-                q //= t
-                e += 1
-            out *= t ** (e - 1) * (t - 1)
-        t += 1
-    if q > 1:
-        out *= q - 1
-    return out
-
-
 def main_term(
     a: int,
     m: int,
@@ -164,10 +146,10 @@ def main_term(
     i3: PrimeIntervalSet,
 ) -> float:
     """(1 + [3 | m]) |I1| |I2| |I3| / phi(m)."""
-    _require_modulus(m, i1, i2, i3)
+    require_modulus(m, i1, i2, i3)
     indicator_1am(a, m)
     factor = 2 if m % 3 == 0 else 1
-    return factor * i1.size * i2.size * i3.size / _phi_of(m)
+    return factor * i1.size * i2.size * i3.size / euler_phi(trial_factorize(m))
 
 
 def psi_term(
@@ -240,7 +222,7 @@ def conductor_split(
     versus conductor > threshold."""
     if threshold < 1:
         raise DomainError(f"threshold must be >= 1, got {threshold}")
-    _require_modulus(m, *intervals)
+    require_modulus(m, *intervals)
     indicator_1am(a, m)
     sums = [np.abs(character_sums_all(ctx, iv)) for iv in intervals]
     prod = sums[0] * sums[1] * sums[2]

@@ -9,6 +9,7 @@ O(|I|).  The canonical triple uses bounds m^(1+1/k), m, m^(1/k).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .arith import log_integral_between
+from .arith import log_integral_between, trial_factorize
 from .characters import (
     DirichletCharacter,
     UnitGroupContext,
@@ -48,8 +49,22 @@ class PrimeIntervalSet:
     def size(self) -> int:
         return int(self.primes.size)
 
-    def overlaps(self, other: "PrimeIntervalSet") -> bool:
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
+
+def require_modulus(m: int, *intervals: PrimeIntervalSet) -> None:
+    for iv in intervals:
+        if iv.modulus != m:
+            raise DomainError(f"interval modulus {iv.modulus} differs from {m}")
+
+
+def require_disjoint(*intervals: PrimeIntervalSet) -> None:
+    """The canonical intervals separate once m is large enough; at small
+    m they can collide, which breaks the product structure, so it is an
+    explicit error rather than an assumed threshold."""
+    for (i, x), (j, y) in itertools.combinations(enumerate(intervals, 1), 2):
+        if np.intersect1d(x.primes, y.primes).size:
+            raise DomainError(
+                f"interval sets {i} and {j} share primes at m={x.modulus}"
+            )
 
 
 def _snap_root(m: int, num: int, den: int) -> float:
@@ -73,6 +88,12 @@ def interval_bounds(j: int, m: int, k: int) -> tuple[float, float]:
     else:
         raise DomainError(f"interval index must be 1, 2 or 3, got {j}")
     return 0.5 * hi, hi
+
+
+def interval_sieve_limit(m: int, k: int) -> int:
+    """Sieve limit that covers the canonical triple: just above the top
+    m^(1+1/k) of I1."""
+    return int(m ** (1 + 1 / k)) + 2
 
 
 def _make_interval(
@@ -113,20 +134,6 @@ def build_custom_interval(
     return _make_interval(None, lo, hi, m, tables)
 
 
-def _prime_divisors(m: int) -> list[int]:
-    out = []
-    t, q = 2, m
-    while t * t <= q:
-        if q % t == 0:
-            out.append(t)
-            while q % t == 0:
-                q //= t
-        t += 1
-    if q > 1:
-        out.append(q)
-    return out
-
-
 def cardinality_prediction(j: int, m: int, k: int) -> float:
     """Main-term estimate of |I_j|:
 
@@ -141,7 +148,7 @@ def cardinality_prediction(j: int, m: int, k: int) -> float:
     if hi <= lo:
         return 0.0
     prod = 1.0
-    for p in _prime_divisors(m):
+    for p in trial_factorize(m).primes():
         prod *= 1.0 - 1.0 / (p - 1)
     return log_integral_between(lo, hi) * prod
 
@@ -214,7 +221,7 @@ def main_term_prediction(
         return complex(interval.size)
     chi_d = primitive_inducing(chi)
     factor = 1.0
-    for p in _prime_divisors(d):
+    for p in trial_factorize(d).primes():
         if p <= 2:
             raise DomainError(f"conductor prime {p} <= 2 makes 1/(p-2) singular")
         factor *= 1.0 + 1.0 / (p - 2)

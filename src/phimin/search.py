@@ -15,7 +15,14 @@ import numpy as np
 
 from .counting import count_solutions_direct, indicator_1am
 from .errors import BoundsError, DomainError, EvenModulusError
-from .intervals import PrimeIntervalSet, SmallKWarning, build_interval
+from .intervals import (
+    PrimeIntervalSet,
+    SmallKWarning,
+    build_interval,
+    interval_sieve_limit,
+    require_disjoint,
+    require_modulus,
+)
 from .sieve import SieveTables, build_sieve
 
 DEFAULT_SEGMENT = 1 << 20
@@ -126,7 +133,9 @@ def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     return phi
 
 
-def _check_reduced_odd(a: int, m: int) -> None:
+def check_reduced_odd(a: int, m: int) -> None:
+    """Reject a modulus that is not odd and positive, and a class a that
+    is not reduced mod m."""
     if m < 1:
         raise DomainError(f"modulus must be positive, got {m}")
     if m % 2 == 0:
@@ -140,33 +149,28 @@ def _check_reduced_odd(a: int, m: int) -> None:
         )
 
 
-def oracle_N(
-    a: int, m: int, cap: int, tables: SieveTables, segment: int = DEFAULT_SEGMENT
-) -> OracleResult:
+def oracle_N(a: int, m: int, cap: int, tables: SieveTables) -> OracleResult:
     """Least n <= cap with phi(n) = a (mod m), by streaming scan."""
-    found = oracle_N_multi([a], m, cap, tables, segment)
+    found = oracle_N_multi([a], m, cap, tables)
     return OracleResult(m=m, a=a, cap=cap, N=found[a % m])
 
 
 def oracle_N_multi(
-    a_values: Sequence[int],
-    m: int,
-    cap: int,
-    tables: SieveTables,
-    segment: int = DEFAULT_SEGMENT,
+    a_values: Sequence[int], m: int, cap: int, tables: SieveTables
 ) -> dict[int, int | None]:
-    """One streaming pass serving several targets a for the same m."""
+    """One streaming pass serving several targets a for the same m, in
+    segments of DEFAULT_SEGMENT integers."""
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
     targets = set()
     for a in a_values:
-        _check_reduced_odd(a, m)
+        check_reduced_odd(a, m)
         targets.add(a % m)
     found: dict[int, int | None] = {a: None for a in targets}
     remaining = set(targets)
     lo = 1
     while lo <= cap and remaining:
-        hi = min(lo + segment, cap + 1)
+        hi = min(lo + DEFAULT_SEGMENT, cap + 1)
         residues = segment_phi(lo, hi, tables) % m
         for a in sorted(remaining):
             idx = np.nonzero(residues == a)[0]
@@ -178,7 +182,11 @@ def oracle_N_multi(
 
 
 def constructive_search(
-    a: int, m: int, k: int, tables: SieveTables
+    a: int,
+    m: int,
+    i1: PrimeIntervalSet,
+    i2: PrimeIntervalSet,
+    i3: PrimeIntervalSet,
 ) -> SearchWitness | None:
     """Search for a solution n = 4^d * p1 p2 p3 with p_j in I_j.
 
@@ -187,11 +195,11 @@ def constructive_search(
     hits the witness minimizing n wins (ties broken by (p1, p2, p3)).
     Returns None when the congruence has no solution over the intervals.
     """
-    _check_reduced_odd(a, m)
-    intervals = [build_interval(j, m, k, tables) for j in (1, 2, 3)]
-    _witness_intervals_disjoint(intervals)
+    check_reduced_odd(a, m)
+    require_modulus(m, i1, i2, i3)
+    require_disjoint(i1, i2, i3)
     delta = indicator_1am(a, m)
-    lists = [iv.primes for iv in intervals]
+    lists = [iv.primes for iv in (i1, i2, i3)]
     if delta:
         # 4^1 shares the factor 2 with p_j = 2, so such triples are not
         # phi-witnesses even when they satisfy the formal congruence.
@@ -203,18 +211,16 @@ def constructive_search(
             m=m, a=a, delta=delta,
             p1=int(lists[0][0]), p2=int(lists[1][0]), p3=int(lists[2][0]),
         )
-    smallest_p1: dict[int, int] = {}
-    for p1 in lists[0]:
-        smallest_p1.setdefault(int(p1 - 1) % m, int(p1))
+    # the primes ascend, so the first index of each class is its smallest p1
+    classes, first = np.unique((lists[0] - 1) % m, return_index=True)
+    smallest_p1 = dict(zip(classes.tolist(), lists[0][first].tolist()))
+    inv3 = [(p3, pow((p3 - 1) % m, -1, m)) for p3 in lists[2].tolist()]
     t = a * pow(1 + delta, -1, m) % m
     best: tuple[int, tuple[int, int, int]] | None = None
-    for p2 in lists[1]:
-        p2 = int(p2)
-        inv2 = pow((p2 - 1) % m, -1, m)
-        for p3 in lists[2]:
-            p3 = int(p3)
-            need = t * inv2 * pow((p3 - 1) % m, -1, m) % m
-            p1 = smallest_p1.get(need)
+    for p2 in lists[1].tolist():
+        t2 = t * pow((p2 - 1) % m, -1, m) % m
+        for p3, inv in inv3:
+            p1 = smallest_p1.get(t2 * inv % m)
             if p1 is None:
                 continue
             n = 4**delta * p1 * p2 * p3
@@ -225,19 +231,6 @@ def constructive_search(
         return None
     p1, p2, p3 = best[1]
     return SearchWitness(m=m, a=a, delta=delta, p1=p1, p2=p2, p3=p3)
-
-
-def _witness_intervals_disjoint(intervals: Sequence[PrimeIntervalSet]) -> None:
-    """The canonical intervals separate once m is large enough; at small
-    m they can collide, which breaks the product structure, so it is an
-    explicit error rather than an assumed threshold."""
-    for i in range(len(intervals)):
-        for j in range(i + 1, len(intervals)):
-            if np.intersect1d(intervals[i].primes, intervals[j].primes).size:
-                raise DomainError(
-                    f"interval sets {intervals[i].index} and "
-                    f"{intervals[j].index} share primes at m={intervals[i].modulus}"
-                )
 
 
 # -- scan ----------------------------------------------------------------
@@ -270,7 +263,7 @@ def _sample_units(m: int, a_sample: int | str) -> list[int]:
 def scan_sieve_limit(m_values: Iterable[int], k: int, cap_fn: Callable[[int], int]) -> int:
     need = 100
     for m in m_values:
-        need = max(need, math.isqrt(cap_fn(m)) + 1, int(m ** (1 + 1 / k)) + 2)
+        need = max(need, math.isqrt(cap_fn(m)) + 1, interval_sieve_limit(m, k))
     return need
 
 
@@ -294,7 +287,7 @@ def _scan_one_m(
                 math.log(n_val) / math.log(m) if n_val is not None else None
             )
             try:
-                witness = constructive_search(a, m, k, tables)
+                witness = constructive_search(a, m, *intervals)
             except DomainError as exc:
                 witness = None
                 row["error"] = str(exc)

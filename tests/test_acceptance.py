@@ -2,6 +2,8 @@
 pass/fail line.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import hashlib
+import io
 import json
 import math
 import subprocess
@@ -11,6 +13,7 @@ import warnings
 
 import numpy as np
 
+from phimin import cli
 from phimin.arith import euler_phi, factorize
 from phimin.bounds import (
     CONSTANT_CEILING,
@@ -50,6 +53,10 @@ EQUIVALENCE_MODULI = (9, 15, 21, 25, 33, 35, 45)
 # regression baseline from the recorded scan of odd m in [51, 301],
 # 20 units per m, k = 2, cap m^3 (observed max 1.8424)
 N_EXPONENT_BASELINE = 1.85
+
+# SHA-256 of that scan's CSV (111,024 bytes), as written by
+# `phimin scan --m-range 51:301 --a-sample 20 --k 2`
+SCAN_CSV_SHA256 = "f4111be8fe6027bf40e19ef228ae09a995f84be52951e1c0728e9022aeefec2b"
 
 
 def units_of(m):
@@ -254,16 +261,24 @@ def test_criterion_7_witness_scan():
         else:
             misses += 1
             assert row["J_direct"] == 0, row
+    csv_out = io.StringIO()
+    cli._write_scan_csv(rows, csv_out)
+    digest = hashlib.sha256(csv_out.getvalue().encode("utf-8")).hexdigest()
     max_exp = summary["max_N_exponent"]
     elapsed = time.monotonic() - t0
-    ok = max_exp <= N_EXPONENT_BASELINE and max_exp <= 2.6
+    ok = (
+        max_exp <= N_EXPONENT_BASELINE
+        and max_exp <= 2.6
+        and digest == SCAN_CSV_SHA256
+    )
     report(
         7,
         ok,
         f"witness scan odd m in [51, 301], 20 units per m, k=2: {hits} hits "
         f"all re-verified via factorization, {misses} misses all with J=0; "
         f"max oracle exponent {max_exp:.4f} <= {N_EXPONENT_BASELINE} "
-        f"(baseline) <= 2.6, {elapsed:.0f}s",
+        f"(baseline) <= 2.6; CSV sha256 {digest[:12]}... "
+        f"(recorded {SCAN_CSV_SHA256[:12]}...), {elapsed:.0f}s",
     )
 
 

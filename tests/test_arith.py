@@ -5,15 +5,15 @@ import pytest
 
 from phimin.arith import (
     crt_combine,
-    discrete_log,
+    divisor_count,
     euler_phi,
     factorize,
-    infty_quotient,
     is_prime,
     log_integral,
     log_integral_between,
     moebius,
     primitive_root,
+    trial_factorize,
 )
 from phimin.errors import BoundsError, DomainError
 from phimin.sieve import build_sieve
@@ -45,6 +45,23 @@ class TestFactorize:
             f = factorize(n, tables200k)
             f.validate()
             assert f.n == n
+
+class TestTrialFactorize:
+    def test_matches_sieve_factorization(self, tables200k):
+        for n in range(1, 20_001):
+            assert trial_factorize(n) == factorize(n, tables200k)
+
+    def test_large_prime_cofactor(self):
+        assert trial_factorize(2 * 1_000_003).factors == ((2, 1), (1_000_003, 1))
+
+    def test_zero_rejected(self):
+        with pytest.raises(DomainError):
+            trial_factorize(0)
+
+    def test_divisor_count(self, tables):
+        for n in range(1, 500):
+            want = sum(1 for d in range(1, n + 1) if n % d == 0)
+            assert divisor_count(trial_factorize(n)) == want
 
 class TestEulerPhi:
     def test_examples(self, tables):
@@ -80,28 +97,6 @@ class TestMoebius:
                 if n % d == 0
             )
             assert total == (1 if n == 1 else 0)
-
-class TestInftyQuotient:
-    def test_examples(self):
-        assert infty_quotient(12, 15) == 4
-        assert infty_quotient(8, 15) == 8
-        assert infty_quotient(18, 6) == 1
-
-    def test_uniqueness_property(self):
-        for r in range(1, 121):
-            for d in range(1, 121):
-                q = infty_quotient(r, d)
-                assert r % q == 0 and math.gcd(q, d) == 1
-                # r/q is built only from primes dividing d
-                rest = r // q
-                for p in range(2, rest + 1):
-                    while rest % p == 0:
-                        assert d % p == 0
-                        rest //= p
-
-    def test_positivity_required(self):
-        with pytest.raises(DomainError):
-            infty_quotient(0, 5)
 
 class TestCrt:
     def test_examples(self):
@@ -147,32 +142,6 @@ class TestPrimitiveRoot:
             primitive_root(2, 3)
         with pytest.raises(DomainError):
             primitive_root(15, 1)
-
-class TestDiscreteLog:
-    def test_examples(self):
-        assert discrete_log(2, 1, 3, 2) == 0
-        assert discrete_log(2, 7, 3, 2) == 4
-        assert discrete_log(2, 3, 5, 1) == 3
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(DomainError):
-            discrete_log(2, 6, 3, 2)
-
-    def test_bijection_exhaustive(self):
-        # every unit gets a distinct exponent and the round trip holds
-        for p, a in [(3, 5), (5, 3), (7, 2), (11, 2)]:
-            mod = p**a
-            g = primitive_root(p, a)
-            phi = mod - mod // p
-            logs = set()
-            for x in range(1, mod):
-                if x % p == 0:
-                    continue
-                e = discrete_log(g, x, p, a)
-                assert 0 <= e < phi
-                assert pow(g, e, mod) == x
-                logs.add(e)
-            assert len(logs) == phi
 
 class TestIsPrime:
     def test_matches_sieve(self, tables10k):

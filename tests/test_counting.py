@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phimin.arith import is_prime
 from phimin.characters import build_unit_group
 from phimin.counting import (
     conductor_split,
@@ -37,6 +40,17 @@ def canonical(m, k, tables):
 
 def units_of(m):
     return [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
+
+
+def prime_window(lo, width, m):
+    """Interval set over (lo, lo + width] built by primality tests instead
+    of a sieve, so that it can sit near 10^9."""
+    primes = np.array(
+        [p for p in range(lo + 1, lo + width + 1) if is_prime(p) and math.gcd(p - 1, m) == 1],
+        dtype=np.int64,
+    )
+    counts = np.bincount((primes - 1) % m, minlength=m).astype(np.int64)
+    return PrimeIntervalSet(None, lo, lo + width, m, primes, counts)
 
 
 class TestIndicator:
@@ -123,6 +137,32 @@ class TestOracleEquivalence:
                     jd = count_solutions_direct(a, m, *ivs)
                     jc = count_solutions_characters(a, m, *ivs, ctx)
                     assert abs(jc - jd) < 1e-6 * (1 + jd)
+
+
+class TestLargePrimes:
+    def test_enumeration_exact_near_1e9(self):
+        # (p1 - 1)(p2 - 1)(p3 - 1) is near 6e27 here, far past int64
+        ivs = [prime_window(lo, 800, 7) for lo in (10**9, 2 * 10**9, 3 * 10**9)]
+        assert count_solutions_direct(1, 7, *ivs) == 5396
+        assert count_solutions_enumerate(1, 7, *ivs) == 5396
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_enumeration_matches_direct(self, tables, data):
+        m = data.draw(st.integers(0, 37).map(lambda i: 2 * i + 1), label="m")
+        a = data.draw(st.sampled_from(units_of(m)), label="a")
+        near_1e9 = data.draw(st.booleans(), label="near_1e9")
+        lo = data.draw(st.integers(10**9, 3 * 10**9) if near_1e9 else st.integers(0, 2000))
+        ivs = []
+        for _ in range(3):
+            width = data.draw(st.integers(1, 150))
+            if near_1e9:
+                ivs.append(prime_window(lo, width, m))
+            else:
+                ivs.append(build_custom_interval(lo, lo + width, m, tables))
+            lo += width + data.draw(st.integers(0, 10**8 if near_1e9 else 100))
+        ivs = data.draw(st.permutations(ivs), label="order")
+        assert count_solutions_enumerate(a, m, *ivs) == count_solutions_direct(a, m, *ivs)
 
 
 class TestDecomposition:

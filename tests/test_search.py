@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phimin import search
 from phimin.arith import euler_phi, factorize
-from phimin.counting import count_solutions_direct
+from phimin.counting import count_solutions_direct, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
-from phimin.intervals import SmallKWarning, build_interval
+from phimin.intervals import SmallKWarning, build_custom_interval, build_interval
 from phimin.search import (
     constructive_search,
     default_cap,
@@ -28,6 +31,10 @@ def canonical(m, k, tables):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallKWarning)
         return tuple(build_interval(j, m, k, tables) for j in (1, 2, 3))
+
+
+def witness(a, m, k, tables):
+    return constructive_search(a, m, *canonical(m, k, tables))
 
 
 class TestPhiResidueTable:
@@ -124,22 +131,22 @@ class TestOracle:
 
 class TestConstructiveSearch:
     def test_witness_42(self, tables):
-        w = constructive_search(2, 5, 2, tables)
+        w = witness(2, 5, 2, tables)
         assert (w.p1, w.p2, w.p3, w.delta) == (7, 3, 2, 0)
         assert w.n == 42
         assert euler_phi(factorize(w.n, tables)) % 5 == 2
 
     def test_witness_70(self, tables):
-        w = constructive_search(4, 5, 2, tables)
+        w = witness(4, 5, 2, tables)
         assert w.n == 70
 
     def test_not_found(self, tables):
-        assert constructive_search(1, 5, 2, tables) is None
+        assert witness(1, 5, 2, tables) is None
 
     def test_witness_validity_and_congruence(self, tables):
         for m in (17, 25, 35, 45):
             for a in units_of(m)[:10]:
-                w = constructive_search(a, m, 2, tables)
+                w = witness(a, m, 2, tables)
                 if w is None:
                     continue
                 phi_n = euler_phi(factorize(w.n, tables))
@@ -151,7 +158,7 @@ class TestConstructiveSearch:
         seen_delta1 = 0
         for m in (51, 57, 63):
             for a in units_of(m)[:12]:
-                w = constructive_search(a, m, 2, tables)
+                w = witness(a, m, 2, tables)
                 if w is None:
                     continue
                 assert (w.n % 4 == 0) == (w.delta == 1)
@@ -165,7 +172,7 @@ class TestConstructiveSearch:
             ivs = canonical(m, 2, tables)
             assert all(2 not in iv.primes for iv in ivs)
             for a in units_of(m):
-                w = constructive_search(a, m, 2, tables)
+                w = witness(a, m, 2, tables)
                 j = count_solutions_direct(a, m, *ivs)
                 assert (w is not None) == (j > 0)
 
@@ -174,16 +181,16 @@ class TestConstructiveSearch:
         # not a phi-witness since 4 and 2 share a factor
         ivs = canonical(9, 2, tables)
         assert count_solutions_direct(2, 9, *ivs) == 1
-        assert constructive_search(2, 9, 2, tables) is None
+        assert witness(2, 9, 2, tables) is None
 
     def test_overlapping_intervals_rejected(self, tables):
         with pytest.raises(DomainError):
-            constructive_search(1, 3, 2, tables)
+            witness(1, 3, 2, tables)
 
     def test_minimizes_n(self, tables):
         # every other admissible triple gives a product at least as large
         m, a, k = 35, 2, 2
-        w = constructive_search(a, m, k, tables)
+        w = witness(a, m, k, tables)
         ivs = canonical(m, k, tables)
         best = None
         for p1 in ivs[0].primes:
@@ -193,6 +200,41 @@ class TestConstructiveSearch:
                         n = int(p1 * p2 * p3)
                         best = n if best is None else min(best, n)
         assert w is not None and w.n == best
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_minimum_over_custom_triples(self, tables, data):
+        m = data.draw(st.integers(0, 37).map(lambda i: 2 * i + 1), label="m")
+        a = data.draw(st.sampled_from(units_of(m)), label="a")
+        lo = data.draw(st.integers(0, 300))
+        ivs = []
+        for _ in range(3):
+            width = data.draw(st.integers(1, 120))
+            ivs.append(build_custom_interval(lo, lo + width, m, tables))
+            lo += width + data.draw(st.integers(0, 60))
+        i1, i2, i3 = data.draw(st.permutations(ivs), label="order")
+        delta = indicator_1am(a, m)
+        best = None
+        for p1 in i1.primes.tolist():
+            for p2 in i2.primes.tolist():
+                for p3 in i3.primes.tolist():
+                    if delta and 2 in (p1, p2, p3):
+                        continue
+                    if (1 + delta) * (p1 - 1) * (p2 - 1) * (p3 - 1) % m != a % m:
+                        continue
+                    key = (4**delta * p1 * p2 * p3, (p1, p2, p3))
+                    best = key if best is None else min(best, key)
+        w = constructive_search(a, m, i1, i2, i3)
+        if best is None:
+            assert w is None
+        else:
+            assert (w.n, (w.p1, w.p2, w.p3), w.delta) == (*best, delta)
+
+    def test_modulus_mismatch_rejected(self, tables):
+        ivs = canonical(45, 2, tables)
+        with pytest.raises(DomainError):
+            constructive_search(2, 47, *ivs)
 
 
 class TestExponentScan:
@@ -230,6 +272,17 @@ class TestExponentScan:
         parallel, s2 = exponent_scan(list(range(9, 30, 2)), a_sample=4, k=2, jobs=3)
         assert serial == parallel
         assert s1 == s2
+
+    def test_one_interval_triple_per_modulus(self, monkeypatch):
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(args[:2])
+            return build_interval(*args, **kwargs)
+
+        monkeypatch.setattr(search, "build_interval", build)
+        exponent_scan([51, 53], a_sample=6, k=2)
+        assert built == [(j, m) for m in (51, 53) for j in (1, 2, 3)]
 
     def test_oracle_dominated_by_witness(self):
         rows, _ = exponent_scan([51, 53], a_sample=6, k=2)
