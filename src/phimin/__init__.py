@@ -74,7 +74,6 @@ from .search import (
     constructive_search,
     exponent_scan,
     oracle_N,
-    phi_residue_table,
 )
 from .sieve import SieveTables, build_sieve
 

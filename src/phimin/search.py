@@ -25,6 +25,7 @@ from .intervals import (
 )
 from .sieve import SieveTables, build_sieve
 
+FIRST_SEGMENT = 1 << 12
 DEFAULT_SEGMENT = 1 << 20
 
 
@@ -74,35 +75,11 @@ class SearchWitness:
         return math.log(self.n) / math.log(self.m)
 
 
-def phi_residue_table(limit: int, m: int, tables: SieveTables) -> np.ndarray:
-    """phi(n) mod m for 1 <= n <= limit (index 0 unused, set to 0).
-
-    One pass over the SPF table with the recursion
-    phi(n) = phi(n / p^e) * p^(e-1) * (p - 1).
-    """
-    if limit < 1 or limit > tables.spf_limit:
-        raise BoundsError(
-            f"limit {limit} outside SPF coverage (<= {tables.spf_limit})"
-        )
-    if m < 1:
-        raise DomainError(f"modulus must be positive, got {m}")
-    spf = tables.spf[: limit + 1].tolist()
-    out = [0] * (limit + 1)
-    out[1] = 1 % m
-    for n in range(2, limit + 1):
-        p = spf[n]
-        q = n // p
-        if q % p == 0:
-            out[n] = out[q] * p % m
-        else:
-            out[n] = out[q] * (p - 1) % m
-    return np.array(out, dtype=np.int64)
-
-
 def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     """phi(n) for lo <= n < hi, vectorized over a segment.
 
-    Needs base primes up to sqrt(hi - 1); memory is O(hi - lo).
+    Needs base primes up to sqrt(hi - 1); memory is O(hi - lo).  Each
+    prime p and each power p^e < hi is one strided slice of the segment.
     """
     if lo < 1 or hi <= lo:
         raise DomainError(f"bad segment [{lo}, {hi})")
@@ -113,21 +90,16 @@ def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
         )
     rem = np.arange(lo, hi, dtype=np.int64)
     phi = np.ones(hi - lo, dtype=np.int64)
-    for p in tables.primes:
-        p = int(p)
-        if p > top:
-            break
-        start = ((lo + p - 1) // p) * p
-        idx = np.arange(start - lo, hi - lo, p, dtype=np.int64)
-        if idx.size == 0:
-            continue
-        phi[idx] *= p - 1
-        rem[idx] //= p
-        sub = idx[rem[idx] % p == 0]
-        while sub.size:
-            phi[sub] *= p
-            rem[sub] //= p
-            sub = sub[rem[sub] % p == 0]
+    for p in tables.primes[: np.searchsorted(tables.primes, top, "right")].tolist():
+        s = -lo % p
+        phi[s::p] *= p - 1
+        rem[s::p] //= p
+        q = p * p
+        while q < hi:
+            s = -lo % q
+            phi[s::q] *= p
+            rem[s::q] //= p
+            q *= p
     big = rem > 1
     phi[big] *= rem[big] - 1
     return phi
@@ -158,8 +130,14 @@ def oracle_N(a: int, m: int, cap: int, tables: SieveTables) -> OracleResult:
 def oracle_N_multi(
     a_values: Sequence[int], m: int, cap: int, tables: SieveTables
 ) -> dict[int, int | None]:
-    """One streaming pass serving several targets a for the same m, in
-    segments of DEFAULT_SEGMENT integers."""
+    """One streaming pass serving several targets a for the same m.
+
+    The first segment holds FIRST_SEGMENT integers and each next one
+    twice as many, up to DEFAULT_SEGMENT: until that ceiling the stream
+    ends before 2 * max N + FIRST_SEGMENT integers, and memory stays
+    O(DEFAULT_SEGMENT) at any cap.  One np.unique pass per segment finds
+    the first hit of every class.
+    """
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
     targets = set()
@@ -167,17 +145,17 @@ def oracle_N_multi(
         check_reduced_odd(a, m)
         targets.add(a % m)
     found: dict[int, int | None] = {a: None for a in targets}
-    remaining = set(targets)
-    lo = 1
-    while lo <= cap and remaining:
-        hi = min(lo + DEFAULT_SEGMENT, cap + 1)
-        residues = segment_phi(lo, hi, tables) % m
-        for a in sorted(remaining):
-            idx = np.nonzero(residues == a)[0]
-            if idx.size:
-                found[a] = lo + int(idx[0])
-        remaining = {a for a in remaining if found[a] is None}
-        lo = hi
+    wanted = np.zeros(m, dtype=bool)
+    wanted[list(targets)] = True
+    lo, size = 1, FIRST_SEGMENT
+    while lo <= cap and wanted.any():
+        hi = min(lo + size, cap + 1)
+        classes, first = np.unique(segment_phi(lo, hi, tables) % m, return_index=True)
+        hit = wanted[classes]
+        for a, i in zip(classes[hit].tolist(), first[hit].tolist()):
+            found[a] = lo + i
+        wanted[classes] = False
+        lo, size = hi, min(2 * size, DEFAULT_SEGMENT)
     return found
 
 

@@ -44,7 +44,6 @@ from phimin.search import (
     default_cap,
     exponent_scan,
     oracle_N_multi,
-    phi_residue_table,
 )
 from phimin.sieve import build_sieve
 
@@ -222,16 +221,17 @@ def test_criterion_6_oracle_golden_values():
     for (a, m), want in golden.items():
         got = oracle_N_multi([a], m, want + 10, tables)[a]
         assert got == want, (a, m, got)
-    # minimality for odd m <= 99 by the independent SPF-recursion route
-    big = build_sieve(1_100_000)
+    # minimality for odd m <= 99 against phi(n) from factorizations
+    phi = [0]
     checked = 0
     for m in range(3, 100, 2):
         found = oracle_N_multi(units_of(m), m, default_cap(m), tables)
         assert all(n is not None for n in found.values()), m
         top = max(found.values())
-        table = phi_residue_table(top, m, big)
+        phi += [euler_phi(factorize(n, tables)) for n in range(len(phi), top + 1)]
+        residues = np.array(phi[1:]) % m
         for a, n_val in found.items():
-            hits = np.nonzero(table[1:] == a)[0]
+            hits = np.nonzero(residues == a)[0]
             assert hits.size and hits[0] + 1 == n_val, (m, a)
             checked += 1
     report(

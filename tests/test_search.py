@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phimin import search
@@ -11,14 +11,21 @@ from phimin.counting import count_solutions_direct, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
 from phimin.intervals import SmallKWarning, build_custom_interval, build_interval
 from phimin.search import (
+    DEFAULT_SEGMENT,
+    FIRST_SEGMENT,
     constructive_search,
     default_cap,
     exponent_scan,
     oracle_N,
     oracle_N_multi,
-    phi_residue_table,
     segment_phi,
 )
+
+NAIVE_LIMIT = 1 << 18
+
+# the first integers of the oracle's doubling segments below NAIVE_LIMIT:
+# 1 + 2^12, 1 + 2^12 + 2^13, ...
+SEGMENT_STARTS = [1 + FIRST_SEGMENT * (2**k - 1) for k in range(1, 7)]
 
 
 def units_of(m):
@@ -37,34 +44,63 @@ def witness(a, m, k, tables):
     return constructive_search(a, m, *canonical(m, k, tables))
 
 
+@pytest.fixture(scope="module")
+def naive_phi(tables200k):
+    """phi(n) for 0 <= n < NAIVE_LIMIT (index 0 unused), one factorization
+    per n: the independent reference for the streamed totients."""
+    values = [euler_phi(factorize(n, tables200k)) for n in range(1, NAIVE_LIMIT)]
+    return np.array([0] + values, dtype=np.int64)
+
+
+def naive_first_hits(a_values, m, cap, naive_phi):
+    """Least n <= cap with phi(n) = a (mod m) for each target, by one
+    scan of the naive prefix that stops once every target is hit."""
+    wanted = {a % m for a in a_values}
+    out = dict.fromkeys(wanted)
+    left = len(wanted)
+    for n, r in enumerate((naive_phi[1 : cap + 1] % m).tolist(), start=1):
+        if r in wanted and out[r] is None:
+            out[r] = n
+            left -= 1
+            if not left:
+                break
+    # a miss only means "none <= cap" when the table reaches the cap
+    assert not left or cap < NAIVE_LIMIT
+    return out
+
+
 class TestPhiResidueTable:
+    """phi(n) mod m over a prefix, as the oracle scans it."""
+
     def test_first_entries_mod5(self, tables):
-        table = phi_residue_table(6, 5, tables)
-        assert table[1:].tolist() == [1, 1, 2, 2, 4, 2]
+        assert (segment_phi(1, 7, tables) % 5).tolist() == [1, 1, 2, 2, 4, 2]
 
     def test_phi_42(self, tables):
-        assert phi_residue_table(42, 5, tables)[42] == 2
+        assert segment_phi(42, 43, tables)[0] % 5 == 2
 
-    def test_cross_oracle_to_1e4(self, tables200k):
+    def test_cross_oracle_to_1e4(self, tables200k, naive_phi):
         m = 97
-        table = phi_residue_table(10_000, m, tables200k)
-        for n in range(1, 10_001):
-            assert table[n] == euler_phi(factorize(n, tables200k)) % m
-
-    def test_limit_beyond_spf_rejected(self):
-        from phimin.sieve import build_sieve
-
-        t = build_sieve(5000, spf_cap=1000)
-        with pytest.raises(BoundsError):
-            phi_residue_table(2000, 5, t)
+        table = segment_phi(1, 10_001, tables200k) % m
+        assert table.tolist() == (naive_phi[1:10_001] % m).tolist()
 
 
 class TestSegmentPhi:
-    def test_matches_recursion_table(self, tables):
-        table = phi_residue_table(3000, 10**9, tables)  # plain phi values
+    def test_matches_naive_phi(self, tables, naive_phi):
         for lo, hi in ((1, 500), (500, 1500), (1499, 3001)):
             seg = segment_phi(lo, hi, tables)
-            assert seg.tolist() == table[lo:hi].tolist()
+            assert seg.tolist() == naive_phi[lo:hi].tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @example(lo=(1 << 17) - 3, width=7)  # holds 2^17
+    @example(lo=3**11, width=1)  # exactly 3^11
+    @example(lo=1, width=NAIVE_LIMIT - 1)  # every stride of the table
+    @given(
+        lo=st.integers(1, 200_000),
+        width=st.one_of(st.integers(1, 64), st.integers(1, 20_000)),
+    )
+    def test_random_segments_match_naive_phi(self, tables200k, naive_phi, lo, width):
+        hi = min(lo + width, NAIVE_LIMIT)
+        assert segment_phi(lo, hi, tables200k).tolist() == naive_phi[lo:hi].tolist()
 
     def test_bad_segment(self, tables):
         with pytest.raises(DomainError):
@@ -117,16 +153,66 @@ class TestOracle:
         for a in units_of(m):
             assert found[a] == oracle_N(a, m, default_cap(m), tables).N
 
-    def test_minimality_rescan(self, tables200k):
-        # independent route: SPF-recursion residue table over the prefix
+    def test_minimality_rescan(self, tables200k, naive_phi):
+        # independent route: phi(n) from factorizations over the prefix
         for m in (9, 25, 45):
             found = oracle_N_multi(units_of(m), m, default_cap(m), tables200k)
-            top = max(n for n in found.values() if n is not None)
-            table = phi_residue_table(top, m, tables200k)
-            for a, n_val in found.items():
-                assert n_val is not None
-                hits = np.nonzero(table[1:] == a)[0]
-                assert hits.size and hits[0] + 1 == n_val
+            assert all(n is not None for n in found.values())
+            assert found == naive_first_hits(found, m, default_cap(m), naive_phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_naive_first_hits(self, tables200k, naive_phi, data):
+        m = data.draw(st.integers(0, 199).map(lambda i: 2 * i + 1), label="m")
+        a_values = data.draw(
+            st.lists(st.sampled_from(units_of(m)), min_size=1, unique=True),
+            label="a_values",
+        )
+        start = st.sampled_from(SEGMENT_STARTS)
+        cap = data.draw(
+            st.one_of(
+                start,  # the first integer of a segment
+                start.map(lambda c: c - 1),  # the last of the one before
+                st.integers(1, NAIVE_LIMIT - 1),
+            ),
+            label="cap",
+        )
+        found = oracle_N_multi(a_values, m, cap, tables200k)
+        assert found == naive_first_hits(a_values, m, cap, naive_phi)
+
+    def test_stream_stops_near_largest_hit(self, tables10k, naive_phi, monkeypatch):
+        segments = []
+
+        def spy(lo, hi, tables):
+            segments.append((lo, hi))
+            return segment_phi(lo, hi, tables)
+
+        monkeypatch.setattr(search, "segment_phi", spy)
+        m = 301
+        a_values = units_of(m)[:20]
+        found = oracle_N_multi(a_values, m, m**3, tables10k)
+        assert found == naive_first_hits(a_values, m, m**3, naive_phi)
+        # doubling segments overshoot the largest N by less than a factor 2
+        streamed = sum(hi - lo for lo, hi in segments)
+        assert streamed <= 2 * max(found.values()) + FIRST_SEGMENT
+        assert max(hi - lo for lo, hi in segments) <= DEFAULT_SEGMENT
+
+    def test_segments_stop_doubling_at_ceiling(
+        self, tables200k, naive_phi, monkeypatch
+    ):
+        sizes = []
+
+        def spy(lo, hi, tables):
+            sizes.append(hi - lo)
+            return segment_phi(lo, hi, tables)
+
+        monkeypatch.setattr(search, "segment_phi", spy)
+        monkeypatch.setattr(search, "FIRST_SEGMENT", 256)
+        monkeypatch.setattr(search, "DEFAULT_SEGMENT", 1024)
+        m = 301  # largest N over all units: 3657
+        found = oracle_N_multi(units_of(m), m, default_cap(m), tables200k)
+        assert found == naive_first_hits(found, m, default_cap(m), naive_phi)
+        assert sizes == [256, 512, 1024, 1024, 1024]
 
 
 class TestConstructiveSearch:
