@@ -56,21 +56,18 @@ class UnitGroupContext:
         residues = np.arange(max(m, 1), dtype=np.int64)
         unit_mask = np.ones(max(m, 1), dtype=bool)
         dlogs = np.zeros((len(self.components), max(m, 1)), dtype=np.int64)
-        component_dlogs = []
         for i, comp in enumerate(self.components):
             table = np.full(comp.prime_power, -1, dtype=np.int64)
             cur = 1
             for j in range(comp.order):
                 table[cur] = j
                 cur = cur * comp.generator % comp.prime_power
-            component_dlogs.append(table)
             local = table[residues % comp.prime_power]
             unit_mask &= local >= 0
             dlogs[i] = local
         dlogs[:, ~unit_mask] = 0
         self.unit_mask = unit_mask
         self.dlogs = dlogs
-        self.component_dlogs = tuple(component_dlogs)
         T = self.value_order
         self.roots = np.exp(2j * np.pi * np.arange(T) / T)
 
@@ -79,19 +76,43 @@ class UnitGroupContext:
         return np.nonzero(self.unit_mask)[0]
 
     def value_matrix(self) -> np.ndarray:
-        """Rows = characters in all_characters order, columns = residues."""
+        """Rows = characters in all_characters order, columns = residues.
+
+        The dense phi(m) x m reference table; production paths use
+        character sums over the discrete-log grid and values_at instead.
+        """
         if self._value_matrix is None:
             self._value_matrix = np.vstack(
                 [chi.value_vector() for chi in all_characters(self)]
             )
         return self._value_matrix
 
+    def values_at(self, x: int) -> np.ndarray:
+        """chi(x) for every character, in all_characters order.
+
+        The angle numerators sum_i e_i * dlog_i(x) * (T / o_i) mod T are
+        exact integers over the exponent grid; only the root lookup is
+        floating point.
+        """
+        r = x % self.modulus
+        if not self.unit_mask[r]:
+            return np.zeros(self.phi, dtype=complex)
+        T = self.value_order
+        t = np.zeros(1, dtype=np.int64)
+        for o, dlog in zip(self.orders, self.dlogs):
+            step = int(dlog[r]) * (T // o) % T
+            t = np.add.outer(t, np.arange(o, dtype=np.int64) * step % T).ravel() % T
+        return self.roots[t]
+
     def conductors(self) -> np.ndarray:
-        """Conductor of each character, in all_characters order."""
+        """Conductor of each character, in all_characters order: the
+        component rule applied over every exponent vector at once."""
         if self._conductors is None:
-            self._conductors = np.array(
-                [chi.conductor() for chi in all_characters(self)], dtype=np.int64
-            )
+            cond = np.ones(1, dtype=np.int64)
+            for comp in self.components:
+                local = _component_conductor(comp, np.arange(comp.order))
+                cond = np.multiply.outer(cond, local).ravel()
+            self._conductors = cond
         return self._conductors
 
     def __eq__(self, other: object) -> bool:
@@ -214,37 +235,33 @@ class DirichletCharacter:
     # -- conductor ------------------------------------------------------
 
     def conductor(self) -> int:
-        """Least d | m with chi trivial on every unit = 1 (mod d).
-
-        Computed per component by direct triviality testing on the kernel
-        filtration (units = 1 mod p^beta), multiplicative across components.
-        """
+        """Least d | m with chi trivial on every unit = 1 (mod d),
+        multiplicative across the components."""
         if self._conductor is None:
-            cond = 1
-            for comp, dlog, e in zip(
-                self.context.components,
-                self.context.component_dlogs,
-                self.exponents,
-            ):
-                cond *= _component_conductor(comp, dlog, e)
-            self._conductor = cond
+            self._conductor = math.prod(
+                int(_component_conductor(comp, e))
+                for comp, e in zip(self.context.components, self.exponents)
+            )
         return self._conductor
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.context.modulus
 
 
-def _component_conductor(comp: Component, dlog: np.ndarray, e: int) -> int:
+def _component_conductor(comp: Component, e: int | np.ndarray) -> np.ndarray:
     """Least p^beta such that the exponent-e character on this component
-    is trivial on units congruent to 1 mod p^beta (kernel filtration)."""
-    if e % comp.order == 0:
-        return 1
-    pp, order = comp.prime_power, comp.order
-    for beta in range(1, comp.alpha + 1):
-        pb = comp.prime**beta
-        if all((e * int(dlog[u])) % order == 0 for u in range(1, pp, pb)):
-            return pb
-    return pp
+    is trivial on units congruent to 1 mod p^beta, elementwise over e.
+
+    Those units form the subgroup generated by g^((p-1) p^(beta-1)), of
+    order p^(alpha-beta), so the character is trivial there exactly when
+    p^(alpha-beta) | e: the conductor is p^max(1, alpha - v_p(e)), and 1
+    for e = 0 (mod order).
+    """
+    e = np.asarray(e, dtype=np.int64) % comp.order
+    v = np.zeros(e.shape, dtype=np.int64)
+    for j in range(1, comp.alpha):
+        v += e % comp.prime**j == 0
+    return np.where(e == 0, 1, comp.prime ** np.maximum(1, comp.alpha - v))
 
 
 def all_characters(ctx: UnitGroupContext) -> list[DirichletCharacter]:
@@ -283,8 +300,8 @@ def primitive_inducing(chi: DirichletCharacter) -> DirichletCharacter:
     if f == ctx.modulus:
         return chi
     kept = []
-    for comp, dlog, e in zip(ctx.components, ctx.component_dlogs, chi.exponents):
-        c = _component_conductor(comp, dlog, e)
+    for comp, e in zip(ctx.components, chi.exponents):
+        c = int(_component_conductor(comp, e))
         if c > 1:
             kept.append((comp.prime, round(math.log(c, comp.prime))))
     new_ctx = _context_from_prime_powers(f, kept)

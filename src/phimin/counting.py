@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import euler_phi, trial_factorize
 from .characters import UnitGroupContext, psi_character
-from .errors import ConsistencyError, DomainError
+from .errors import BoundsError, ConsistencyError, DomainError
 from .intervals import (
     PrimeIntervalSet,
     character_sums_all,
@@ -38,14 +38,6 @@ def indicator_1am(a: int, m: int) -> int:
     return 1 if m % 3 == 0 and a % 3 == 2 else 0
 
 
-def _inverse_table(m: int) -> np.ndarray:
-    inv = np.zeros(m, dtype=np.int64)
-    for b in range(1, m):
-        if math.gcd(b, m) == 1:
-            inv[b] = pow(b, -1, m)
-    return inv
-
-
 def count_solutions_direct(
     a: int,
     m: int,
@@ -55,27 +47,29 @@ def count_solutions_direct(
 ) -> int:
     """Exact solution count by convolving residue count vectors.
 
-    Pure integer arithmetic: for each unit pair (b1, b2) the third
-    residue is forced, so J = sum c1[b1] c2[b2] c3[a (1+d)^-1 (b1 b2)^-1].
+    Pure integer arithmetic: for each pair of occupied classes (x, y) of
+    the two intervals with the fewest occupied classes, the class of the
+    third is forced, so J = sum cx[x] cy[y] cz[a (1+d)^-1 (x y)^-1].  Only
+    those two class sets are inverted, and the forced classes form one
+    |classes_x| x |classes_y| index table, contracted by two mat-vecs.
     """
     require_modulus(m, i1, i2, i3)
     require_disjoint(i1, i2, i3)
     delta = indicator_1am(a, m)
-    if m == 1:
-        return i1.size * i2.size * i3.size
-    inv = _inverse_table(m)
+    if m * m >= 2**63 or i1.size * i2.size * i3.size >= 2**63:
+        # J <= |I1||I2||I3| bounds every partial sum below
+        raise BoundsError(f"int64 convolution would overflow at m={m}")
     t = a * pow(1 + delta, -1, m) % m
-    c1, c2, c3 = i1.count_vector, i2.count_vector, i3.count_vector
-    b2s = np.nonzero(c2)[0]
-    if b2s.size == 0:
-        return 0
-    inv_b2 = inv[b2s]
-    total = 0
-    for b1 in np.nonzero(c1)[0]:
-        pref = t * int(inv[b1]) % m
-        b3 = pref * inv_b2 % m
-        total += int(c1[b1]) * int(np.dot(c2[b2s], c3[b3]))
-    return total
+    (cx, x), (cy, y), (cz, _) = sorted(
+        ((iv.count_vector, np.nonzero(iv.count_vector)[0]) for iv in (i1, i2, i3)),
+        key=lambda pair: pair[1].size,
+    )
+    inv_x, inv_y = (
+        np.array([pow(int(b), -1, m) for b in classes], dtype=np.int64)
+        for classes in (x, y)
+    )
+    z = np.outer(t * inv_x % m, inv_y) % m
+    return int(cx[x] @ (cz[z] @ cy[y]))
 
 
 def count_solutions_enumerate(
@@ -124,18 +118,21 @@ def count_solutions_characters(
     if ctx.modulus != m:
         raise DomainError("context modulus mismatch")
     require_disjoint(i1, i2, i3)
-    delta = indicator_1am(a, m)
-    s1 = character_sums_all(ctx, i1)
-    s2 = character_sums_all(ctx, i2)
-    s3 = character_sums_all(ctx, i3)
-    v = ctx.value_matrix()
-    terms = s1 * s2 * s3 * np.conj(v[:, a % m]) * v[:, (1 + delta) % m]
-    total = complex(terms.sum())
+    total = complex(_character_terms(a, m, (i1, i2, i3), ctx).sum())
     if abs(total.imag) > ORACLE_REL_TOL * ctx.phi:
         raise ConsistencyError(
             f"imaginary part {total.imag} of the character count did not cancel"
         )
     return total.real / ctx.phi
+
+
+def _character_terms(
+    a: int, m: int, intervals: IntervalTriple, ctx: UnitGroupContext
+) -> np.ndarray:
+    """S1 S2 S3 * conj(chi(a)) * chi(1 + d) for every character."""
+    delta = indicator_1am(a, m)
+    s1, s2, s3 = (character_sums_all(ctx, iv) for iv in intervals)
+    return s1 * s2 * s3 * np.conj(ctx.values_at(a)) * ctx.values_at(1 + delta)
 
 
 def main_term(
@@ -184,10 +181,7 @@ def remainder_term(
 ) -> float:
     """Signed contribution of all characters outside {chi0, psi} to J,
     so that J = |I1||I2||I3|/phi + psi_term + remainder_term exactly."""
-    delta = indicator_1am(a, m)
-    sums = [character_sums_all(ctx, iv) for iv in intervals]
-    v = ctx.value_matrix()
-    terms = sums[0] * sums[1] * sums[2] * np.conj(v[:, a % m]) * v[:, (1 + delta) % m]
+    terms = _character_terms(a, m, intervals, ctx)
     conductors = ctx.conductors()
     keep = conductors > 1
     if m % 3 == 0:
@@ -315,7 +309,9 @@ def count_report(
     if threshold is None:
         threshold = default_split_threshold(m, k) if k is not None else float(m)
     small, large = conductor_split(a, m, intervals, ctx, threshold)
-    cert = positivity_certificate(a, m, intervals, ctx)
+    # any threshold splits the same characters, so small + large is the
+    # positivity certificate's sum
+    product = i1.size * i2.size * i3.size
     return CountReport(
         m=m,
         a=a,
@@ -328,5 +324,5 @@ def count_report(
         S_small=small,
         S_large=large,
         threshold=threshold,
-        certified=cert.certified,
+        certified=bool(product and small + large < product),
     )

@@ -165,10 +165,23 @@ def character_sum(chi: DirichletCharacter, interval: PrimeIntervalSet) -> comple
 def character_sums_all(
     ctx: UnitGroupContext, interval: PrimeIntervalSet
 ) -> np.ndarray:
-    """S(chi) for every character at once (all_characters order)."""
+    """S(chi) for every character at once (all_characters order).
+
+    S(chi_e) = sum_u c[u] exp(2 pi i sum_j e_j dlog_j(u) / o_j) is an
+    unnormalised inverse DFT of the counts placed on the discrete-log
+    grid of shape ctx.orders, whose C-order flattening is the
+    all_characters order (the abelian-group FFT).  O(phi log phi) time
+    and O(m) memory; classes off the units contribute nothing.
+    """
     if ctx.modulus != interval.modulus:
         raise DomainError("context and interval moduli differ")
-    return ctx.value_matrix() @ interval.count_vector
+    counts = interval.count_vector
+    if not ctx.components:  # m = 1: only the trivial character
+        return np.array([counts.sum()], dtype=complex)
+    units = ctx.units()
+    grid = np.zeros(ctx.orders)
+    grid[tuple(ctx.dlogs[:, units])] = counts[units]
+    return np.fft.ifftn(grid, norm="forward").ravel()
 
 
 def rho_definition(chi_d: DirichletCharacter) -> complex:

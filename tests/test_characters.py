@@ -159,6 +159,25 @@ class TestConductor:
                         break
                 assert chi.conductor() == best
 
+    def test_vectorised_matches_per_character(self, tables):
+        for m in range(1, 226, 2):
+            ctx = build_unit_group(m, tables)
+            want = [chi.conductor() for chi in all_characters(ctx)]
+            assert ctx.conductors().tolist() == want
+
+    def test_kernel_definition_higher_prime_powers(self, tables):
+        # least d | m with chi = 1 on every unit = 1 (mod d), read off the
+        # dense value table, at prime powers with alpha >= 3
+        for m in (27, 81, 125, 243, 343, 675, 1029):
+            ctx = build_unit_group(m, tables)
+            v = ctx.value_matrix()
+            want = np.zeros(ctx.phi, dtype=np.int64)
+            for d in sorted(d for d in range(1, m + 1) if m % d == 0):
+                kernel = [u for u in range(1, m, d) if math.gcd(u, m) == 1]
+                trivial = np.all(np.abs(v[:, kernel] - 1) < 1e-9, axis=1)
+                want[(want == 0) & trivial] = d
+            assert ctx.conductors().tolist() == want.tolist()
+
     def test_primitive_counts_squarefree(self, tables):
         # squarefree odd d has prod (p-2) primitive characters
         for d, expected in [(5, 3), (15, 3), (35, 15), (105, 15)]:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phimin.arith import is_prime
-from phimin.characters import build_unit_group
+from phimin import cli, counting
+from phimin.characters import UnitGroupContext, build_unit_group
 from phimin.counting import (
     conductor_split,
     count_report,
@@ -21,7 +23,7 @@ from phimin.counting import (
     psi_term,
     remainder_term,
 )
-from phimin.errors import DomainError
+from phimin.errors import BoundsError, DomainError
 from phimin.intervals import (
     PrimeIntervalSet,
     SmallKWarning,
@@ -163,6 +165,59 @@ class TestLargePrimes:
             lo += width + data.draw(st.integers(0, 10**8 if near_1e9 else 100))
         ivs = data.draw(st.permutations(ivs), label="order")
         assert count_solutions_enumerate(a, m, *ivs) == count_solutions_direct(a, m, *ivs)
+
+
+class TestDirectCount:
+    def test_gather_interval_changes(self, tables):
+        # I1 has the fewest occupied classes and I3 the most, so the
+        # largest count vector gathered is I3's, not I1's
+        m = 63
+        ivs = tuple(
+            build_custom_interval(lo, hi, m, tables)
+            for lo, hi in ((100, 130), (200, 300), (400, 1200))
+        )
+        occupied = [np.count_nonzero(iv.count_vector) for iv in ivs]
+        assert occupied[0] < occupied[1] < occupied[2]
+        counts = [count_solutions_direct(a, m, *ivs) for a in units_of(m)]
+        assert counts == [count_solutions_enumerate(a, m, *ivs) for a in units_of(m)]
+        assert sum(counts) > 0
+
+    def test_overflow_guard(self):
+        # |I1||I2||I3| = 2^63 would overflow the int64 contraction
+        n = 2**21
+        ivs = [
+            PrimeIntervalSet(None, p - 1, p, 9, np.broadcast_to(np.int64(p), (n,)),
+                             np.zeros(9, dtype=np.int64))
+            for p in (2, 5, 11)
+        ]
+        with pytest.raises(BoundsError):
+            count_solutions_direct(1, 9, *ivs)
+
+    def test_cli_count_beyond_dense_table(self, capsys):
+        # the phi(m) x m table would take about 4.2 GB at this modulus
+        assert cli.main(["count", "--m", "20001", "--a", "2", "--k", "2"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["J_direct"] == 29711
+        assert abs(rec["J_characters"] - rec["J_direct"]) <= 1e-6 * (1 + rec["J_direct"])
+
+    def test_report_skips_dense_table(self, tables, monkeypatch):
+        calls = []
+        real_sums = counting.character_sums_all
+
+        def no_table(self):
+            raise AssertionError("value_matrix called")
+
+        def counted(ctx, iv):
+            calls.append(iv.index)
+            return real_sums(ctx, iv)
+
+        monkeypatch.setattr(UnitGroupContext, "value_matrix", no_table)
+        monkeypatch.setattr(counting, "character_sums_all", counted)
+        m = 45
+        ctx = build_unit_group(m, tables)
+        rep = count_report(2, m, canonical(m, 2, tables), ctx, k=2)
+        assert abs(rep.J_characters - rep.J_direct) <= 1e-6 * (1 + rep.J_direct)
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3]
 
 
 class TestDecomposition:

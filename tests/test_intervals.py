@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phimin.arith import log_integral
 from phimin.characters import (
@@ -20,6 +22,7 @@ from phimin.intervals import (
     build_interval,
     cardinality_prediction,
     character_sum,
+    character_sums_all,
     main_term_prediction,
     parseval_sum,
     rho_closed_form,
@@ -260,6 +263,60 @@ class TestParseval:
                 total = parseval_sum(iv, ctx)
                 exact = ctx.phi * float((iv.count_vector**2).sum())
                 assert abs(total - exact) <= 1e-6 * max(exact, 1.0)
+
+
+def count_vector_interval(counts, m):
+    """Interval set that carries only a count vector, for the sums."""
+    return PrimeIntervalSet(None, 0.0, 0.0, m, np.empty(0, dtype=np.int64), counts)
+
+
+odd_moduli = st.integers(0, 199).map(lambda i: 2 * i + 1)
+
+
+class TestCharacterSumsFFT:
+    """The grid FFT against the dense value_matrix reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=odd_moduli, data=st.data())
+    def test_matches_dense_table(self, tables, m, data):
+        ctx = build_unit_group(m, tables)
+        # classes off the units too: chi vanishes there on both routes
+        counts = np.array(
+            data.draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m)),
+            dtype=np.int64,
+        )
+        got = character_sums_all(ctx, count_vector_interval(counts, m))
+        want = ctx.value_matrix() @ counts
+        assert got.shape == (ctx.phi,)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * max(counts.sum(), 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=odd_moduli, x=st.integers(-10**6, 10**6))
+    def test_values_at_match_dense_columns(self, tables, m, x):
+        ctx = build_unit_group(m, tables)
+        v = ctx.value_matrix()
+        non_units = [0, ctx.components[0].prime] if m > 1 else []
+        for y in (x, 1, -1, *non_units):
+            assert np.max(np.abs(ctx.values_at(y) - v[:, y % m])) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=odd_moduli, data=st.data())
+    def test_parseval_random_counts(self, tables, m, data):
+        ctx = build_unit_group(m, tables)
+        counts = np.zeros(m, dtype=np.int64)
+        units = ctx.units()
+        counts[units] = data.draw(
+            st.lists(st.integers(0, 1000), min_size=units.size, max_size=units.size)
+        )
+        total = parseval_sum(count_vector_interval(counts, m), ctx)
+        exact = ctx.phi * float((counts**2).sum())
+        assert abs(total - exact) <= 1e-9 * max(exact, 1.0)
+
+    def test_trivial_group(self, tables):
+        ctx = build_unit_group(1, tables)
+        iv = count_vector_interval(np.array([7], dtype=np.int64), 1)
+        assert character_sums_all(ctx, iv).tolist() == [7]
+        assert ctx.values_at(5).tolist() == [1]
 
 
 class TestPsiSumIdentity:
