@@ -11,17 +11,16 @@ from .arith import (
     Factorization,
     crt_combine,
     euler_phi,
-    factorize,
     is_prime,
     log_integral,
     log_integral_between,
     moebius,
     primitive_root,
+    trial_factorize,
 )
 from .bounds import (
     euler_product_constant,
     interval_count_accuracy,
-    moment_ratio,
     rakhmonov_inequality_check,
 )
 from .characters import (
@@ -32,7 +31,6 @@ from .characters import (
     primitive_inducing,
     principal_character,
     psi_character,
-    write_character_table,
 )
 from .counting import (
     CountReport,
@@ -40,7 +38,6 @@ from .counting import (
     count_report,
     count_solutions_characters,
     count_solutions_direct,
-    count_solutions_enumerate,
     indicator_1am,
     main_term,
     default_split_threshold,
@@ -66,7 +63,6 @@ from .intervals import (
     parseval_sum,
     rho_closed_form,
     rho_definition,
-    write_character_sums,
 )
 from .search import (
     OracleResult,

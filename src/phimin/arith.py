@@ -4,15 +4,12 @@ primitive roots, and the logarithmic integral Li(x) = int_2^x dt/log t.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .errors import BoundsError, DomainError
-from .sieve import SieveTables
+from .errors import DomainError
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -65,58 +62,22 @@ class Factorization:
             prev = p
 
 
-def _trial_divide(n: int, divisors: Iterable[int]) -> tuple[list[tuple[int, int]], int]:
-    """Divide out each d of the increasing `divisors` while d * d <= n.
-    Returns the (d, exponent) pairs found and the cofactor left over."""
+def trial_factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division: the package's one factorizer, for
+    the moduli, conductors and group orders, which stay small."""
+    if n < 1:
+        raise DomainError(f"cannot factor {n}")
     out = []
-    for d in divisors:
-        if d * d > n:
-            break
+    d = 2
+    while d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))
-    return out, n
-
-
-def trial_factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division, without sieve tables: for the
-    moduli, conductors and group orders that stay small."""
-    if n < 1:
-        raise DomainError(f"cannot factor {n}")
-    out, rest = _trial_divide(n, itertools.count(2))
-    if rest > 1:
-        out.append((rest, 1))
-    return Factorization(tuple(out))
-
-
-def factorize(n: int, tables: SieveTables) -> Factorization:
-    """Factor n >= 1.  Uses the SPF table when it covers n, otherwise
-    trial division by the stored primes with a primality test on the
-    cofactor."""
-    if n < 1:
-        raise DomainError(f"cannot factor {n}")
-    if n == 1:
-        return Factorization(())
-    if n <= tables.spf_limit:
-        out = []
-        spf = tables.spf
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return Factorization(tuple(out))
-    out, n = _trial_divide(n, map(int, tables.primes))
+        d += 1
     if n > 1:
-        if not is_prime(n):
-            raise BoundsError(
-                f"cofactor {n} not certified prime; sieve limit too small"
-            )
         out.append((n, 1))
     return Factorization(tuple(out))
 

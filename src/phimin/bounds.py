@@ -1,6 +1,6 @@
 """Numerical certification of the quantitative ingredients: the
 small-conductor Euler-product constant, interval cardinality main terms,
-Rakhmonov's shifted-prime character sum bound, and second-moment ratios.
+and Rakhmonov's shifted-prime character sum bound.
 """
 
 from __future__ import annotations
@@ -11,15 +11,9 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import divisor_count, trial_factorize
-from .characters import DirichletCharacter, UnitGroupContext
+from .characters import DirichletCharacter
 from .errors import ConsistencyError, DomainError
-from .intervals import (
-    PrimeIntervalSet,
-    build_interval,
-    cardinality_prediction,
-    character_sums_all,
-    parseval_sum,
-)
+from .intervals import build_interval, cardinality_prediction
 from .sieve import SieveTables, build_sieve
 
 CONSTANT_CEILING = 0.53
@@ -118,28 +112,3 @@ def rakhmonov_inequality_check(
     )
     return lhs, rhs, lhs <= rhs
 
-
-def moment_ratio(
-    interval: PrimeIntervalSet, ctx: UnitGroupContext, order: int = 2
-) -> float:
-    """Diagnostic ratio for the moment bounds on character sums.
-
-    order 2:   sum_chi |S(chi)|^2 / (|I|^2 log m)
-    order 2k:  sum_chi |S(chi)|^(2k) / (m^2 (log m)^(k^2 - 1))
-
-    Reported, never asserted: the implied constants are not pinned.
-    """
-    if order < 2 or order % 2:
-        raise DomainError(f"order must be a positive even integer, got {order}")
-    m = interval.modulus
-    if m < 3:
-        raise DomainError("moment ratios need m >= 3 (log m > 0)")
-    if order == 2:
-        if interval.size == 0:
-            return math.inf
-        total = parseval_sum(interval, ctx)
-        return total / (interval.size**2 * math.log(m))
-    kk = order // 2
-    sums = np.abs(character_sums_all(ctx, interval))
-    total = float(np.sum(sums**order))
-    return total / (m**2 * math.log(m) ** (kk * kk - 1))

@@ -11,17 +11,15 @@ point.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import crt_combine, factorize, primitive_root
+from .arith import crt_combine, primitive_root, trial_factorize
 from .errors import ConsistencyError, DomainError, EvenModulusError
-from .sieve import SieveTables
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def _context_from_prime_powers(m: int, factors: Iterable[tuple[int, int]]) -> Un
     return UnitGroupContext(m, comps)
 
 
-def build_unit_group(m: int, tables: SieveTables) -> UnitGroupContext:
+def build_unit_group(m: int) -> UnitGroupContext:
     """Unit-group context for odd m >= 1 (m = 1 gives the trivial group)."""
     if m < 1:
         raise DomainError(f"modulus must be positive, got {m}")
@@ -146,7 +144,7 @@ def build_unit_group(m: int, tables: SieveTables) -> UnitGroupContext:
             f"modulus {m} is even; for even m only the class 1 (mod m) "
             "contains a totient, so odd m is required here"
         )
-    return _context_from_prime_powers(m, factorize(m, tables).factors)
+    return _context_from_prime_powers(m, trial_factorize(m).factors)
 
 
 class DirichletCharacter:
@@ -226,11 +224,6 @@ class DirichletCharacter:
 
     def __repr__(self) -> str:
         return f"DirichletCharacter(mod {self.context.modulus}, exponents={self.exponents})"
-
-    def order(self) -> int:
-        return math.lcm(
-            *(o // math.gcd(e, o) for e, o in zip(self.exponents, self.context.orders))
-        ) if self.exponents else 1
 
     # -- conductor ------------------------------------------------------
 
@@ -325,36 +318,3 @@ def _lift_unit(x: int, keep_prime: int, ctx: UnitGroupContext) -> int:
         [(x if c.prime == keep_prime else 1, c.prime_power) for c in ctx.components]
     )[0]
 
-
-# -- export -------------------------------------------------------------
-
-CHARACTER_TABLE_FIELDS = (
-    "character_index",
-    "exponents",
-    "conductor",
-    "is_primitive",
-    "order",
-)
-
-
-def character_table_rows(ctx: UnitGroupContext) -> list[dict]:
-    rows = []
-    for i, chi in enumerate(all_characters(ctx)):
-        rows.append(
-            {
-                "character_index": i,
-                "exponents": ";".join(str(e) for e in chi.exponents),
-                "conductor": chi.conductor(),
-                "is_primitive": chi.is_primitive(),
-                "order": chi.order(),
-            }
-        )
-    return rows
-
-
-def write_character_table(ctx: UnitGroupContext, out: TextIO) -> None:
-    """CSV table of every character mod m with conductor and order."""
-    w = csv.DictWriter(out, fieldnames=CHARACTER_TABLE_FIELDS, lineterminator="\n")
-    w.writeheader()
-    for row in character_table_rows(ctx):
-        w.writerow(row)

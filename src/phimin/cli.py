@@ -51,7 +51,7 @@ def _emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record, default=_json_default) + "\n")
 
 
-def _env_int(name: str, default: int | None) -> int | None:
+def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -61,21 +61,15 @@ def _env_int(name: str, default: int | None) -> int | None:
         raise DomainError(f"environment variable {name}={raw!r} is not an integer")
 
 
-def _sieve_limit(args: argparse.Namespace, needed: int) -> int:
-    # precedence: flag > TL_SIEVE_LIMIT > computed default
-    limit = args.sieve_limit
-    if limit is None:
-        limit = _env_int("TL_SIEVE_LIMIT", None)
-    return limit if limit is not None else needed
-
-
 # -- subcommands ----------------------------------------------------------
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     m, a = args.m, args.a
+    search.check_reduced_odd(a, m)
     cap = args.cap if args.cap is not None else search.default_cap(m)
-    tables = build_sieve(_sieve_limit(args, max(math.isqrt(cap) + 1, 100)))
+    search.check_cap(cap)
+    tables = build_sieve(max(math.isqrt(cap) + 1, 100))
     result = search.oracle_N(a, m, cap, tables)
     record = {
         "command": "oracle",
@@ -107,8 +101,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     m, a, k = args.m, args.a, args.k
     search.check_reduced_odd(a, m)
-    needed = intervals.interval_sieve_limit(m, k)
-    tables = build_sieve(_sieve_limit(args, max(needed, 100)))
+    tables = build_sieve(max(intervals.interval_sieve_limit(m, k), 100))
     ivs = [build_interval(j, m, k, tables) for j in (1, 2, 3)]
     witness = search.constructive_search(a, m, *ivs)
     record = {"command": "search", "m": m, "a": a, "k": k, "found": witness is not None}
@@ -127,10 +120,10 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     m, a, k = args.m, args.a, args.k
-    needed = intervals.interval_sieve_limit(m, k)
-    tables = build_sieve(_sieve_limit(args, max(needed, 100)))
+    search.check_reduced_odd(a, m)
+    tables = build_sieve(max(intervals.interval_sieve_limit(m, k), 100))
     ivs = tuple(build_interval(j, m, k, tables) for j in (1, 2, 3))
-    ctx = build_unit_group(m, tables)
+    ctx = build_unit_group(m)
     report = counting.count_report(a, m, ivs, ctx, k=k, threshold=args.threshold)
     _emit({"command": "count", **report.to_dict()})
     return EXIT_OK
@@ -169,9 +162,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
     m_values = list(range(lo, hi + 1, step))
     a_sample: int | str = args.a_sample
     if a_sample != "all":
-        a_sample = int(a_sample)
+        try:
+            a_sample = int(a_sample)
+        except ValueError:
+            a_sample = 0
         if a_sample < 1:
-            raise DomainError("--a-sample must be positive or 'all'")
+            raise DomainError(
+                f"--a-sample must be positive or 'all', got {args.a_sample!r}"
+            )
     jobs = args.jobs if args.jobs is not None else (_env_int("TL_JOBS", 1) or 1)
     rows, summary = search.exponent_scan(
         m_values, a_sample=a_sample, k=args.k, jobs=jobs
@@ -208,10 +206,9 @@ def _write_scan_csv(rows: list[dict], out) -> None:
 
 
 def _suite_rho() -> list[dict]:
-    tables = build_sieve(1000)
     checks = []
     for d in range(3, 166, 2):
-        ctx = build_unit_group(d, tables)
+        ctx = build_unit_group(d)
         worst = 0.0
         n_prim = 0
         for chi in all_characters(ctx):
@@ -238,7 +235,7 @@ def _suite_parseval() -> list[dict]:
     tables = build_sieve(1200)
     checks = []
     for m in range(9, 106, 2):
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallKWarning)
             ivs = [build_interval(j, m, 2, tables) for j in (1, 2, 3)]
@@ -312,7 +309,7 @@ def _suite_rakhmonov() -> list[dict]:
     tables = build_sieve(10_000)
     checks = []
     for m in (15, 21, 105):
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         for x in (1000.0, 10_000.0):
             worst = 0.0
             ok = True
@@ -339,7 +336,7 @@ def _suite_identity() -> list[dict]:
     tables = build_sieve(1000)
     checks = []
     for m in (9, 15, 21, 33, 45):
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         ivs = (
             build_custom_interval(2.0 * m, 4.0 * m, m, tables),
             build_custom_interval(float(m), 2.0 * m, m, tables),
@@ -411,28 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--sieve-limit",
-            type=int,
-            default=None,
-            help="override the sieve table limit (default: sized per task, "
-            "or TL_SIEVE_LIMIT)",
-        )
-
     p = sub.add_parser("oracle", help="least n <= cap with phi(n) = a (mod m)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--cap", type=int, default=None, help="default m^3")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("search", help="three-prime witness n = 4^d p1 p2 p3")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
-    add_common(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("count", help="solution count J by two independent routes")
@@ -440,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--threshold", type=float, default=None)
-    add_common(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -449,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("rho", "parseval", "constant", "lemma1", "rakhmonov", "identity"),
     )
-    add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="exponent scan over a range of moduli")
@@ -458,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--jobs", type=int, default=None, help="default TL_JOBS or 1")
     p.add_argument("--out", default="-", help="CSV path or - for stdout")
-    add_common(p)
     p.set_defaults(func=cmd_scan)
 
     return parser

@@ -26,7 +26,6 @@ from .intervals import (
 )
 
 ORACLE_REL_TOL = 1e-6
-ENUMERATION_CAP = 10**6
 
 IntervalTriple = tuple[PrimeIntervalSet, PrimeIntervalSet, PrimeIntervalSet]
 
@@ -70,34 +69,6 @@ def count_solutions_direct(
     )
     z = np.outer(t * inv_x % m, inv_y) % m
     return int(cx[x] @ (cz[z] @ cy[y]))
-
-
-def count_solutions_enumerate(
-    a: int,
-    m: int,
-    i1: PrimeIntervalSet,
-    i2: PrimeIntervalSet,
-    i3: PrimeIntervalSet,
-) -> int:
-    """Debug path: literal loop over all prime triples.
-
-    Independent of the convolution route; refuses products above 10^6.
-    Each p - 1 is reduced mod m as a Python int, so the products stay
-    exact at any prime size.
-    """
-    require_modulus(m, i1, i2, i3)
-    require_disjoint(i1, i2, i3)
-    if i1.size * i2.size * i3.size > ENUMERATION_CAP:
-        raise DomainError("triple enumeration capped at 10^6 combinations")
-    delta = indicator_1am(a, m)
-    r1, r2, r3 = ([(int(p) - 1) % m for p in iv.primes] for iv in (i1, i2, i3))
-    total = 0
-    for x1 in r1:
-        for x2 in r2:
-            for x3 in r3:
-                if (1 + delta) * x1 * x2 * x3 % m == a % m:
-                    total += 1
-    return total
 
 
 def count_solutions_characters(

@@ -8,22 +8,15 @@ O(|I|).  The canonical triple uses bounds m^(1+1/k), m, m^(1/k).
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TextIO
 
 import numpy as np
 
 from .arith import log_integral_between, trial_factorize
-from .characters import (
-    DirichletCharacter,
-    UnitGroupContext,
-    all_characters,
-    primitive_inducing,
-)
+from .characters import DirichletCharacter, UnitGroupContext, primitive_inducing
 from .errors import ConsistencyError, DomainError
 from .sieve import SieveTables
 
@@ -36,7 +29,8 @@ class SmallKWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PrimeIntervalSet:
-    """Primes p in (lo, hi] with gcd(p-1, m) = 1, plus residue counts."""
+    """Primes p in (lo, hi] with gcd(p-1, m) = 1, ascending, plus residue
+    counts."""
 
     index: int | None
     lo: float
@@ -59,9 +53,16 @@ def require_modulus(m: int, *intervals: PrimeIntervalSet) -> None:
 def require_disjoint(*intervals: PrimeIntervalSet) -> None:
     """The canonical intervals separate once m is large enough; at small
     m they can collide, which breaks the product structure, so it is an
-    explicit error rather than an assumed threshold."""
+    explicit error rather than an assumed threshold.
+
+    Each pair is decided by looking up the smaller sorted prime array in
+    the larger one, O(s log L) with no hashing."""
     for (i, x), (j, y) in itertools.combinations(enumerate(intervals, 1), 2):
-        if np.intersect1d(x.primes, y.primes).size:
+        small, large = sorted((x.primes, y.primes), key=len)
+        if not small.size:
+            continue
+        at = np.minimum(np.searchsorted(large, small), large.size - 1)
+        if (large[at] == small).any():
             raise DomainError(
                 f"interval sets {i} and {j} share primes at m={x.modulus}"
             )
@@ -90,9 +91,15 @@ def interval_bounds(j: int, m: int, k: int) -> tuple[float, float]:
     return 0.5 * hi, hi
 
 
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
+
+
 def interval_sieve_limit(m: int, k: int) -> int:
     """Sieve limit that covers the canonical triple: just above the top
     m^(1+1/k) of I1."""
+    _check_k(k)
     return int(m ** (1 + 1 / k)) + 2
 
 
@@ -115,8 +122,7 @@ def _make_interval(
 
 def build_interval(j: int, m: int, k: int, tables: SieveTables) -> PrimeIntervalSet:
     """Canonical interval set I_j for modulus m and parameter k >= 2."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
+    _check_k(k)
     if k < 10:
         warnings.warn(
             f"k={k} below 10: asymptotic exponents degrade, identities are unaffected",
@@ -252,47 +258,3 @@ def parseval_sum(interval: PrimeIntervalSet, ctx: UnitGroupContext) -> float:
         )
     return total
 
-
-# -- export -------------------------------------------------------------
-
-CHARACTER_SUMS_FIELDS = (
-    "character_index",
-    "conductor",
-    "abs_S1",
-    "abs_S2",
-    "abs_S3",
-    "predicted_main_term",
-    "deviation",
-)
-
-
-def write_character_sums(
-    ctx: UnitGroupContext,
-    intervals: tuple[PrimeIntervalSet, PrimeIntervalSet, PrimeIntervalSet],
-    out: TextIO,
-) -> None:
-    """CSV of |S_j(chi)| with the main-term prediction and the worst
-    relative deviation |S_j - predicted_j| / |I_j| across j."""
-    sums = [character_sums_all(ctx, iv) for iv in intervals]
-    chars = all_characters(ctx)
-    conductors = ctx.conductors()
-    w = csv.DictWriter(out, fieldnames=CHARACTER_SUMS_FIELDS, lineterminator="\n")
-    w.writeheader()
-    for i, chi in enumerate(chars):
-        devs, preds = [], []
-        for j, iv in enumerate(intervals):
-            pred = main_term_prediction(chi, iv, ctx)
-            preds.append(abs(pred))
-            if iv.size:
-                devs.append(abs(sums[j][i] - pred) / iv.size)
-        w.writerow(
-            {
-                "character_index": i,
-                "conductor": int(conductors[i]),
-                "abs_S1": f"{abs(sums[0][i]):.9g}",
-                "abs_S2": f"{abs(sums[1][i]):.9g}",
-                "abs_S3": f"{abs(sums[2][i]):.9g}",
-                "predicted_main_term": f"{max(preds):.9g}" if preds else "",
-                "deviation": f"{max(devs):.9g}" if devs else "",
-            }
-        )

@@ -9,7 +9,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,6 +121,12 @@ def check_reduced_odd(a: int, m: int) -> None:
         )
 
 
+def check_cap(cap: int) -> None:
+    """Reject an oracle cap below 1."""
+    if cap < 1:
+        raise DomainError(f"cap must be >= 1, got {cap}")
+
+
 def oracle_N(a: int, m: int, cap: int, tables: SieveTables) -> OracleResult:
     """Least n <= cap with phi(n) = a (mod m), by streaming scan."""
     found = oracle_N_multi([a], m, cap, tables)
@@ -138,8 +144,7 @@ def oracle_N_multi(
     O(DEFAULT_SEGMENT) at any cap.  One np.unique pass per segment finds
     the first hit of every class.
     """
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
+    check_cap(cap)
     targets = set()
     for a in a_values:
         check_reduced_odd(a, m)
@@ -238,10 +243,10 @@ def _sample_units(m: int, a_sample: int | str) -> list[int]:
     return units[: int(a_sample)]
 
 
-def scan_sieve_limit(m_values: Iterable[int], k: int, cap_fn: Callable[[int], int]) -> int:
+def scan_sieve_limit(m_values: Iterable[int], k: int) -> int:
     need = 100
     for m in m_values:
-        need = max(need, math.isqrt(cap_fn(m)) + 1, interval_sieve_limit(m, k))
+        need = max(need, math.isqrt(default_cap(m)) + 1, interval_sieve_limit(m, k))
     return need
 
 
@@ -249,11 +254,10 @@ def _scan_one_m(
     m: int,
     a_values: Sequence[int],
     k: int,
-    cap: int,
     tables: SieveTables,
 ) -> list[dict]:
     rows = []
-    oracle = oracle_N_multi(a_values, m, cap, tables)
+    oracle = oracle_N_multi(a_values, m, default_cap(m), tables)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallKWarning)
         intervals = [build_interval(j, m, k, tables) for j in (1, 2, 3)]
@@ -289,18 +293,16 @@ def _init_worker(limit: int) -> None:
     _WORKER_TABLES = build_sieve(limit)
 
 
-def _worker_task(args: tuple[int, tuple[int, ...], int, int]) -> list[dict]:
-    m, a_values, k, cap = args
+def _worker_task(args: tuple[int, tuple[int, ...], int]) -> list[dict]:
+    m, a_values, k = args
     assert _WORKER_TABLES is not None
-    return _scan_one_m(m, list(a_values), k, cap, _WORKER_TABLES)
+    return _scan_one_m(m, list(a_values), k, _WORKER_TABLES)
 
 
 def exponent_scan(
     m_values: Sequence[int],
     a_sample: int | str = "all",
     k: int = 2,
-    cap_fn: Callable[[int], int] | None = None,
-    tables: SieveTables | None = None,
     jobs: int = 1,
 ) -> tuple[list[dict], dict]:
     """Oracle N, witness n, and their exponents for every (m, a) row.
@@ -309,25 +311,20 @@ def exponent_scan(
     are recorded in the row instead of aborting the scan.  Returns
     (rows, summary) where the summary aggregates the exponents.
     """
-    cap_fn = cap_fn or default_cap
     for m in m_values:
         if m < 3 or m % 2 == 0:
             raise DomainError(f"scan moduli must be odd and >= 3, got {m}")
-    limit = scan_sieve_limit(m_values, k, cap_fn)
-    task_args = [
-        (m, tuple(_sample_units(m, a_sample)), k, cap_fn(m)) for m in m_values
-    ]
+    limit = scan_sieve_limit(m_values, k)
+    task_args = [(m, tuple(_sample_units(m, a_sample)), k) for m in m_values]
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(limit,)
         ) as pool:
             per_m = list(pool.map(_worker_task, task_args))
     else:
-        if tables is None or tables.limit < limit:
-            tables = build_sieve(limit)
+        tables = build_sieve(limit)
         per_m = [
-            _scan_one_m(m, list(a_values), kk, cap, tables)
-            for m, a_values, kk, cap in task_args
+            _scan_one_m(m, list(a_values), k, tables) for m, a_values, k in task_args
         ]
     rows = [row for group in per_m for row in group]
     return rows, _summarize(rows)

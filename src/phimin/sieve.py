@@ -1,9 +1,12 @@
-"""Prime sieves: smallest-prime-factor tables and segmented prime lists.
+"""Prime sieves: the sorted list of primes up to a limit.
 
-The SPF array answers factorization queries in O(log n) per integer and
-feeds the streaming totient tables; the primes list feeds interval
-enumeration.  Above the in-memory SPF cap the primes list is produced by
-a segmented Eratosthenes pass, so limits around 10^9 stay feasible.
+The primes list feeds interval enumeration and the base primes of the
+streamed totients.  Below the in-memory cap it is read off a
+smallest-prime-factor (SPF) array; above it a segmented Eratosthenes
+pass extends it, so limits around 10^9 stay feasible.  No query reads
+the SPF array (factorization is trial division): it stays only because
+the traced benchmark reports its size, until the benchmark reads
+counters the package reports itself.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ SEGMENT_SIZE = 1 << 22
 class SieveTables:
     """Immutable sieve data up to `limit`.
 
-    spf[n] is the smallest prime factor of n for 2 <= n <= spf_limit
-    (spf[0] = spf[1] = 0).  `primes` holds every prime <= limit.
+    `primes` holds every prime <= limit.  spf[n] is the smallest prime
+    factor of n for 2 <= n <= spf_limit (spf[0] = spf[1] = 0); nothing in
+    the package reads it, and it stays only for the traced benchmark.
     """
 
     limit: int

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from phimin import cli
-from phimin.arith import euler_phi, factorize
+from phimin.arith import euler_phi, trial_factorize
 from phimin.bounds import (
     CONSTANT_CEILING,
     euler_product_constant,
@@ -28,7 +28,6 @@ from phimin.characters import (
 from phimin.counting import (
     count_solutions_characters,
     count_solutions_direct,
-    count_solutions_enumerate,
     indicator_1am,
 )
 from phimin.intervals import (
@@ -46,6 +45,7 @@ from phimin.search import (
     oracle_N_multi,
 )
 from phimin.sieve import build_sieve
+from reference import count_solutions_enumerate
 
 EQUIVALENCE_MODULI = (9, 15, 21, 25, 33, 35, 45)
 
@@ -84,11 +84,10 @@ def report(num, ok, text):
 
 def test_criterion_1_rho_closed_form():
     t0 = time.monotonic()
-    tables = build_sieve(1000)
     checked = 0
     worst = 0.0
     for d in range(3, 166, 2):
-        ctx = build_unit_group(d, tables)
+        ctx = build_unit_group(d)
         for chi in all_characters(ctx):
             if not chi.is_primitive():
                 continue
@@ -98,9 +97,9 @@ def test_criterion_1_rho_closed_form():
     # primitive characters on non-squarefree odd d up to 200 average to 0
     zero_worst = 0.0
     for d in range(9, 201, 2):
-        if all(e == 1 for _, e in factorize(d, tables).factors):
+        if all(e == 1 for _, e in trial_factorize(d).factors):
             continue
-        ctx = build_unit_group(d, tables)
+        ctx = build_unit_group(d)
         for chi in all_characters(ctx):
             if chi.is_primitive():
                 zero_worst = max(zero_worst, abs(rho_definition(chi)))
@@ -121,7 +120,7 @@ def test_criterion_2_counting_oracle_equivalence():
     rows = 0
     worst = 0.0
     for m in EQUIVALENCE_MODULI:
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         for k in (2, 3):
             ivs = canonical(m, k, tables)
             for a in units_of(m):
@@ -147,7 +146,7 @@ def test_criterion_3_psi_product_identity():
     worst = 0.0
     rows = 0
     for m in (9, 15, 21, 33, 45):
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         ivs = three_free_intervals(m, tables)
         psi = psi_character(ctx)
         s = [character_sum(psi, iv) for iv in ivs]
@@ -172,7 +171,7 @@ def test_criterion_4_parseval():
     worst = 0.0
     pairs = 0
     for m in EQUIVALENCE_MODULI:
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         tested = []
         for k in (2, 3):
             tested.extend(canonical(m, k, tables))
@@ -228,7 +227,7 @@ def test_criterion_6_oracle_golden_values():
         found = oracle_N_multi(units_of(m), m, default_cap(m), tables)
         assert all(n is not None for n in found.values()), m
         top = max(found.values())
-        phi += [euler_phi(factorize(n, tables)) for n in range(len(phi), top + 1)]
+        phi += [euler_phi(trial_factorize(n)) for n in range(len(phi), top + 1)]
         residues = np.array(phi[1:]) % m
         for a, n_val in found.items():
             hits = np.nonzero(residues == a)[0]
@@ -244,7 +243,6 @@ def test_criterion_6_oracle_golden_values():
 
 def test_criterion_7_witness_scan():
     t0 = time.monotonic()
-    tables = build_sieve(6000)
     rows, summary = exponent_scan(
         list(range(51, 302, 2)), a_sample=20, k=2, jobs=4
     )
@@ -256,7 +254,7 @@ def test_criterion_7_witness_scan():
             hits += 1
             n = row["witness_n"]
             a, m = row["a"], row["m"]
-            assert euler_phi(factorize(n, tables)) % m == a % m, row
+            assert euler_phi(trial_factorize(n)) % m == a % m, row
             assert row["J_direct"] > 0, row
         else:
             misses += 1
@@ -286,7 +284,7 @@ def test_criterion_8_rakhmonov_never_violated():
     tables = build_sieve(10_000)
     checked = 0
     for m in (15, 21, 105):
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         for x in (1000.0, 10_000.0):
             for chi in all_characters(ctx):
                 if chi.is_principal():

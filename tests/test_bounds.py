@@ -1,4 +1,3 @@
-import math
 import time
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ from phimin.bounds import (
     CONSTANT_CEILING,
     euler_product_constant,
     interval_count_accuracy,
-    moment_ratio,
     rakhmonov_inequality_check,
 )
 from phimin.characters import (
@@ -18,7 +16,6 @@ from phimin.characters import (
     principal_character,
 )
 from phimin.errors import DomainError
-from phimin.intervals import build_custom_interval, build_interval
 from phimin.search import exponent_scan
 
 
@@ -79,13 +76,13 @@ class TestIntervalCountAccuracy:
 
 class TestRakhmonov:
     def test_empty_sum_below_two(self, tables):
-        ctx = build_unit_group(5, tables)
+        ctx = build_unit_group(5)
         chi = DirichletCharacter(ctx, [1])
         lhs, rhs, holds = rakhmonov_inequality_check(chi, 1.5, 5, tables)
         assert lhs == 0.0 and holds
 
     def test_quadratic_mod5_x100(self, tables):
-        ctx = build_unit_group(5, tables)
+        ctx = build_unit_group(5)
         chi = DirichletCharacter(ctx, [2])
         lhs, rhs, holds = rakhmonov_inequality_check(chi, 100.0, 5, tables)
         # independent enumeration of the shifted-prime sum
@@ -97,7 +94,7 @@ class TestRakhmonov:
 
     def test_holds_across_moduli(self, tables):
         for m in (15, 21):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             for x in (200.0, 1000.0):
                 for chi in all_characters(ctx):
                     if chi.is_principal():
@@ -106,42 +103,9 @@ class TestRakhmonov:
                     assert holds, (m, x, chi.exponents, lhs, rhs)
 
     def test_principal_rejected(self, tables):
-        ctx = build_unit_group(15, tables)
+        ctx = build_unit_group(15)
         with pytest.raises(DomainError):
             rakhmonov_inequality_check(principal_character(ctx), 100.0, 15, tables)
-
-
-class TestMomentRatio:
-    def test_singleton_order2(self, tables):
-        from tests.test_intervals import interval_from_primes
-
-        for m in (9, 15):
-            ctx = build_unit_group(m, tables)
-            iv = interval_from_primes([2], m)
-            want = ctx.phi / math.log(m)
-            assert abs(moment_ratio(iv, ctx, 2) - want) < 1e-9
-
-    def test_empty_interval(self, tables):
-        ctx = build_unit_group(9, tables)
-        empty = build_custom_interval(4, 3, 9, tables)
-        assert moment_ratio(empty, ctx, 2) == math.inf
-        assert moment_ratio(empty, ctx, 4) == 0.0
-
-    def test_deterministic_rerun(self, tables):
-        ctx = build_unit_group(15, tables)
-        iv = build_interval(1, 15, 3, tables)
-        assert iv.size > 0
-        first = moment_ratio(iv, ctx, 2)
-        assert math.isfinite(first)
-        assert moment_ratio(iv, ctx, 2) == first
-        high = moment_ratio(iv, ctx, 6)
-        assert moment_ratio(iv, ctx, 6) == high
-
-    def test_invalid_order(self, tables):
-        ctx = build_unit_group(9, tables)
-        iv = build_custom_interval(2, 40, 9, tables)
-        with pytest.raises(DomainError):
-            moment_ratio(iv, ctx, 3)
 
 
 def test_scan_exponent_regression():

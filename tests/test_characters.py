@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,11 +7,9 @@ from phimin.characters import (
     DirichletCharacter,
     all_characters,
     build_unit_group,
-    character_table_rows,
     primitive_inducing,
     principal_character,
     psi_character,
-    write_character_table,
 )
 from phimin.errors import DomainError, EvenModulusError
 
@@ -22,89 +19,89 @@ def units_of(m):
 
 
 class TestUnitGroup:
-    def test_trivial_modulus(self, tables):
-        ctx = build_unit_group(1, tables)
+    def test_trivial_modulus(self):
+        ctx = build_unit_group(1)
         assert ctx.components == ()
         assert ctx.phi == 1
 
-    def test_prime_power(self, tables):
-        ctx = build_unit_group(9, tables)
+    def test_prime_power(self):
+        ctx = build_unit_group(9)
         assert [(c.prime_power, c.generator, c.order) for c in ctx.components] == [
             (9, 2, 6)
         ]
 
-    def test_two_components(self, tables):
-        ctx = build_unit_group(15, tables)
+    def test_two_components(self):
+        ctx = build_unit_group(15)
         assert [(c.prime_power, c.generator, c.order) for c in ctx.components] == [
             (3, 2, 2),
             (5, 2, 4),
         ]
 
-    def test_even_rejected(self, tables):
+    def test_even_rejected(self):
         with pytest.raises(EvenModulusError):
-            build_unit_group(10, tables)
+            build_unit_group(10)
 
-    def test_generator_exponents_reproduce_units(self, tables):
+    def test_generator_exponents_reproduce_units(self):
         for m in (9, 15, 21, 45):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             for u in units_of(m):
                 for comp, dlog in zip(ctx.components, ctx.dlogs):
                     e = int(dlog[u % m])
                     assert pow(comp.generator, e, comp.prime_power) == u % comp.prime_power
 
-    def test_orders_multiply_to_phi(self, tables):
+    def test_orders_multiply_to_phi(self):
         for m in (1, 9, 15, 105, 225):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             assert ctx.phi == len(units_of(m))
             assert math.prod(c.prime_power for c in ctx.components) == m
 
 
 class TestAllCharacters:
     @pytest.mark.parametrize("m,count", [(1, 1), (9, 6), (15, 8)])
-    def test_counts(self, tables, m, count):
-        ctx = build_unit_group(m, tables)
+    def test_counts(self, m, count):
+        ctx = build_unit_group(m)
         chars = all_characters(ctx)
         assert len(chars) == count
         assert len(set(chars)) == count
         assert chars[0].is_principal()
 
-    def test_lexicographic_order(self, tables):
-        ctx = build_unit_group(15, tables)
+    def test_lexicographic_order(self):
+        ctx = build_unit_group(15)
         exps = [c.exponents for c in all_characters(ctx)]
         assert exps == sorted(exps)
 
 
 class TestEval:
-    def test_principal_is_one_on_units(self, tables):
+    def test_principal_is_one_on_units(self):
         for m in (9, 15, 45):
-            chi0 = principal_character(build_unit_group(m, tables))
+            chi0 = principal_character(build_unit_group(m))
             for u in units_of(m):
                 assert abs(chi0(u) - 1) < 1e-12
 
-    def test_quadratic_mod5(self, tables):
-        ctx = build_unit_group(5, tables)
+    def test_quadratic_mod5(self):
+        ctx = build_unit_group(5)
         chi = DirichletCharacter(ctx, [2])
         assert abs(chi(4) - 1) < 1e-12
         assert abs(chi(2) + 1) < 1e-12
         assert abs(chi(3) + 1) < 1e-12
 
-    def test_zero_off_units(self, tables):
-        ctx = build_unit_group(15, tables)
+    def test_zero_off_units(self):
+        ctx = build_unit_group(15)
         for chi in all_characters(ctx):
             assert chi(5) == 0
             assert chi(0) == 0
 
-    def test_values_on_unit_circle(self, tables):
+    def test_values_on_unit_circle(self):
         for m in (9, 21):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             for chi in all_characters(ctx):
                 vec = chi.value_vector()
                 mags = np.abs(vec)
                 assert np.all((mags < 1e-12) | (np.abs(mags - 1) < 1e-12))
 
-    def test_multiplicative_exhaustive(self, tables):
+    def test_multiplicative_exhaustive(self):
         for m in range(3, 46, 2):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             us = units_of(m)
             for chi in all_characters(ctx):
                 vec = chi.value_vector()
@@ -112,8 +109,8 @@ class TestEval:
                     for y in us:
                         assert abs(vec[x * y % m] - vec[x % m] * vec[y % m]) < 1e-12
 
-    def test_value_vector_matches_scalar(self, tables):
-        ctx = build_unit_group(45, tables)
+    def test_value_vector_matches_scalar(self):
+        ctx = build_unit_group(45)
         for chi in all_characters(ctx)[:6]:
             vec = chi.value_vector()
             for x in range(45):
@@ -121,26 +118,26 @@ class TestEval:
 
 
 class TestConductor:
-    def test_examples(self, tables):
-        ctx15 = build_unit_group(15, tables)
+    def test_examples(self):
+        ctx15 = build_unit_group(15)
         assert principal_character(ctx15).conductor() == 1
-        ctx9 = build_unit_group(9, tables)
+        ctx9 = build_unit_group(9)
         order2 = DirichletCharacter(ctx9, [3])
         assert order2.conductor() == 3
         order3 = DirichletCharacter(ctx9, [2])
         assert order3.conductor() == 9
 
-    def test_conductor_divides_modulus(self, tables):
+    def test_conductor_divides_modulus(self):
         for m in (9, 15, 45, 63):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             for chi in all_characters(ctx):
                 assert m % chi.conductor() == 0
 
-    def test_against_period_oracle(self, tables):
+    def test_against_period_oracle(self):
         # conductor = least d | m such that chi is constant on unit
         # classes mod d
         for m in (9, 15, 45, 63):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             us = units_of(m)
             for chi in all_characters(ctx):
                 vec = chi.value_vector()
@@ -159,17 +156,17 @@ class TestConductor:
                         break
                 assert chi.conductor() == best
 
-    def test_vectorised_matches_per_character(self, tables):
+    def test_vectorised_matches_per_character(self):
         for m in range(1, 226, 2):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             want = [chi.conductor() for chi in all_characters(ctx)]
             assert ctx.conductors().tolist() == want
 
-    def test_kernel_definition_higher_prime_powers(self, tables):
+    def test_kernel_definition_higher_prime_powers(self):
         # least d | m with chi = 1 on every unit = 1 (mod d), read off the
         # dense value table, at prime powers with alpha >= 3
         for m in (27, 81, 125, 243, 343, 675, 1029):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             v = ctx.value_matrix()
             want = np.zeros(ctx.phi, dtype=np.int64)
             for d in sorted(d for d in range(1, m + 1) if m % d == 0):
@@ -178,35 +175,35 @@ class TestConductor:
                 want[(want == 0) & trivial] = d
             assert ctx.conductors().tolist() == want.tolist()
 
-    def test_primitive_counts_squarefree(self, tables):
+    def test_primitive_counts_squarefree(self):
         # squarefree odd d has prod (p-2) primitive characters
         for d, expected in [(5, 3), (15, 3), (35, 15), (105, 15)]:
-            ctx = build_unit_group(d, tables)
+            ctx = build_unit_group(d)
             n = sum(1 for chi in all_characters(ctx) if chi.is_primitive())
             assert n == expected
 
 
 class TestPrimitiveInducing:
-    def test_principal_goes_to_modulus_one(self, tables):
-        ctx = build_unit_group(15, tables)
+    def test_principal_goes_to_modulus_one(self):
+        ctx = build_unit_group(15)
         ind = primitive_inducing(principal_character(ctx))
         assert ind.context.modulus == 1
 
-    def test_order2_mod9_induces_to_3(self, tables):
-        ctx = build_unit_group(9, tables)
+    def test_order2_mod9_induces_to_3(self):
+        ctx = build_unit_group(9)
         ind = primitive_inducing(DirichletCharacter(ctx, [3]))
         assert ind.context.modulus == 3
         assert abs(ind(2) + 1) < 1e-12
 
-    def test_primitive_character_is_fixed(self, tables):
-        ctx = build_unit_group(15, tables)
+    def test_primitive_character_is_fixed(self):
+        ctx = build_unit_group(15)
         for chi in all_characters(ctx):
             if chi.is_primitive():
                 assert primitive_inducing(chi) is chi
 
-    def test_agreement_on_units(self, tables):
+    def test_agreement_on_units(self):
         for m in (9, 15, 45, 105):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             for chi in all_characters(ctx):
                 ind = primitive_inducing(chi)
                 assert ind.is_primitive()
@@ -216,60 +213,60 @@ class TestPrimitiveInducing:
 
 
 class TestPsi:
-    def test_values_mod15(self, tables):
-        psi = psi_character(build_unit_group(15, tables))
+    def test_values_mod15(self):
+        psi = psi_character(build_unit_group(15))
         assert abs(psi(2) + 1) < 1e-12
         assert abs(psi(4) - 1) < 1e-12
         assert abs(psi(7) - 1) < 1e-12
         assert psi(5) == 0
 
-    def test_requires_three_divides_m(self, tables):
+    def test_requires_three_divides_m(self):
         with pytest.raises(DomainError):
-            psi_character(build_unit_group(5, tables))
+            psi_character(build_unit_group(5))
 
-    def test_unique_conductor_three_character(self, tables):
+    def test_unique_conductor_three_character(self):
         for m in (9, 15, 21, 45, 105):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             psi = psi_character(ctx)
             assert psi.conductor() == 3
             matches = [c for c in all_characters(ctx) if c.conductor() == 3]
             assert matches == [psi]
 
-    def test_tracks_residue_mod_three(self, tables):
+    def test_tracks_residue_mod_three(self):
         for m in (9, 21, 45):
-            psi = psi_character(build_unit_group(m, tables))
+            psi = psi_character(build_unit_group(m))
             for u in units_of(m):
                 want = 1 if u % 3 == 1 else -1
                 assert abs(psi(u) - want) < 1e-12
 
 
 class TestGroupOps:
-    def test_inverse_pair(self, tables):
-        ctx = build_unit_group(15, tables)
+    def test_inverse_pair(self):
+        ctx = build_unit_group(15)
         for chi in all_characters(ctx):
             assert (chi * chi.conjugate()).is_principal()
 
-    def test_identity(self, tables):
-        ctx = build_unit_group(15, tables)
+    def test_identity(self):
+        ctx = build_unit_group(15)
         chi0 = principal_character(ctx)
         for chi in all_characters(ctx):
             assert chi0 * chi == chi
 
-    def test_quadratic_squares_to_principal(self, tables):
-        ctx = build_unit_group(5, tables)
+    def test_quadratic_squares_to_principal(self):
+        ctx = build_unit_group(5)
         chi = DirichletCharacter(ctx, [2])
         assert (chi * chi).is_principal()
 
-    def test_mismatched_contexts_rejected(self, tables):
-        a = principal_character(build_unit_group(9, tables))
-        b = principal_character(build_unit_group(15, tables))
+    def test_mismatched_contexts_rejected(self):
+        a = principal_character(build_unit_group(9))
+        b = principal_character(build_unit_group(15))
         with pytest.raises(DomainError):
             a * b
 
 
-def test_orthogonality_all_odd_moduli_to_105(tables):
+def test_orthogonality_all_odd_moduli_to_105():
     for m in range(1, 106, 2):
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         v = ctx.value_matrix()
         gram = v.conj().T @ v / ctx.phi
         us = np.nonzero(ctx.unit_mask)[0]
@@ -277,14 +274,3 @@ def test_orthogonality_all_odd_moduli_to_105(tables):
         np.fill_diagonal(want, 1.0)
         assert np.max(np.abs(gram[np.ix_(us, us)] - want)) < 1e-9
 
-
-def test_character_table_csv(tables):
-    ctx = build_unit_group(15, tables)
-    buf = io.StringIO()
-    write_character_table(ctx, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "character_index,exponents,conductor,is_primitive,order"
-    assert len(lines) == 1 + ctx.phi
-    rows = character_table_rows(ctx)
-    assert sum(1 for r in rows if r["is_primitive"]) == 3
-    assert rows[0]["conductor"] == 1 and rows[0]["order"] == 1

@@ -174,19 +174,27 @@ class TestScanCommand:
         assert out.exists()
 
 
+# the sieve is sized from these inputs, so they must be rejected first
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--m", "3", "--a", "2", "--cap", "-5"],
+        ["oracle", "--m", "-3", "--a", "1"],
+        ["search", "--m", "9", "--a", "2", "--k", "0"],
+        ["count", "--m", "9", "--a", "2", "--k", "0"],
+        ["count", "--m", "-3", "--a", "1"],
+        ["scan", "--m-range", "51:53", "--a-sample", "abc"],
+        ["scan", "--m-range", "51:53", "--k", "0"],
+    ],
+)
+def test_bad_input_exits_2_before_sieving(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("phimin: ") and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 class TestEnvConfig:
-    def test_sieve_limit_env_too_small(self):
-        r = run_cli("oracle", "--m", "5", "--a", "3", env={"TL_SIEVE_LIMIT": "4"})
-        assert r.returncode == 2
-
-    def test_flag_beats_env(self):
-        r = run_cli(
-            "oracle", "--m", "5", "--a", "3", "--sieve-limit", "100",
-            env={"TL_SIEVE_LIMIT": "4"},
-        )
-        assert r.returncode == 0
-        assert json.loads(r.stdout)["N"] == 15
-
     def test_tl_jobs_env(self, tmp_path):
         out = tmp_path / "s.csv"
         r = run_cli(

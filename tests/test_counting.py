@@ -15,7 +15,6 @@ from phimin.counting import (
     count_report,
     count_solutions_characters,
     count_solutions_direct,
-    count_solutions_enumerate,
     indicator_1am,
     main_term,
     default_split_threshold,
@@ -30,6 +29,7 @@ from phimin.intervals import (
     build_custom_interval,
     build_interval,
 )
+from reference import count_solutions_enumerate
 
 
 def canonical(m, k, tables):
@@ -70,7 +70,7 @@ class TestCountsMod5:
     # canonical k=2 intervals: I1={7}, I2={3,5}, I3={2}
     def test_three_routes_agree(self, tables):
         ivs = canonical(5, 2, tables)
-        ctx = build_unit_group(5, tables)
+        ctx = build_unit_group(5)
         expected = {1: 0, 2: 1, 3: 0, 4: 1}
         for a, want in expected.items():
             jd = count_solutions_direct(a, 5, *ivs)
@@ -84,7 +84,7 @@ class TestCountsMod5:
         assert main_term(2, 5, *ivs) == 0.5  # 1*2*1 / 4
 
     def test_empty_intervals_give_zero(self, tables):
-        ctx = build_unit_group(9, tables)
+        ctx = build_unit_group(9)
         empty = build_custom_interval(4, 3, 9, tables)
         assert count_solutions_direct(1, 9, empty, empty, empty) == 0
         assert count_solutions_characters(1, 9, empty, empty, empty, ctx) == 0
@@ -116,7 +116,7 @@ class TestPreconditions:
 class TestOracleEquivalence:
     def test_canonical_grid(self, tables):
         for m in (9, 15, 21, 25):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             for k in (2, 3):
                 ivs = canonical(m, k, tables)
                 for a in units_of(m):
@@ -128,7 +128,7 @@ class TestOracleEquivalence:
     def test_randomized_custom_intervals(self, tables):
         rng = random.Random(20260809)
         for m in (9, 15, 33, 35):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             for _ in range(4):
                 cuts = sorted(rng.sample(range(2, 900), 6))
                 ivs = tuple(
@@ -214,7 +214,7 @@ class TestDirectCount:
         monkeypatch.setattr(UnitGroupContext, "value_matrix", no_table)
         monkeypatch.setattr(counting, "character_sums_all", counted)
         m = 45
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         rep = count_report(2, m, canonical(m, 2, tables), ctx, k=2)
         assert abs(rep.J_characters - rep.J_direct) <= 1e-6 * (1 + rep.J_direct)
         assert sorted(calls) == [1, 1, 2, 2, 3, 3]
@@ -230,7 +230,7 @@ class TestDecomposition:
 
     def test_reassembly(self, tables):
         for m in (9, 15, 21, 35):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             ivs = self.three_free_intervals(m, tables)
             base = ivs[0].size * ivs[1].size * ivs[2].size / ctx.phi
             for a in units_of(m):
@@ -246,14 +246,14 @@ class TestDecomposition:
         # with intervals free of p = 3 the psi term equals the second
         # copy of the main term exactly when 3 | m
         for m in (9, 15, 21):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             ivs = self.three_free_intervals(m, tables)
             copy = ivs[0].size * ivs[1].size * ivs[2].size / ctx.phi
             for a in units_of(m):
                 assert abs(psi_term(a, m, ivs, ctx) - copy) < 1e-9
 
     def test_psi_term_zero_without_three(self, tables):
-        ctx = build_unit_group(35, tables)
+        ctx = build_unit_group(35)
         ivs = self.three_free_intervals(35, tables)
         assert psi_term(2, 35, ivs, ctx) == 0.0
 
@@ -301,27 +301,27 @@ class TestStructuralInvariances:
 class TestConductorSplit:
     def test_mod5_hand_values(self, tables):
         ivs = canonical(5, 2, tables)
-        ctx = build_unit_group(5, tables)
+        ctx = build_unit_group(5)
         small, large = conductor_split(2, 5, ivs, ctx, threshold=5.0)
         assert abs(small - 2 * math.sqrt(2)) < 1e-9
         assert large == 0.0
 
     def test_threshold_at_least_m_empties_large(self, tables):
         for m in (9, 15, 21):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             ivs = canonical(m, 2, tables)
             _, large = conductor_split(1, m, ivs, ctx, threshold=float(m))
             assert large == 0.0
 
     def test_threshold_below_one_rejected(self, tables):
         ivs = canonical(5, 2, tables)
-        ctx = build_unit_group(5, tables)
+        ctx = build_unit_group(5)
         with pytest.raises(DomainError):
             conductor_split(2, 5, ivs, ctx, threshold=0.5)
 
     def test_split_partitions_total(self, tables):
         for m in (15, 21):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             ivs = canonical(m, 2, tables)
             s_all = conductor_split(1, m, ivs, ctx, threshold=float(m))
             for thr in (1.0, 3.0, 7.0):
@@ -332,14 +332,14 @@ class TestConductorSplit:
 class TestPositivity:
     def test_mod5_not_certified_at_desk_scale(self, tables):
         ivs = canonical(5, 2, tables)
-        ctx = build_unit_group(5, tables)
+        ctx = build_unit_group(5)
         rep = positivity_certificate(2, 5, ivs, ctx)
         assert rep.interval_product == 2
         assert abs(rep.remainder_sum - 2 * math.sqrt(2)) < 1e-9
         assert not rep.certified
 
     def test_empty_interval_no_certificate(self, tables):
-        ctx = build_unit_group(9, tables)
+        ctx = build_unit_group(9)
         a = build_custom_interval(20, 40, 9, tables)
         b = build_custom_interval(41, 60, 9, tables)
         empty = build_custom_interval(4, 3, 9, tables)
@@ -355,7 +355,7 @@ class TestPositivity:
         ratios = []
         for m in (101, 1009, 3001):
             ivs = canonical(m, 2, t)
-            ctx = build_unit_group(m, t)
+            ctx = build_unit_group(m)
             rep = positivity_certificate(1, m, ivs, ctx)
             ratios.append(rep.ratio)
         assert ratios[0] > ratios[1] > ratios[2]
@@ -364,7 +364,7 @@ class TestPositivity:
     def test_certificate_implies_positive_counts(self, tables):
         # wide custom intervals make the main term dominate
         m = 9
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         ivs = (
             build_custom_interval(600.0, 2900.0, m, tables),
             build_custom_interval(150.0, 600.0, m, tables),
@@ -383,7 +383,7 @@ class TestThresholdAndReport:
 
     def test_report_fields(self, tables):
         m = 15
-        ctx = build_unit_group(m, tables)
+        ctx = build_unit_group(m)
         ivs = canonical(m, 3, tables)
         rep = count_report(2, m, ivs, ctx, k=3)
         d = rep.to_dict()

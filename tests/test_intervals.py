@@ -1,9 +1,9 @@
-import io
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phimin.arith import log_integral
@@ -25,9 +25,9 @@ from phimin.intervals import (
     character_sums_all,
     main_term_prediction,
     parseval_sum,
+    require_disjoint,
     rho_closed_form,
     rho_definition,
-    write_character_sums,
 )
 
 
@@ -110,6 +110,54 @@ class TestBuildInterval:
         assert build_custom_interval(10, 3, 9, tables).size == 0
 
 
+def sorted_interval(values, m=7):
+    """Interval set over an explicit sorted array, possibly empty."""
+    arr = np.array(values, dtype=np.int64)
+    return PrimeIntervalSet(
+        index=None,
+        lo=0.0,
+        hi=0.0,
+        modulus=m,
+        primes=arr,
+        count_vector=np.bincount((arr - 1) % m, minlength=m).astype(np.int64),
+    )
+
+
+class TestRequireDisjoint:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays=st.lists(
+            st.lists(st.integers(0, 40), max_size=8, unique=True).map(sorted),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    @example(arrays=[[], []])
+    @example(arrays=[[], [3, 5]])
+    @example(arrays=[[7], [7]])
+    @example(arrays=[[7], [2, 5, 11]])
+    @example(arrays=[[41], [2, 5, 11]])
+    @example(arrays=[[2, 3, 5], [5, 7, 11]])
+    @example(arrays=[[5, 7, 11], [2, 3, 5]])
+    @example(arrays=[[2, 3], [5, 7], [3, 11]])
+    def test_matches_set_intersection(self, arrays):
+        clash = next(
+            (
+                (i, j)
+                for (i, x), (j, y) in itertools.combinations(enumerate(arrays, 1), 2)
+                if set(x) & set(y)
+            ),
+            None,
+        )
+        ivs = [sorted_interval(a) for a in arrays]
+        if clash is None:
+            require_disjoint(*ivs)
+        else:
+            i, j = clash
+            with pytest.raises(DomainError, match=f"interval sets {i} and {j} share"):
+                require_disjoint(*ivs)
+
+
 class TestCardinalityPrediction:
     def test_m5_j2_formula(self):
         want = (log_integral(5) - log_integral(2.5)) * (1 - 1 / 4)
@@ -133,60 +181,60 @@ class TestCardinalityPrediction:
 class TestCharacterSum:
     def test_principal_gives_size(self, tables):
         for m in (5, 9, 15):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             iv = build_custom_interval(2, 400, m, tables)
             s = character_sum(principal_character(ctx), iv)
             assert abs(s - iv.size) < 1e-9
 
-    def test_hand_case_mod5(self, tables):
-        ctx = build_unit_group(5, tables)
+    def test_hand_case_mod5(self):
+        ctx = build_unit_group(5)
         chi = DirichletCharacter(ctx, [2])
         iv = interval_from_primes([3, 7], 5)
         assert abs(character_sum(chi, iv)) < 1e-12  # chi(2) + chi(1) = 0
 
     def test_empty_interval(self, tables):
-        ctx = build_unit_group(5, tables)
+        ctx = build_unit_group(5)
         iv = build_custom_interval(10, 5, 5, tables)
         assert character_sum(principal_character(ctx), iv) == 0
 
     def test_modulus_mismatch(self, tables):
-        ctx = build_unit_group(9, tables)
+        ctx = build_unit_group(9)
         iv = build_custom_interval(2, 40, 15, tables)
         with pytest.raises(DomainError):
             character_sum(principal_character(ctx), iv)
 
 
 class TestRho:
-    def test_quadratic_mod5(self, tables):
-        ctx = build_unit_group(5, tables)
+    def test_quadratic_mod5(self):
+        ctx = build_unit_group(5)
         chi = DirichletCharacter(ctx, [2])
         assert abs(rho_definition(chi) - (-0.25)) < 1e-12
         assert abs(rho_closed_form(chi) - (-0.25)) < 1e-12
 
-    def test_primitive_mod9_vanishes(self, tables):
-        ctx = build_unit_group(9, tables)
+    def test_primitive_mod9_vanishes(self):
+        ctx = build_unit_group(9)
         for chi in all_characters(ctx):
             if chi.is_primitive():
                 assert abs(rho_definition(chi)) < 1e-9
                 assert rho_closed_form(chi) == 0
 
-    def test_mod15_closed_form(self, tables):
-        ctx = build_unit_group(15, tables)
+    def test_mod15_closed_form(self):
+        ctx = build_unit_group(15)
         for chi in all_characters(ctx):
             if chi.is_primitive():
                 want = chi(-1) / 8  # mu(15) = 1, (3-1)(5-1) = 8
                 assert abs(rho_definition(chi) - want) < 1e-12
 
-    def test_closed_form_sweep_to_45(self, tables):
+    def test_closed_form_sweep_to_45(self):
         for d in range(3, 46, 2):
-            ctx = build_unit_group(d, tables)
+            ctx = build_unit_group(d)
             for chi in all_characters(ctx):
                 if chi.is_primitive():
                     assert abs(rho_definition(chi) - rho_closed_form(chi)) < 1e-9
 
-    def test_magnitude_for_squarefree(self, tables):
+    def test_magnitude_for_squarefree(self):
         for d in (15, 21, 33):
-            ctx = build_unit_group(d, tables)
+            ctx = build_unit_group(d)
             want = 1.0
             for c in ctx.components:
                 want /= c.prime - 1
@@ -194,62 +242,62 @@ class TestRho:
                 if chi.is_primitive():
                     assert abs(abs(rho_closed_form(chi)) - want) < 1e-12
 
-    def test_rejects_imprimitive_and_trivial(self, tables):
-        ctx = build_unit_group(9, tables)
+    def test_rejects_imprimitive_and_trivial(self):
+        ctx = build_unit_group(9)
         with pytest.raises(DomainError):
             rho_definition(DirichletCharacter(ctx, [3]))  # conductor 3
-        ctx1 = build_unit_group(1, tables)
+        ctx1 = build_unit_group(1)
         with pytest.raises(DomainError):
             rho_definition(principal_character(ctx1))
 
 
 class TestMainTermPrediction:
     def test_conductor5_quadratic(self, tables):
-        ctx = build_unit_group(5, tables)
+        ctx = build_unit_group(5)
         chi = DirichletCharacter(ctx, [2])
         iv = build_custom_interval(2, 100, 5, tables)
         want = -iv.size / 3  # (4/3) * (-1/4) * |I|
         assert abs(main_term_prediction(chi, iv, ctx) - want) < 1e-12
 
     def test_nonsquarefree_conductor_zero(self, tables):
-        ctx = build_unit_group(9, tables)
+        ctx = build_unit_group(9)
         chi = DirichletCharacter(ctx, [1])  # conductor 9
         iv = build_custom_interval(2, 100, 9, tables)
         assert main_term_prediction(chi, iv, ctx) == 0
 
     def test_principal_convention(self, tables):
-        ctx = build_unit_group(15, tables)
+        ctx = build_unit_group(15)
         iv = build_custom_interval(2, 100, 15, tables)
         assert main_term_prediction(principal_character(ctx), iv, ctx) == iv.size
 
     def test_magnitude_bound(self, tables):
         for m in (15, 21, 35):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             iv = build_custom_interval(2, 300, m, tables)
             for chi in all_characters(ctx):
                 d = chi.conductor()
                 if d == 1:
                     continue
                 bound = float(iv.size)
-                for c in build_unit_group(d, tables).components:
+                for c in build_unit_group(d).components:
                     bound /= c.prime - 2 if c.prime > 2 else 1
                 assert abs(main_term_prediction(chi, iv, ctx)) <= bound + 1e-9
 
 
 class TestParseval:
-    def test_hand_case(self, tables):
-        ctx = build_unit_group(5, tables)
+    def test_hand_case(self):
+        ctx = build_unit_group(5)
         iv = interval_from_primes([3, 5], 5)
         assert abs(parseval_sum(iv, ctx) - 8.0) < 1e-9
 
     def test_empty(self, tables):
-        ctx = build_unit_group(9, tables)
+        ctx = build_unit_group(9)
         iv = build_custom_interval(5, 4, 9, tables)
         assert parseval_sum(iv, ctx) == 0
 
-    def test_singleton(self, tables):
+    def test_singleton(self):
         for m in (9, 15):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             iv = interval_from_primes([2], m)
             assert abs(parseval_sum(iv, ctx) - ctx.phi) < 1e-9
 
@@ -257,7 +305,7 @@ class TestParseval:
         for m in range(9, 106, 4):
             if m % 2 == 0:
                 continue
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             for lo, hi in ((2, 3 * m), (m, 8 * m)):
                 iv = build_custom_interval(float(lo), float(hi), m, tables)
                 total = parseval_sum(iv, ctx)
@@ -278,8 +326,8 @@ class TestCharacterSumsFFT:
 
     @settings(max_examples=40, deadline=None)
     @given(m=odd_moduli, data=st.data())
-    def test_matches_dense_table(self, tables, m, data):
-        ctx = build_unit_group(m, tables)
+    def test_matches_dense_table(self, m, data):
+        ctx = build_unit_group(m)
         # classes off the units too: chi vanishes there on both routes
         counts = np.array(
             data.draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m)),
@@ -292,8 +340,8 @@ class TestCharacterSumsFFT:
 
     @settings(max_examples=40, deadline=None)
     @given(m=odd_moduli, x=st.integers(-10**6, 10**6))
-    def test_values_at_match_dense_columns(self, tables, m, x):
-        ctx = build_unit_group(m, tables)
+    def test_values_at_match_dense_columns(self, m, x):
+        ctx = build_unit_group(m)
         v = ctx.value_matrix()
         non_units = [0, ctx.components[0].prime] if m > 1 else []
         for y in (x, 1, -1, *non_units):
@@ -301,8 +349,8 @@ class TestCharacterSumsFFT:
 
     @settings(max_examples=40, deadline=None)
     @given(m=odd_moduli, data=st.data())
-    def test_parseval_random_counts(self, tables, m, data):
-        ctx = build_unit_group(m, tables)
+    def test_parseval_random_counts(self, m, data):
+        ctx = build_unit_group(m)
         counts = np.zeros(m, dtype=np.int64)
         units = ctx.units()
         counts[units] = data.draw(
@@ -312,8 +360,8 @@ class TestCharacterSumsFFT:
         exact = ctx.phi * float((counts**2).sum())
         assert abs(total - exact) <= 1e-9 * max(exact, 1.0)
 
-    def test_trivial_group(self, tables):
-        ctx = build_unit_group(1, tables)
+    def test_trivial_group(self):
+        ctx = build_unit_group(1)
         iv = count_vector_interval(np.array([7], dtype=np.int64), 1)
         assert character_sums_all(ctx, iv).tolist() == [7]
         assert ctx.values_at(5).tolist() == [1]
@@ -323,7 +371,7 @@ class TestPsiSumIdentity:
     def test_custom_intervals(self, tables):
         # intervals start above 3 so psi(p-1) = 1 for every member
         for m in (9, 15, 21, 33):
-            ctx = build_unit_group(m, tables)
+            ctx = build_unit_group(m)
             ivs = (
                 build_custom_interval(2.0 * m, 4.0 * m, m, tables),
                 build_custom_interval(float(m), 2.0 * m, m, tables),
@@ -349,29 +397,9 @@ class TestPsiSumIdentity:
 
     def test_identity_fails_when_three_in_interval(self, tables):
         # p = 3 contributes psi(2) = -1, so the plain sum drops below |I|
-        ctx = build_unit_group(15, tables)
+        ctx = build_unit_group(15)
         iv = build_custom_interval(2.0, 8.0, 15, tables)
         assert 3 in iv.primes.tolist()
         psi = psi_character(ctx)
         assert abs(character_sum(psi, iv) - iv.size) > 1.0
 
-
-def test_character_sums_csv(tables):
-    m = 15
-    ctx = build_unit_group(m, tables)
-    ivs = (
-        build_custom_interval(2.0 * m, 4.0 * m, m, tables),
-        build_custom_interval(float(m), 2.0 * m, m, tables),
-        build_custom_interval(3.0, float(m), m, tables),
-    )
-    buf = io.StringIO()
-    write_character_sums(ctx, ivs, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert (
-        lines[0]
-        == "character_index,conductor,abs_S1,abs_S2,abs_S3,predicted_main_term,deviation"
-    )
-    assert len(lines) == 1 + ctx.phi
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "1"
-    assert float(first[2]) == ivs[0].size  # principal: S = |I|

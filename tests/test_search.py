@@ -1,12 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phimin import search
-from phimin.arith import euler_phi, factorize
+from phimin.arith import euler_phi, trial_factorize
 from phimin.counting import count_solutions_direct, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
 from phimin.intervals import SmallKWarning, build_custom_interval, build_interval
@@ -20,6 +19,7 @@ from phimin.search import (
     oracle_N_multi,
     segment_phi,
 )
+from reference import phi_table
 
 NAIVE_LIMIT = 1 << 18
 
@@ -45,11 +45,11 @@ def witness(a, m, k, tables):
 
 
 @pytest.fixture(scope="module")
-def naive_phi(tables200k):
-    """phi(n) for 0 <= n < NAIVE_LIMIT (index 0 unused), one factorization
-    per n: the independent reference for the streamed totients."""
-    values = [euler_phi(factorize(n, tables200k)) for n in range(1, NAIVE_LIMIT)]
-    return np.array([0] + values, dtype=np.int64)
+def naive_phi():
+    """phi(n) for 0 <= n < NAIVE_LIMIT (index 0 unused), from the numpy
+    totient sieve of the test references: the independent reference for
+    the streamed totients."""
+    return phi_table(NAIVE_LIMIT)
 
 
 def naive_first_hits(a_values, m, cap, naive_phi):
@@ -220,7 +220,7 @@ class TestConstructiveSearch:
         w = witness(2, 5, 2, tables)
         assert (w.p1, w.p2, w.p3, w.delta) == (7, 3, 2, 0)
         assert w.n == 42
-        assert euler_phi(factorize(w.n, tables)) % 5 == 2
+        assert euler_phi(trial_factorize(w.n)) % 5 == 2
 
     def test_witness_70(self, tables):
         w = witness(4, 5, 2, tables)
@@ -235,7 +235,7 @@ class TestConstructiveSearch:
                 w = witness(a, m, 2, tables)
                 if w is None:
                     continue
-                phi_n = euler_phi(factorize(w.n, tables))
+                phi_n = euler_phi(trial_factorize(w.n))
                 assert phi_n % m == a % m
                 assert phi_n == (1 + w.delta) * (w.p1 - 1) * (w.p2 - 1) * (w.p3 - 1)
 
