@@ -9,7 +9,6 @@ bounds the counting argument rests on.
 
 from .arith import (
     Factorization,
-    crt_combine,
     euler_phi,
     is_prime,
     log_integral,
@@ -28,7 +27,6 @@ from .characters import (
     UnitGroupContext,
     all_characters,
     build_unit_group,
-    primitive_inducing,
     principal_character,
     psi_character,
 )
@@ -53,13 +51,13 @@ from .errors import (
     PhiminError,
 )
 from .intervals import (
+    IntervalTriple,
     PrimeIntervalSet,
     SmallKWarning,
     build_custom_interval,
     build_interval,
     cardinality_prediction,
     character_sum,
-    main_term_prediction,
     parseval_sum,
     rho_closed_form,
     rho_definition,
@@ -67,6 +65,7 @@ from .intervals import (
 from .search import (
     OracleResult,
     SearchWitness,
+    canonical_triple,
     constructive_search,
     exponent_scan,
     oracle_N,

@@ -1,4 +1,4 @@
-"""Elementary arithmetic: factorization, multiplicative functions, CRT,
+"""Elementary arithmetic: factorization, multiplicative functions,
 primitive roots, and the logarithmic integral Li(x) = int_2^x dt/log t.
 """
 
@@ -97,24 +97,6 @@ def moebius(f: Factorization) -> int:
     if any(e >= 2 for _, e in f.factors):
         return 0
     return -1 if len(f.factors) % 2 else 1
-
-
-def crt_combine(residues: list[tuple[int, int]]) -> tuple[int, int]:
-    """Combine congruences x = r_i (mod m_i) with pairwise coprime moduli.
-
-    Returns (x, prod m_i) with 0 <= x < prod m_i.
-    """
-    x, mod = 0, 1
-    for r, m in residues:
-        if m < 1:
-            raise DomainError(f"modulus {m} must be positive")
-        if math.gcd(mod, m) != 1:
-            raise DomainError(f"moduli not pairwise coprime at {m}")
-        # x' = x (mod mod), x' = r (mod m)
-        t = (r - x) * pow(mod, -1, m) % m if m > 1 else 0
-        x += mod * t
-        mod *= m
-    return x % mod, mod
 
 
 def primitive_root(p: int, alpha: int = 1) -> int:

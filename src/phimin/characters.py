@@ -4,9 +4,8 @@ The unit group (Z/mZ)* is represented through its prime-power components
 p^a || m, each cyclic with a least primitive root (m odd), so a character
 is just a vector of exponents on the component generators.  Values are
 roots of unity exp(2*pi*i * t / T) with T = lcm of the component orders;
-the numerator t is kept as an exact integer, which makes conductors and
-primitive induction exact, and only the final evaluation is floating
-point.
+the numerator t is kept as an exact integer, and only the final
+evaluation is floating point.
 """
 
 from __future__ import annotations
@@ -14,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .arith import crt_combine, primitive_root, trial_factorize
-from .errors import ConsistencyError, DomainError, EvenModulusError
+from .arith import primitive_root, trial_factorize
+from .errors import DomainError, EvenModulusError
 
 
 @dataclass(frozen=True)
@@ -124,17 +123,6 @@ class UnitGroupContext:
         return f"UnitGroupContext(modulus={self.modulus}, components={comps})"
 
 
-def _context_from_prime_powers(m: int, factors: Iterable[tuple[int, int]]) -> UnitGroupContext:
-    comps = []
-    for p, a in factors:
-        pp = p**a
-        g = primitive_root(p, a)
-        comps.append(
-            Component(prime=p, alpha=a, prime_power=pp, generator=g, order=pp - pp // p)
-        )
-    return UnitGroupContext(m, comps)
-
-
 def build_unit_group(m: int) -> UnitGroupContext:
     """Unit-group context for odd m >= 1 (m = 1 gives the trivial group)."""
     if m < 1:
@@ -144,7 +132,14 @@ def build_unit_group(m: int) -> UnitGroupContext:
             f"modulus {m} is even; for even m only the class 1 (mod m) "
             "contains a totient, so odd m is required here"
         )
-    return _context_from_prime_powers(m, trial_factorize(m).factors)
+    comps = []
+    for p, a in trial_factorize(m).factors:
+        pp = p**a
+        g = primitive_root(p, a)
+        comps.append(
+            Component(prime=p, alpha=a, prime_power=pp, generator=g, order=pp - pp // p)
+        )
+    return UnitGroupContext(m, comps)
 
 
 class DirichletCharacter:
@@ -280,41 +275,3 @@ def psi_character(ctx: UnitGroupContext) -> DirichletCharacter:
         comp.order // 2 if comp.prime == 3 else 0 for comp in ctx.components
     ]
     return DirichletCharacter(ctx, exps)
-
-
-def primitive_inducing(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character mod conductor(chi) that induces chi.
-
-    Agrees with chi on every unit coprime to m; for the principal
-    character this is the trivial character mod 1.
-    """
-    ctx = chi.context
-    f = chi.conductor()
-    if f == ctx.modulus:
-        return chi
-    kept = []
-    for comp, e in zip(ctx.components, chi.exponents):
-        c = int(_component_conductor(comp, e))
-        if c > 1:
-            kept.append((comp.prime, round(math.log(c, comp.prime))))
-    new_ctx = _context_from_prime_powers(f, kept)
-    T = ctx.value_order
-    exps = []
-    for comp in new_ctx.components:
-        lift = _lift_unit(comp.generator, comp.prime, ctx)
-        t = chi.angle_numerator(lift)
-        if t is None:
-            raise ConsistencyError("lift of a unit is not a unit")
-        num = t * comp.order
-        if num % T:
-            raise ConsistencyError("induced character value is not exact")
-        exps.append(num // T)
-    return DirichletCharacter(new_ctx, exps)
-
-
-def _lift_unit(x: int, keep_prime: int, ctx: UnitGroupContext) -> int:
-    """Unit mod m congruent to x mod keep_prime^alpha and 1 elsewhere."""
-    return crt_combine(
-        [(x if c.prime == keep_prime else 1, c.prime_power) for c in ctx.components]
-    )[0]
-

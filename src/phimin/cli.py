@@ -98,12 +98,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    m, a, k = args.m, args.a, args.k
+def _canonical_triple(a: int, m: int, k: int) -> intervals.IntervalTriple:
+    """Check (a, m), then build the canonical triple over a sieve sized
+    to cover it."""
     search.check_reduced_odd(a, m)
     tables = build_sieve(max(intervals.interval_sieve_limit(m, k), 100))
-    ivs = [build_interval(j, m, k, tables) for j in (1, 2, 3)]
-    witness = search.constructive_search(a, m, *ivs)
+    return search.canonical_triple(m, k, tables)
+
+
+def cmd_search(args: argparse.Namespace) -> int:
+    m, a, k = args.m, args.a, args.k
+    witness = search.constructive_search(a, _canonical_triple(a, m, k))
     record = {"command": "search", "m": m, "a": a, "k": k, "found": witness is not None}
     if witness is not None:
         record.update(
@@ -120,11 +125,10 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     m, a, k = args.m, args.a, args.k
-    search.check_reduced_odd(a, m)
-    tables = build_sieve(max(intervals.interval_sieve_limit(m, k), 100))
-    ivs = tuple(build_interval(j, m, k, tables) for j in (1, 2, 3))
-    ctx = build_unit_group(m)
-    report = counting.count_report(a, m, ivs, ctx, k=k, threshold=args.threshold)
+    triple = _canonical_triple(a, m, k)
+    report = counting.count_report(
+        a, triple, build_unit_group(m), k=k, threshold=args.threshold
+    )
     _emit({"command": "count", **report.to_dict()})
     return EXIT_OK
 
@@ -337,22 +341,22 @@ def _suite_identity() -> list[dict]:
     checks = []
     for m in (9, 15, 21, 33, 45):
         ctx = build_unit_group(m)
-        ivs = (
+        ivs = intervals.IntervalTriple(
             build_custom_interval(2.0 * m, 4.0 * m, m, tables),
             build_custom_interval(float(m), 2.0 * m, m, tables),
             build_custom_interval(3.0, float(m), m, tables),
         )
         psi = psi_character(ctx)
-        product = ivs[0].size * ivs[1].size * ivs[2].size
+        product = ivs.product
         worst = 0.0
         for a in range(1, m):
             if math.gcd(a, m) != 1:
                 continue
             delta = counting.indicator_1am(a, m)
             val = (
-                intervals.character_sum(psi, ivs[0])
-                * intervals.character_sum(psi, ivs[1])
-                * intervals.character_sum(psi, ivs[2])
+                intervals.character_sum(psi, ivs.i1)
+                * intervals.character_sum(psi, ivs.i2)
+                * intervals.character_sum(psi, ivs.i3)
                 * psi(a).conjugate()
                 * psi(1 + delta)
             )
@@ -370,10 +374,10 @@ def _suite_identity() -> list[dict]:
         for a in (1, 2):
             if math.gcd(a, m) != 1:
                 continue
-            j_char = counting.count_solutions_characters(a, m, *ivs, ctx)
-            base = ivs[0].size * ivs[1].size * ivs[2].size / ctx.phi
-            psi_part = counting.psi_term(a, m, ivs, ctx)
-            rest = counting.remainder_term(a, m, ivs, ctx)
+            j_char = counting.count_solutions_characters(a, ivs, ctx)
+            base = product / ctx.phi
+            psi_part = counting.psi_term(a, ivs, ctx)
+            rest = counting.remainder_term(a, ivs, ctx)
             err = abs(j_char - (base + psi_part + rest))
             checks.append(
                 {

@@ -18,16 +18,9 @@ import numpy as np
 from .arith import euler_phi, trial_factorize
 from .characters import UnitGroupContext, psi_character
 from .errors import BoundsError, ConsistencyError, DomainError
-from .intervals import (
-    PrimeIntervalSet,
-    character_sums_all,
-    require_disjoint,
-    require_modulus,
-)
+from .intervals import IntervalTriple, character_sums_all
 
 ORACLE_REL_TOL = 1e-6
-
-IntervalTriple = tuple[PrimeIntervalSet, PrimeIntervalSet, PrimeIntervalSet]
 
 
 def indicator_1am(a: int, m: int) -> int:
@@ -37,13 +30,7 @@ def indicator_1am(a: int, m: int) -> int:
     return 1 if m % 3 == 0 and a % 3 == 2 else 0
 
 
-def count_solutions_direct(
-    a: int,
-    m: int,
-    i1: PrimeIntervalSet,
-    i2: PrimeIntervalSet,
-    i3: PrimeIntervalSet,
-) -> int:
+def count_solutions_direct(a: int, triple: IntervalTriple) -> int:
     """Exact solution count by convolving residue count vectors.
 
     Pure integer arithmetic: for each pair of occupied classes (x, y) of
@@ -52,15 +39,14 @@ def count_solutions_direct(
     those two class sets are inverted, and the forced classes form one
     |classes_x| x |classes_y| index table, contracted by two mat-vecs.
     """
-    require_modulus(m, i1, i2, i3)
-    require_disjoint(i1, i2, i3)
+    m = triple.modulus
     delta = indicator_1am(a, m)
-    if m * m >= 2**63 or i1.size * i2.size * i3.size >= 2**63:
+    if m * m >= 2**63 or triple.product >= 2**63:
         # J <= |I1||I2||I3| bounds every partial sum below
         raise BoundsError(f"int64 convolution would overflow at m={m}")
     t = a * pow(1 + delta, -1, m) % m
     (cx, x), (cy, y), (cz, _) = sorted(
-        ((iv.count_vector, np.nonzero(iv.count_vector)[0]) for iv in (i1, i2, i3)),
+        ((iv.count_vector, np.nonzero(iv.count_vector)[0]) for iv in triple),
         key=lambda pair: pair[1].size,
     )
     inv_x, inv_y = (
@@ -72,12 +58,7 @@ def count_solutions_direct(
 
 
 def count_solutions_characters(
-    a: int,
-    m: int,
-    i1: PrimeIntervalSet,
-    i2: PrimeIntervalSet,
-    i3: PrimeIntervalSet,
-    ctx: UnitGroupContext,
+    a: int, triple: IntervalTriple, ctx: UnitGroupContext
 ) -> float:
     """J via orthogonality:
 
@@ -85,11 +66,9 @@ def count_solutions_characters(
 
     The imaginary part must vanish; a residual above tolerance raises.
     """
-    require_modulus(m, i1, i2, i3)
-    if ctx.modulus != m:
+    if ctx.modulus != triple.modulus:
         raise DomainError("context modulus mismatch")
-    require_disjoint(i1, i2, i3)
-    total = complex(_character_terms(a, m, (i1, i2, i3), ctx).sum())
+    total = complex(_character_terms(a, triple, ctx).sum())
     if abs(total.imag) > ORACLE_REL_TOL * ctx.phi:
         raise ConsistencyError(
             f"imaginary part {total.imag} of the character count did not cancel"
@@ -98,37 +77,27 @@ def count_solutions_characters(
 
 
 def _character_terms(
-    a: int, m: int, intervals: IntervalTriple, ctx: UnitGroupContext
+    a: int, triple: IntervalTriple, ctx: UnitGroupContext
 ) -> np.ndarray:
     """S1 S2 S3 * conj(chi(a)) * chi(1 + d) for every character."""
-    delta = indicator_1am(a, m)
-    s1, s2, s3 = (character_sums_all(ctx, iv) for iv in intervals)
+    delta = indicator_1am(a, triple.modulus)
+    s1, s2, s3 = (character_sums_all(ctx, iv) for iv in triple)
     return s1 * s2 * s3 * np.conj(ctx.values_at(a)) * ctx.values_at(1 + delta)
 
 
-def main_term(
-    a: int,
-    m: int,
-    i1: PrimeIntervalSet,
-    i2: PrimeIntervalSet,
-    i3: PrimeIntervalSet,
-) -> float:
+def main_term(a: int, triple: IntervalTriple) -> float:
     """(1 + [3 | m]) |I1| |I2| |I3| / phi(m)."""
-    require_modulus(m, i1, i2, i3)
+    m = triple.modulus
     indicator_1am(a, m)
     factor = 2 if m % 3 == 0 else 1
-    return factor * i1.size * i2.size * i3.size / euler_phi(trial_factorize(m))
+    return factor * triple.product / euler_phi(trial_factorize(m))
 
 
-def psi_term(
-    a: int,
-    m: int,
-    intervals: IntervalTriple,
-    ctx: UnitGroupContext,
-) -> float:
+def psi_term(a: int, triple: IntervalTriple, ctx: UnitGroupContext) -> float:
     """Exact contribution of the conductor-3 character psi to J:
     S1(psi) S2(psi) S3(psi) conj(psi(a)) psi(1 + d) / phi(m); zero when
     3 does not divide m."""
+    m = triple.modulus
     if m % 3 != 0:
         indicator_1am(a, m)
         return 0.0
@@ -136,7 +105,7 @@ def psi_term(
     psi = psi_character(ctx)
     vec = psi.value_vector()
     prod = complex(1.0)
-    for iv in intervals:
+    for iv in triple:
         prod *= complex(np.dot(vec, iv.count_vector))
     prod *= psi(a).conjugate() * psi(1 + delta)
     if abs(prod.imag) > 1e-9 * max(1.0, abs(prod.real)):
@@ -144,18 +113,13 @@ def psi_term(
     return float(prod.real) / ctx.phi
 
 
-def remainder_term(
-    a: int,
-    m: int,
-    intervals: IntervalTriple,
-    ctx: UnitGroupContext,
-) -> float:
+def remainder_term(a: int, triple: IntervalTriple, ctx: UnitGroupContext) -> float:
     """Signed contribution of all characters outside {chi0, psi} to J,
     so that J = |I1||I2||I3|/phi + psi_term + remainder_term exactly."""
-    terms = _character_terms(a, m, intervals, ctx)
+    terms = _character_terms(a, triple, ctx)
     conductors = ctx.conductors()
     keep = conductors > 1
-    if m % 3 == 0:
+    if triple.modulus % 3 == 0:
         keep &= conductors != 3  # psi is the only character there
     return float(terms[keep].sum().real) / ctx.phi
 
@@ -177,19 +141,15 @@ def default_split_threshold(m: int, k: int) -> float:
 
 
 def conductor_split(
-    a: int,
-    m: int,
-    intervals: IntervalTriple,
-    ctx: UnitGroupContext,
-    threshold: float,
+    a: int, triple: IntervalTriple, ctx: UnitGroupContext, threshold: float
 ) -> tuple[float, float]:
     """Split sum_{chi != chi0, psi} |S1 S2 S3| by conductor <= threshold
     versus conductor > threshold."""
     if threshold < 1:
         raise DomainError(f"threshold must be >= 1, got {threshold}")
-    require_modulus(m, *intervals)
+    m = triple.modulus
     indicator_1am(a, m)
-    sums = [np.abs(character_sums_all(ctx, iv)) for iv in intervals]
+    sums = [np.abs(character_sums_all(ctx, iv)) for iv in triple]
     prod = sums[0] * sums[1] * sums[2]
     conductors = ctx.conductors()
     skip = conductors == 1
@@ -211,26 +171,22 @@ class PositivityReport:
 
 
 def positivity_certificate(
-    a: int,
-    m: int,
-    intervals: IntervalTriple,
-    ctx: UnitGroupContext,
+    a: int, triple: IntervalTriple, ctx: UnitGroupContext
 ) -> PositivityReport:
     """Compare S = sum_{chi != chi0, psi} |S1 S2 S3| against |I1||I2||I3|.
 
     When S < |I1||I2||I3| the count J is positive for every reduced a,
     with no enumeration needed.
     """
-    small, large = conductor_split(a, m, intervals, ctx, threshold=float(m))
-    s = small + large
-    product = intervals[0].size * intervals[1].size * intervals[2].size
-    ratio = s / product if product else None
+    m = triple.modulus
+    small, large = conductor_split(a, triple, ctx, threshold=float(m))
+    s, product = small + large, triple.product
     return PositivityReport(
         m=m,
         a=a,
         remainder_sum=s,
         interval_product=product,
-        ratio=ratio,
+        ratio=s / product if product else None,
         certified=bool(product and s < product),
     )
 
@@ -258,8 +214,7 @@ class CountReport:
 
 def count_report(
     a: int,
-    m: int,
-    intervals: IntervalTriple,
+    triple: IntervalTriple,
     ctx: UnitGroupContext,
     k: int | None = None,
     threshold: float | None = None,
@@ -270,19 +225,18 @@ def count_report(
     1e-6 * (1 + J_direct): orthogonality is exact, so disagreement
     means a bug.
     """
-    i1, i2, i3 = intervals
-    j_direct = count_solutions_direct(a, m, i1, i2, i3)
-    j_chars = count_solutions_characters(a, m, i1, i2, i3, ctx)
+    m = triple.modulus
+    j_direct = count_solutions_direct(a, triple)
+    j_chars = count_solutions_characters(a, triple, ctx)
     if abs(j_chars - j_direct) > ORACLE_REL_TOL * (1 + j_direct):
         raise ConsistencyError(
             f"count mismatch at (a={a}, m={m}): direct {j_direct}, characters {j_chars}"
         )
     if threshold is None:
         threshold = default_split_threshold(m, k) if k is not None else float(m)
-    small, large = conductor_split(a, m, intervals, ctx, threshold)
+    small, large = conductor_split(a, triple, ctx, threshold)
     # any threshold splits the same characters, so small + large is the
     # positivity certificate's sum
-    product = i1.size * i2.size * i3.size
     return CountReport(
         m=m,
         a=a,
@@ -290,10 +244,10 @@ def count_report(
         delta=indicator_1am(a, m),
         J_direct=j_direct,
         J_characters=j_chars,
-        main_term=main_term(a, m, i1, i2, i3),
-        psi_term=psi_term(a, m, intervals, ctx),
+        main_term=main_term(a, triple),
+        psi_term=psi_term(a, triple, ctx),
         S_small=small,
         S_large=large,
         threshold=threshold,
-        certified=bool(product and small + large < product),
+        certified=bool(triple.product and small + large < triple.product),
     )

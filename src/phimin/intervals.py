@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import log_integral_between, trial_factorize
-from .characters import DirichletCharacter, UnitGroupContext, primitive_inducing
+from .characters import DirichletCharacter, UnitGroupContext
 from .errors import ConsistencyError, DomainError
 from .sieve import SieveTables
 
@@ -44,12 +44,6 @@ class PrimeIntervalSet:
         return int(self.primes.size)
 
 
-def require_modulus(m: int, *intervals: PrimeIntervalSet) -> None:
-    for iv in intervals:
-        if iv.modulus != m:
-            raise DomainError(f"interval modulus {iv.modulus} differs from {m}")
-
-
 def require_disjoint(*intervals: PrimeIntervalSet) -> None:
     """The canonical intervals separate once m is large enough; at small
     m they can collide, which breaks the product structure, so it is an
@@ -66,6 +60,30 @@ def require_disjoint(*intervals: PrimeIntervalSet) -> None:
             raise DomainError(
                 f"interval sets {i} and {j} share primes at m={x.modulus}"
             )
+
+
+@dataclass(frozen=True)
+class IntervalTriple:
+    """I1, I2, I3 over one modulus, checked once to share it and to be
+    pairwise disjoint; `product` is |I1||I2||I3|."""
+
+    i1: PrimeIntervalSet
+    i2: PrimeIntervalSet
+    i3: PrimeIntervalSet
+    modulus: int = field(init=False)
+    product: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        m = self.i1.modulus
+        for iv in (self.i2, self.i3):
+            if iv.modulus != m:
+                raise DomainError(f"interval modulus {iv.modulus} differs from {m}")
+        require_disjoint(self.i1, self.i2, self.i3)
+        object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "product", self.i1.size * self.i2.size * self.i3.size)
+
+    def __iter__(self):
+        return iter((self.i1, self.i2, self.i3))
 
 
 def _snap_root(m: int, num: int, den: int) -> float:
@@ -219,32 +237,6 @@ def _require_primitive(chi_d: DirichletCharacter) -> int:
     if not chi_d.is_primitive():
         raise DomainError(f"character mod {d} is not primitive")
     return d
-
-
-def main_term_prediction(
-    chi: DirichletCharacter, interval: PrimeIntervalSet, ctx: UnitGroupContext
-) -> complex:
-    """Predicted main term of S(chi):
-
-        |I_j| * prod_{p | conductor} (1 + 1/(p-2)) * rho,
-
-    using the closed form for rho.  For the principal character the
-    conductor-1 convention rho = 1 makes this |I_j|.
-    """
-    if chi.context != ctx:
-        raise DomainError("character does not belong to the given context")
-    if chi.context.modulus != interval.modulus:
-        raise DomainError("character and interval moduli differ")
-    d = chi.conductor()
-    if d == 1:
-        return complex(interval.size)
-    chi_d = primitive_inducing(chi)
-    factor = 1.0
-    for p in trial_factorize(d).primes():
-        if p <= 2:
-            raise DomainError(f"conductor prime {p} <= 2 makes 1/(p-2) singular")
-        factor *= 1.0 + 1.0 / (p - 2)
-    return interval.size * factor * rho_closed_form(chi_d)
 
 
 def parseval_sum(interval: PrimeIntervalSet, ctx: UnitGroupContext) -> float:

@@ -16,12 +16,10 @@ import numpy as np
 from .counting import count_solutions_direct, indicator_1am
 from .errors import BoundsError, DomainError, EvenModulusError
 from .intervals import (
-    PrimeIntervalSet,
+    IntervalTriple,
     SmallKWarning,
     build_interval,
     interval_sieve_limit,
-    require_disjoint,
-    require_modulus,
 )
 from .sieve import SieveTables, build_sieve
 
@@ -122,9 +120,11 @@ def check_reduced_odd(a: int, m: int) -> None:
 
 
 def check_cap(cap: int) -> None:
-    """Reject an oracle cap below 1."""
+    """Reject an oracle cap below 1, or one the int64 stream cannot reach."""
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
+    if cap >= 2**63:
+        raise BoundsError(f"cap {cap} does not fit the int64 totient stream")
 
 
 def oracle_N(a: int, m: int, cap: int, tables: SieveTables) -> OracleResult:
@@ -164,13 +164,12 @@ def oracle_N_multi(
     return found
 
 
-def constructive_search(
-    a: int,
-    m: int,
-    i1: PrimeIntervalSet,
-    i2: PrimeIntervalSet,
-    i3: PrimeIntervalSet,
-) -> SearchWitness | None:
+def canonical_triple(m: int, k: int, tables: SieveTables) -> IntervalTriple:
+    """The checked canonical triple I1, I2, I3 for modulus m and k."""
+    return IntervalTriple(*(build_interval(j, m, k, tables) for j in (1, 2, 3)))
+
+
+def constructive_search(a: int, triple: IntervalTriple) -> SearchWitness | None:
     """Search for a solution n = 4^d * p1 p2 p3 with p_j in I_j.
 
     I1 is indexed by the residue of p1 - 1 keeping the smallest p1 per
@@ -178,11 +177,10 @@ def constructive_search(
     hits the witness minimizing n wins (ties broken by (p1, p2, p3)).
     Returns None when the congruence has no solution over the intervals.
     """
+    m = triple.modulus
     check_reduced_odd(a, m)
-    require_modulus(m, i1, i2, i3)
-    require_disjoint(i1, i2, i3)
     delta = indicator_1am(a, m)
-    lists = [iv.primes for iv in (i1, i2, i3)]
+    lists = [iv.primes for iv in triple]
     if delta:
         # 4^1 shares the factor 2 with p_j = 2, so such triples are not
         # phi-witnesses even when they satisfy the formal congruence.
@@ -256,32 +254,38 @@ def _scan_one_m(
     k: int,
     tables: SieveTables,
 ) -> list[dict]:
+    """One row per unit a; when the canonical triple fails its check (the
+    intervals collide at small m), every row carries the error instead of
+    a witness and a count."""
     rows = []
     oracle = oracle_N_multi(a_values, m, default_cap(m), tables)
+    triple = error = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallKWarning)
-        intervals = [build_interval(j, m, k, tables) for j in (1, 2, 3)]
-        for a in a_values:
-            row: dict = {"m": m, "a": a, "delta": indicator_1am(a, m)}
-            n_val = oracle[a % m]
-            row["N"] = n_val
-            row["N_exponent"] = (
-                math.log(n_val) / math.log(m) if n_val is not None else None
-            )
-            try:
-                witness = constructive_search(a, m, *intervals)
-            except DomainError as exc:
-                witness = None
-                row["error"] = str(exc)
-            row["witness_n"] = witness.n if witness else None
-            row["witness_exponent"] = witness.exponent if witness else None
-            try:
-                row["J_direct"] = count_solutions_direct(a, m, *intervals)
-            except DomainError as exc:
-                row["J_direct"] = None
-                row.setdefault("error", str(exc))
-            row["found"] = witness is not None
-            rows.append(row)
+        try:
+            triple = canonical_triple(m, k, tables)
+        except DomainError as exc:
+            error = str(exc)
+    for a in a_values:
+        n_val = oracle[a % m]
+        row: dict = {
+            "m": m,
+            "a": a,
+            "delta": indicator_1am(a, m),
+            "N": n_val,
+            "N_exponent": math.log(n_val) / math.log(m) if n_val is not None else None,
+        }
+        witness = j_direct = None
+        if triple is None:
+            row["error"] = error
+        else:
+            witness = constructive_search(a, triple)
+            j_direct = count_solutions_direct(a, triple)
+        row["witness_n"] = witness.n if witness else None
+        row["witness_exponent"] = witness.exponent if witness else None
+        row["J_direct"] = j_direct
+        row["found"] = witness is not None
+        rows.append(row)
     return rows
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from phimin.counting import indicator_1am
 from phimin.errors import DomainError
-from phimin.intervals import PrimeIntervalSet, require_disjoint, require_modulus
+from phimin.intervals import IntervalTriple
 
 ENUMERATION_CAP = 10**6
 
@@ -24,25 +24,18 @@ def phi_table(limit):
     return phi
 
 
-def count_solutions_enumerate(
-    a: int,
-    m: int,
-    i1: PrimeIntervalSet,
-    i2: PrimeIntervalSet,
-    i3: PrimeIntervalSet,
-) -> int:
+def count_solutions_enumerate(a: int, triple: IntervalTriple) -> int:
     """Debug path: literal loop over all prime triples.
 
     Independent of the convolution route; refuses products above 10^6.
     Each p - 1 is reduced mod m as a Python int, so the products stay
     exact at any prime size.
     """
-    require_modulus(m, i1, i2, i3)
-    require_disjoint(i1, i2, i3)
-    if i1.size * i2.size * i3.size > ENUMERATION_CAP:
+    if triple.product > ENUMERATION_CAP:
         raise DomainError("triple enumeration capped at 10^6 combinations")
+    m = triple.modulus
     delta = indicator_1am(a, m)
-    r1, r2, r3 = ([(int(p) - 1) % m for p in iv.primes] for iv in (i1, i2, i3))
+    r1, r2, r3 = ([(int(p) - 1) % m for p in iv.primes] for iv in triple)
     total = 0
     for x1 in r1:
         for x2 in r2:

@@ -9,7 +9,6 @@ import math
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -31,15 +30,14 @@ from phimin.counting import (
     indicator_1am,
 )
 from phimin.intervals import (
-    SmallKWarning,
     build_custom_interval,
-    build_interval,
     character_sum,
     parseval_sum,
     rho_closed_form,
     rho_definition,
 )
 from phimin.search import (
+    canonical_triple,
     default_cap,
     exponent_scan,
     oracle_N_multi,
@@ -60,12 +58,6 @@ SCAN_CSV_SHA256 = "f4111be8fe6027bf40e19ef228ae09a995f84be52951e1c0728e9022aeefe
 
 def units_of(m):
     return [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
-
-
-def canonical(m, k, tables):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallKWarning)
-        return tuple(build_interval(j, m, k, tables) for j in (1, 2, 3))
 
 
 def three_free_intervals(m, tables):
@@ -122,11 +114,11 @@ def test_criterion_2_counting_oracle_equivalence():
     for m in EQUIVALENCE_MODULI:
         ctx = build_unit_group(m)
         for k in (2, 3):
-            ivs = canonical(m, k, tables)
+            ivs = canonical_triple(m, k, tables)
             for a in units_of(m):
-                jd = count_solutions_direct(a, m, *ivs)
-                jc = count_solutions_characters(a, m, *ivs, ctx)
-                je = count_solutions_enumerate(a, m, *ivs)
+                jd = count_solutions_direct(a, ivs)
+                jc = count_solutions_characters(a, ivs, ctx)
+                je = count_solutions_enumerate(a, ivs)
                 assert jd == je, (m, k, a, jd, je)
                 dev = abs(jc - jd) / (1 + jd)
                 worst = max(worst, dev)
@@ -174,7 +166,7 @@ def test_criterion_4_parseval():
         ctx = build_unit_group(m)
         tested = []
         for k in (2, 3):
-            tested.extend(canonical(m, k, tables))
+            tested.extend(canonical_triple(m, k, tables))
         tested.append(build_custom_interval(float(m), 8.0 * m, m, tables))
         for iv in tested:
             total = parseval_sum(iv, ctx)  # raises on violation already

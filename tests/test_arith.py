@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from phimin.arith import (
-    crt_combine,
     divisor_count,
     euler_phi,
     is_prime,
@@ -94,28 +93,6 @@ class TestMoebius:
                 if n % d == 0
             )
             assert total == (1 if n == 1 else 0)
-
-class TestCrt:
-    def test_examples(self):
-        assert crt_combine([(2, 5), (1, 3)]) == (7, 15)
-        assert crt_combine([(0, 1), (4, 7)]) == (4, 7)
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(DomainError):
-            crt_combine([(1, 6), (2, 4)])
-
-    def test_random_systems(self):
-        import random
-
-        rng = random.Random(7)
-        for _ in range(50):
-            moduli = rng.sample([5, 7, 9, 11, 13, 16], k=3)
-            rs = [(rng.randrange(m), m) for m in moduli]
-            x, mod = crt_combine(rs)
-            assert mod == math.prod(moduli)
-            assert 0 <= x < mod
-            for r, m in rs:
-                assert x % m == r % m
 
 class TestPrimitiveRoot:
     def test_examples(self):

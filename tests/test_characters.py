@@ -7,7 +7,6 @@ from phimin.characters import (
     DirichletCharacter,
     all_characters,
     build_unit_group,
-    primitive_inducing,
     principal_character,
     psi_character,
 )
@@ -181,35 +180,6 @@ class TestConductor:
             ctx = build_unit_group(d)
             n = sum(1 for chi in all_characters(ctx) if chi.is_primitive())
             assert n == expected
-
-
-class TestPrimitiveInducing:
-    def test_principal_goes_to_modulus_one(self):
-        ctx = build_unit_group(15)
-        ind = primitive_inducing(principal_character(ctx))
-        assert ind.context.modulus == 1
-
-    def test_order2_mod9_induces_to_3(self):
-        ctx = build_unit_group(9)
-        ind = primitive_inducing(DirichletCharacter(ctx, [3]))
-        assert ind.context.modulus == 3
-        assert abs(ind(2) + 1) < 1e-12
-
-    def test_primitive_character_is_fixed(self):
-        ctx = build_unit_group(15)
-        for chi in all_characters(ctx):
-            if chi.is_primitive():
-                assert primitive_inducing(chi) is chi
-
-    def test_agreement_on_units(self):
-        for m in (9, 15, 45, 105):
-            ctx = build_unit_group(m)
-            for chi in all_characters(ctx):
-                ind = primitive_inducing(chi)
-                assert ind.is_primitive()
-                assert ind.context.modulus == chi.conductor()
-                for u in units_of(m):
-                    assert abs(ind(u) - chi(u)) < 1e-12
 
 
 class TestPsi:

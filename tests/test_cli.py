@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from phimin import cli, search
+
 
 def run_cli(*args, env=None):
     import os
@@ -185,13 +187,19 @@ class TestScanCommand:
         ["count", "--m", "-3", "--a", "1"],
         ["scan", "--m-range", "51:53", "--a-sample", "abc"],
         ["scan", "--m-range", "51:53", "--k", "0"],
+        # int64 cannot stream to this cap; sizing its sieve would take GBs
+        ["oracle", "--m", "3", "--a", "2", "--cap", str(2**63)],
     ],
 )
-def test_bad_input_exits_2_before_sieving(argv):
-    r = run_cli(*argv)
-    assert r.returncode == 2, r.stderr
-    assert r.stderr.startswith("phimin: ") and "Traceback" not in r.stderr
-    assert r.stdout == ""
+def test_bad_input_exits_2_before_sieving(argv, monkeypatch, capsys):
+    def no_sieve(limit):
+        raise AssertionError(f"sieve of {limit} built")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    monkeypatch.setattr(search, "build_sieve", no_sieve)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("phimin: ") and out == ""
 
 
 class TestEnvConfig:

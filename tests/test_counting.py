@@ -23,21 +23,9 @@ from phimin.counting import (
     remainder_term,
 )
 from phimin.errors import BoundsError, DomainError
-from phimin.intervals import (
-    PrimeIntervalSet,
-    SmallKWarning,
-    build_custom_interval,
-    build_interval,
-)
-from reference import count_solutions_enumerate
-
-
-def canonical(m, k, tables):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallKWarning)
-        return tuple(build_interval(j, m, k, tables) for j in (1, 2, 3))
+from phimin.intervals import IntervalTriple, PrimeIntervalSet, build_custom_interval
+from phimin.search import canonical_triple
+from reference import ENUMERATION_CAP, count_solutions_enumerate
 
 
 def units_of(m):
@@ -69,26 +57,27 @@ class TestIndicator:
 class TestCountsMod5:
     # canonical k=2 intervals: I1={7}, I2={3,5}, I3={2}
     def test_three_routes_agree(self, tables):
-        ivs = canonical(5, 2, tables)
+        ivs = canonical_triple(5, 2, tables)
         ctx = build_unit_group(5)
         expected = {1: 0, 2: 1, 3: 0, 4: 1}
         for a, want in expected.items():
-            jd = count_solutions_direct(a, 5, *ivs)
-            je = count_solutions_enumerate(a, 5, *ivs)
-            jc = count_solutions_characters(a, 5, *ivs, ctx)
+            jd = count_solutions_direct(a, ivs)
+            je = count_solutions_enumerate(a, ivs)
+            jc = count_solutions_characters(a, ivs, ctx)
             assert jd == je == want
             assert abs(jc - want) < 1e-9
 
     def test_main_term(self, tables):
-        ivs = canonical(5, 2, tables)
-        assert main_term(2, 5, *ivs) == 0.5  # 1*2*1 / 4
+        ivs = canonical_triple(5, 2, tables)
+        assert main_term(2, ivs) == 0.5  # 1*2*1 / 4
 
     def test_empty_intervals_give_zero(self, tables):
         ctx = build_unit_group(9)
         empty = build_custom_interval(4, 3, 9, tables)
-        assert count_solutions_direct(1, 9, empty, empty, empty) == 0
-        assert count_solutions_characters(1, 9, empty, empty, empty, ctx) == 0
-        assert main_term(1, 9, empty, empty, empty) == 0
+        triple = IntervalTriple(empty, empty, empty)
+        assert count_solutions_direct(1, triple) == 0
+        assert count_solutions_characters(1, triple, ctx) == 0
+        assert main_term(1, triple) == 0
 
 
 class TestPreconditions:
@@ -96,21 +85,24 @@ class TestPreconditions:
         a = build_custom_interval(2, 30, 5, tables)
         b = build_custom_interval(20, 60, 5, tables)
         c = build_custom_interval(70, 90, 5, tables)
-        with pytest.raises(DomainError):
-            count_solutions_direct(1, 5, a, b, c)
+        with pytest.raises(DomainError, match="interval sets 1 and 2 share primes at m=5"):
+            IntervalTriple(a, b, c)
 
     def test_modulus_mismatch_rejected(self, tables):
         a = build_custom_interval(2, 10, 5, tables)
         b = build_custom_interval(11, 20, 5, tables)
         c = build_custom_interval(21, 30, 9, tables)
-        with pytest.raises(DomainError):
-            count_solutions_direct(1, 5, a, b, c)
+        with pytest.raises(DomainError, match="interval modulus 9 differs from 5"):
+            IntervalTriple(a, b, c)
 
     def test_enumeration_cap(self, tables):
-        big = build_custom_interval(2, 2500, 5, tables)
-        b = build_custom_interval(2501, 2600, 5, tables)
-        with pytest.raises(DomainError):
-            count_solutions_enumerate(1, 5, big, big, b)
+        ivs = IntervalTriple(
+            *(build_custom_interval(lo, hi, 5, tables)
+              for lo, hi in ((2, 900), (900, 1900), (1900, 2999)))
+        )
+        assert ivs.product > ENUMERATION_CAP
+        with pytest.raises(DomainError, match="capped"):
+            count_solutions_enumerate(1, ivs)
 
 
 class TestOracleEquivalence:
@@ -118,12 +110,12 @@ class TestOracleEquivalence:
         for m in (9, 15, 21, 25):
             ctx = build_unit_group(m)
             for k in (2, 3):
-                ivs = canonical(m, k, tables)
+                ivs = canonical_triple(m, k, tables)
                 for a in units_of(m):
-                    jd = count_solutions_direct(a, m, *ivs)
-                    jc = count_solutions_characters(a, m, *ivs, ctx)
+                    jd = count_solutions_direct(a, ivs)
+                    jc = count_solutions_characters(a, ivs, ctx)
                     assert abs(jc - jd) < 1e-6 * (1 + jd)
-                    assert jd == count_solutions_enumerate(a, m, *ivs)
+                    assert jd == count_solutions_enumerate(a, ivs)
 
     def test_randomized_custom_intervals(self, tables):
         rng = random.Random(20260809)
@@ -131,22 +123,24 @@ class TestOracleEquivalence:
             ctx = build_unit_group(m)
             for _ in range(4):
                 cuts = sorted(rng.sample(range(2, 900), 6))
-                ivs = tuple(
-                    build_custom_interval(cuts[2 * i], cuts[2 * i + 1], m, tables)
-                    for i in range(3)
+                ivs = IntervalTriple(
+                    *(build_custom_interval(cuts[2 * i], cuts[2 * i + 1], m, tables)
+                      for i in range(3))
                 )
                 for a in units_of(m)[:6]:
-                    jd = count_solutions_direct(a, m, *ivs)
-                    jc = count_solutions_characters(a, m, *ivs, ctx)
+                    jd = count_solutions_direct(a, ivs)
+                    jc = count_solutions_characters(a, ivs, ctx)
                     assert abs(jc - jd) < 1e-6 * (1 + jd)
 
 
 class TestLargePrimes:
     def test_enumeration_exact_near_1e9(self):
         # (p1 - 1)(p2 - 1)(p3 - 1) is near 6e27 here, far past int64
-        ivs = [prime_window(lo, 800, 7) for lo in (10**9, 2 * 10**9, 3 * 10**9)]
-        assert count_solutions_direct(1, 7, *ivs) == 5396
-        assert count_solutions_enumerate(1, 7, *ivs) == 5396
+        ivs = IntervalTriple(
+            *(prime_window(lo, 800, 7) for lo in (10**9, 2 * 10**9, 3 * 10**9))
+        )
+        assert count_solutions_direct(1, ivs) == 5396
+        assert count_solutions_enumerate(1, ivs) == 5396
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -163,8 +157,11 @@ class TestLargePrimes:
             else:
                 ivs.append(build_custom_interval(lo, lo + width, m, tables))
             lo += width + data.draw(st.integers(0, 10**8 if near_1e9 else 100))
-        ivs = data.draw(st.permutations(ivs), label="order")
-        assert count_solutions_enumerate(a, m, *ivs) == count_solutions_direct(a, m, *ivs)
+        ivs = IntervalTriple(*data.draw(st.permutations(ivs), label="order"))
+        j = count_solutions_direct(a, ivs)
+        assert count_solutions_enumerate(a, ivs) == j
+        jc = count_solutions_characters(a, ivs, build_unit_group(m))
+        assert abs(jc - j) <= 1e-6 * (1 + j)
 
 
 class TestDirectCount:
@@ -172,26 +169,26 @@ class TestDirectCount:
         # I1 has the fewest occupied classes and I3 the most, so the
         # largest count vector gathered is I3's, not I1's
         m = 63
-        ivs = tuple(
-            build_custom_interval(lo, hi, m, tables)
-            for lo, hi in ((100, 130), (200, 300), (400, 1200))
+        ivs = IntervalTriple(
+            *(build_custom_interval(lo, hi, m, tables)
+              for lo, hi in ((100, 130), (200, 300), (400, 1200)))
         )
         occupied = [np.count_nonzero(iv.count_vector) for iv in ivs]
         assert occupied[0] < occupied[1] < occupied[2]
-        counts = [count_solutions_direct(a, m, *ivs) for a in units_of(m)]
-        assert counts == [count_solutions_enumerate(a, m, *ivs) for a in units_of(m)]
+        counts = [count_solutions_direct(a, ivs) for a in units_of(m)]
+        assert counts == [count_solutions_enumerate(a, ivs) for a in units_of(m)]
         assert sum(counts) > 0
 
     def test_overflow_guard(self):
         # |I1||I2||I3| = 2^63 would overflow the int64 contraction
         n = 2**21
-        ivs = [
-            PrimeIntervalSet(None, p - 1, p, 9, np.broadcast_to(np.int64(p), (n,)),
-                             np.zeros(9, dtype=np.int64))
-            for p in (2, 5, 11)
-        ]
+        ivs = IntervalTriple(
+            *(PrimeIntervalSet(None, p - 1, p, 9, np.broadcast_to(np.int64(p), (n,)),
+                               np.zeros(9, dtype=np.int64))
+              for p in (2, 5, 11))
+        )
         with pytest.raises(BoundsError):
-            count_solutions_direct(1, 9, *ivs)
+            count_solutions_direct(1, ivs)
 
     def test_cli_count_beyond_dense_table(self, capsys):
         # the phi(m) x m table would take about 4.2 GB at this modulus
@@ -215,14 +212,14 @@ class TestDirectCount:
         monkeypatch.setattr(counting, "character_sums_all", counted)
         m = 45
         ctx = build_unit_group(m)
-        rep = count_report(2, m, canonical(m, 2, tables), ctx, k=2)
+        rep = count_report(2, canonical_triple(m, 2, tables), ctx, k=2)
         assert abs(rep.J_characters - rep.J_direct) <= 1e-6 * (1 + rep.J_direct)
         assert sorted(calls) == [1, 1, 2, 2, 3, 3]
 
 
 class TestDecomposition:
     def three_free_intervals(self, m, tables):
-        return (
+        return IntervalTriple(
             build_custom_interval(2.0 * m, 4.0 * m, m, tables),
             build_custom_interval(float(m), 2.0 * m, m, tables),
             build_custom_interval(3.0, float(m), m, tables),
@@ -232,14 +229,10 @@ class TestDecomposition:
         for m in (9, 15, 21, 35):
             ctx = build_unit_group(m)
             ivs = self.three_free_intervals(m, tables)
-            base = ivs[0].size * ivs[1].size * ivs[2].size / ctx.phi
+            base = ivs.product / ctx.phi
             for a in units_of(m):
-                total = (
-                    base
-                    + psi_term(a, m, ivs, ctx)
-                    + remainder_term(a, m, ivs, ctx)
-                )
-                jc = count_solutions_characters(a, m, *ivs, ctx)
+                total = base + psi_term(a, ivs, ctx) + remainder_term(a, ivs, ctx)
+                jc = count_solutions_characters(a, ivs, ctx)
                 assert abs(jc - total) < 1e-6
 
     def test_psi_term_doubles_main_term(self, tables):
@@ -248,37 +241,37 @@ class TestDecomposition:
         for m in (9, 15, 21):
             ctx = build_unit_group(m)
             ivs = self.three_free_intervals(m, tables)
-            copy = ivs[0].size * ivs[1].size * ivs[2].size / ctx.phi
+            copy = ivs.product / ctx.phi
             for a in units_of(m):
-                assert abs(psi_term(a, m, ivs, ctx) - copy) < 1e-9
+                assert abs(psi_term(a, ivs, ctx) - copy) < 1e-9
 
     def test_psi_term_zero_without_three(self, tables):
         ctx = build_unit_group(35)
         ivs = self.three_free_intervals(35, tables)
-        assert psi_term(2, 35, ivs, ctx) == 0.0
+        assert psi_term(2, ivs, ctx) == 0.0
 
 
 class TestStructuralInvariances:
     def test_permutation_of_primes_within_interval(self, tables):
         m = 15
-        ivs = list(canonical(m, 3, tables))
+        ivs = canonical_triple(m, 3, tables)
         shuffled = PrimeIntervalSet(
-            index=ivs[0].index,
-            lo=ivs[0].lo,
-            hi=ivs[0].hi,
+            index=ivs.i1.index,
+            lo=ivs.i1.lo,
+            hi=ivs.i1.hi,
             modulus=m,
-            primes=ivs[0].primes[::-1].copy(),
-            count_vector=ivs[0].count_vector,
+            primes=ivs.i1.primes[::-1].copy(),
+            count_vector=ivs.i1.count_vector,
         )
         for a in units_of(m):
-            assert count_solutions_direct(a, m, shuffled, ivs[1], ivs[2]) == \
-                count_solutions_direct(a, m, *ivs)
+            assert count_solutions_direct(a, IntervalTriple(shuffled, ivs.i2, ivs.i3)) == \
+                count_solutions_direct(a, ivs)
 
     def test_unit_shift_invariance(self, tables):
         # multiply I1's residues by a unit u and a by the same u: J fixed
         m = 35  # 3 does not divide m so delta stays 0
-        ivs = canonical(m, 2, tables)
-        c1 = ivs[0].count_vector
+        ivs = canonical_triple(m, 2, tables)
+        c1 = ivs.i1.count_vector
         for u in (2, 4, 11):
             shifted = np.zeros_like(c1)
             for b in range(m):
@@ -286,54 +279,54 @@ class TestStructuralInvariances:
                     shifted[b * u % m] = c1[b]
             iv_shift = PrimeIntervalSet(
                 index=None,
-                lo=ivs[0].lo,
-                hi=ivs[0].hi,
+                lo=ivs.i1.lo,
+                hi=ivs.i1.hi,
                 modulus=m,
-                primes=ivs[0].primes,
+                primes=ivs.i1.primes,
                 count_vector=shifted,
             )
+            shifted_triple = IntervalTriple(iv_shift, ivs.i2, ivs.i3)
             for a in units_of(m)[:8]:
-                assert count_solutions_direct(
-                    a * u % m, m, iv_shift, ivs[1], ivs[2]
-                ) == count_solutions_direct(a, m, *ivs)
+                assert count_solutions_direct(a * u % m, shifted_triple) == \
+                    count_solutions_direct(a, ivs)
 
 
 class TestConductorSplit:
     def test_mod5_hand_values(self, tables):
-        ivs = canonical(5, 2, tables)
+        ivs = canonical_triple(5, 2, tables)
         ctx = build_unit_group(5)
-        small, large = conductor_split(2, 5, ivs, ctx, threshold=5.0)
+        small, large = conductor_split(2, ivs, ctx, threshold=5.0)
         assert abs(small - 2 * math.sqrt(2)) < 1e-9
         assert large == 0.0
 
     def test_threshold_at_least_m_empties_large(self, tables):
         for m in (9, 15, 21):
             ctx = build_unit_group(m)
-            ivs = canonical(m, 2, tables)
-            _, large = conductor_split(1, m, ivs, ctx, threshold=float(m))
+            ivs = canonical_triple(m, 2, tables)
+            _, large = conductor_split(1, ivs, ctx, threshold=float(m))
             assert large == 0.0
 
     def test_threshold_below_one_rejected(self, tables):
-        ivs = canonical(5, 2, tables)
+        ivs = canonical_triple(5, 2, tables)
         ctx = build_unit_group(5)
         with pytest.raises(DomainError):
-            conductor_split(2, 5, ivs, ctx, threshold=0.5)
+            conductor_split(2, ivs, ctx, threshold=0.5)
 
     def test_split_partitions_total(self, tables):
         for m in (15, 21):
             ctx = build_unit_group(m)
-            ivs = canonical(m, 2, tables)
-            s_all = conductor_split(1, m, ivs, ctx, threshold=float(m))
+            ivs = canonical_triple(m, 2, tables)
+            s_all = conductor_split(1, ivs, ctx, threshold=float(m))
             for thr in (1.0, 3.0, 7.0):
-                small, large = conductor_split(1, m, ivs, ctx, threshold=thr)
+                small, large = conductor_split(1, ivs, ctx, threshold=thr)
                 assert abs(small + large - (s_all[0] + s_all[1])) < 1e-9
 
 
 class TestPositivity:
     def test_mod5_not_certified_at_desk_scale(self, tables):
-        ivs = canonical(5, 2, tables)
+        ivs = canonical_triple(5, 2, tables)
         ctx = build_unit_group(5)
-        rep = positivity_certificate(2, 5, ivs, ctx)
+        rep = positivity_certificate(2, ivs, ctx)
         assert rep.interval_product == 2
         assert abs(rep.remainder_sum - 2 * math.sqrt(2)) < 1e-9
         assert not rep.certified
@@ -343,7 +336,7 @@ class TestPositivity:
         a = build_custom_interval(20, 40, 9, tables)
         b = build_custom_interval(41, 60, 9, tables)
         empty = build_custom_interval(4, 3, 9, tables)
-        rep = positivity_certificate(1, 9, (a, b, empty), ctx)
+        rep = positivity_certificate(1, IntervalTriple(a, b, empty), ctx)
         assert rep.interval_product == 0
         assert rep.ratio is None
         assert not rep.certified
@@ -354,9 +347,9 @@ class TestPositivity:
         t = build_sieve(170_000)
         ratios = []
         for m in (101, 1009, 3001):
-            ivs = canonical(m, 2, t)
+            ivs = canonical_triple(m, 2, t)
             ctx = build_unit_group(m)
-            rep = positivity_certificate(1, m, ivs, ctx)
+            rep = positivity_certificate(1, ivs, ctx)
             ratios.append(rep.ratio)
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] < 1.0  # certified from m = 1009 on
@@ -365,15 +358,15 @@ class TestPositivity:
         # wide custom intervals make the main term dominate
         m = 9
         ctx = build_unit_group(m)
-        ivs = (
+        ivs = IntervalTriple(
             build_custom_interval(600.0, 2900.0, m, tables),
             build_custom_interval(150.0, 600.0, m, tables),
             build_custom_interval(3.0, 150.0, m, tables),
         )
-        rep = positivity_certificate(1, m, ivs, ctx)
+        rep = positivity_certificate(1, ivs, ctx)
         assert rep.certified
         for a in units_of(m):
-            assert count_solutions_direct(a, m, *ivs) > 0
+            assert count_solutions_direct(a, ivs) > 0
 
 
 class TestThresholdAndReport:
@@ -384,8 +377,8 @@ class TestThresholdAndReport:
     def test_report_fields(self, tables):
         m = 15
         ctx = build_unit_group(m)
-        ivs = canonical(m, 3, tables)
-        rep = count_report(2, m, ivs, ctx, k=3)
+        ivs = canonical_triple(m, 3, tables)
+        rep = count_report(2, ivs, ctx, k=3)
         d = rep.to_dict()
         assert d["m"] == 15 and d["a"] == 2 and d["k"] == 3
         assert d["delta"] == 1

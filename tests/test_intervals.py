@@ -16,6 +16,7 @@ from phimin.characters import (
 )
 from phimin.errors import BoundsError, DomainError
 from phimin.intervals import (
+    IntervalTriple,
     PrimeIntervalSet,
     SmallKWarning,
     build_custom_interval,
@@ -23,7 +24,6 @@ from phimin.intervals import (
     cardinality_prediction,
     character_sum,
     character_sums_all,
-    main_term_prediction,
     parseval_sum,
     require_disjoint,
     rho_closed_form,
@@ -150,12 +150,15 @@ class TestRequireDisjoint:
             None,
         )
         ivs = [sorted_interval(a) for a in arrays]
-        if clash is None:
-            require_disjoint(*ivs)
-        else:
-            i, j = clash
-            with pytest.raises(DomainError, match=f"interval sets {i} and {j} share"):
-                require_disjoint(*ivs)
+        # the triple constructor sees two arrays with an empty third set
+        padded = ivs + [sorted_interval([])] * (3 - len(ivs))
+        for route in (lambda: require_disjoint(*ivs), lambda: IntervalTriple(*padded)):
+            if clash is None:
+                route()
+            else:
+                i, j = clash
+                with pytest.raises(DomainError, match=f"interval sets {i} and {j} share"):
+                    route()
 
 
 class TestCardinalityPrediction:
@@ -249,39 +252,6 @@ class TestRho:
         ctx1 = build_unit_group(1)
         with pytest.raises(DomainError):
             rho_definition(principal_character(ctx1))
-
-
-class TestMainTermPrediction:
-    def test_conductor5_quadratic(self, tables):
-        ctx = build_unit_group(5)
-        chi = DirichletCharacter(ctx, [2])
-        iv = build_custom_interval(2, 100, 5, tables)
-        want = -iv.size / 3  # (4/3) * (-1/4) * |I|
-        assert abs(main_term_prediction(chi, iv, ctx) - want) < 1e-12
-
-    def test_nonsquarefree_conductor_zero(self, tables):
-        ctx = build_unit_group(9)
-        chi = DirichletCharacter(ctx, [1])  # conductor 9
-        iv = build_custom_interval(2, 100, 9, tables)
-        assert main_term_prediction(chi, iv, ctx) == 0
-
-    def test_principal_convention(self, tables):
-        ctx = build_unit_group(15)
-        iv = build_custom_interval(2, 100, 15, tables)
-        assert main_term_prediction(principal_character(ctx), iv, ctx) == iv.size
-
-    def test_magnitude_bound(self, tables):
-        for m in (15, 21, 35):
-            ctx = build_unit_group(m)
-            iv = build_custom_interval(2, 300, m, tables)
-            for chi in all_characters(ctx):
-                d = chi.conductor()
-                if d == 1:
-                    continue
-                bound = float(iv.size)
-                for c in build_unit_group(d).components:
-                    bound /= c.prime - 2 if c.prime > 2 else 1
-                assert abs(main_term_prediction(chi, iv, ctx)) <= bound + 1e-9
 
 
 class TestParseval:

@@ -8,10 +8,11 @@ from phimin import search
 from phimin.arith import euler_phi, trial_factorize
 from phimin.counting import count_solutions_direct, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
-from phimin.intervals import SmallKWarning, build_custom_interval, build_interval
+from phimin.intervals import IntervalTriple, build_custom_interval, build_interval
 from phimin.search import (
     DEFAULT_SEGMENT,
     FIRST_SEGMENT,
+    canonical_triple,
     constructive_search,
     default_cap,
     exponent_scan,
@@ -32,16 +33,8 @@ def units_of(m):
     return [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
 
 
-def canonical(m, k, tables):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallKWarning)
-        return tuple(build_interval(j, m, k, tables) for j in (1, 2, 3))
-
-
 def witness(a, m, k, tables):
-    return constructive_search(a, m, *canonical(m, k, tables))
+    return constructive_search(a, canonical_triple(m, k, tables))
 
 
 @pytest.fixture(scope="module")
@@ -255,18 +248,18 @@ class TestConstructiveSearch:
         # for k=2 and m >= 17 no interval contains 2, so the formal count
         # and the witness search see the same solution set
         for m in range(17, 46, 2):
-            ivs = canonical(m, 2, tables)
+            ivs = canonical_triple(m, 2, tables)
             assert all(2 not in iv.primes for iv in ivs)
             for a in units_of(m):
                 w = witness(a, m, 2, tables)
-                j = count_solutions_direct(a, m, *ivs)
+                j = count_solutions_direct(a, ivs)
                 assert (w is not None) == (j > 0)
 
     def test_delta_one_skips_two(self, tables):
         # m = 9, a = 2: the only formal solution uses p3 = 2, which is
         # not a phi-witness since 4 and 2 share a factor
-        ivs = canonical(9, 2, tables)
-        assert count_solutions_direct(2, 9, *ivs) == 1
+        ivs = canonical_triple(9, 2, tables)
+        assert count_solutions_direct(2, ivs) == 1
         assert witness(2, 9, 2, tables) is None
 
     def test_overlapping_intervals_rejected(self, tables):
@@ -277,11 +270,11 @@ class TestConstructiveSearch:
         # every other admissible triple gives a product at least as large
         m, a, k = 35, 2, 2
         w = witness(a, m, k, tables)
-        ivs = canonical(m, k, tables)
+        ivs = canonical_triple(m, k, tables)
         best = None
-        for p1 in ivs[0].primes:
-            for p2 in ivs[1].primes:
-                for p3 in ivs[2].primes:
+        for p1 in ivs.i1.primes:
+            for p2 in ivs.i2.primes:
+                for p3 in ivs.i3.primes:
                     if (p1 - 1) * (p2 - 1) * (p3 - 1) % m == a:
                         n = int(p1 * p2 * p3)
                         best = n if best is None else min(best, n)
@@ -311,16 +304,17 @@ class TestConstructiveSearch:
                         continue
                     key = (4**delta * p1 * p2 * p3, (p1, p2, p3))
                     best = key if best is None else min(best, key)
-        w = constructive_search(a, m, i1, i2, i3)
+        w = constructive_search(a, IntervalTriple(i1, i2, i3))
         if best is None:
             assert w is None
         else:
             assert (w.n, (w.p1, w.p2, w.p3), w.delta) == (*best, delta)
 
     def test_modulus_mismatch_rejected(self, tables):
-        ivs = canonical(45, 2, tables)
-        with pytest.raises(DomainError):
-            constructive_search(2, 47, *ivs)
+        i1, i2, _ = canonical_triple(45, 2, tables)
+        i3 = canonical_triple(47, 2, tables).i3
+        with pytest.raises(DomainError, match="interval modulus 47 differs from 45"):
+            constructive_search(2, IntervalTriple(i1, i2, i3))
 
 
 class TestExponentScan:
@@ -343,7 +337,14 @@ class TestExponentScan:
         # m = 3, k = 2 has colliding intervals: the row records the error
         rows, summary = exponent_scan([3, 5], a_sample="all", k=2)
         bad = [r for r in rows if r["m"] == 3]
-        assert all("error" in r and not r["found"] for r in bad)
+        assert all(
+            r["error"] == "interval sets 1 and 2 share primes at m=3"
+            and r["N"] is not None
+            and r["witness_n"] is None
+            and r["J_direct"] is None
+            and not r["found"]
+            for r in bad
+        )
         assert summary["errors"] == len(bad)
         good = [r for r in rows if r["m"] == 5]
         assert all("error" not in r for r in good)
