@@ -76,11 +76,14 @@ class SearchWitness:
 def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     """phi(n) for lo <= n < hi, vectorized over a segment.
 
-    Needs base primes up to sqrt(hi - 1); memory is O(hi - lo).  Each
-    prime p and each power p^e < hi is one strided slice of the segment.
+    Needs hi <= 2^63, so that every n fits int64, and base primes up to
+    sqrt(hi - 1); memory is O(hi - lo).  Each prime p and each power
+    p^e < hi is one strided slice of the segment.
     """
     if lo < 1 or hi <= lo:
         raise DomainError(f"bad segment [{lo}, {hi})")
+    if hi > 2**63:
+        raise BoundsError(f"segment end {hi} exceeds 2^63: n would overflow int64")
     top = math.isqrt(hi - 1)
     if tables.limit < top:
         raise BoundsError(
@@ -127,6 +130,14 @@ def check_cap(cap: int) -> None:
         raise BoundsError(f"cap {cap} does not fit the int64 totient stream")
 
 
+def _first_index(residues: np.ndarray, m: int) -> np.ndarray:
+    """Index of the first occurrence of each class 0..m-1 in `residues`,
+    or len(residues) for a class that does not occur: one O(len) scatter-min."""
+    first = np.full(m, residues.size)
+    np.minimum.at(first, residues, np.arange(residues.size))
+    return first
+
+
 def oracle_N(a: int, m: int, cap: int, tables: SieveTables) -> OracleResult:
     """Least n <= cap with phi(n) = a (mod m), by streaming scan."""
     found = oracle_N_multi([a], m, cap, tables)
@@ -141,8 +152,8 @@ def oracle_N_multi(
     The first segment holds FIRST_SEGMENT integers and each next one
     twice as many, up to DEFAULT_SEGMENT: until that ceiling the stream
     ends before 2 * max N + FIRST_SEGMENT integers, and memory stays
-    O(DEFAULT_SEGMENT) at any cap.  One np.unique pass per segment finds
-    the first hit of every class.
+    O(DEFAULT_SEGMENT) at any cap.  One scatter-min pass per segment
+    (_first_index) finds the first hit of every class without sorting.
     """
     check_cap(cap)
     targets = set()
@@ -155,11 +166,11 @@ def oracle_N_multi(
     lo, size = 1, FIRST_SEGMENT
     while lo <= cap and wanted.any():
         hi = min(lo + size, cap + 1)
-        classes, first = np.unique(segment_phi(lo, hi, tables) % m, return_index=True)
-        hit = wanted[classes]
-        for a, i in zip(classes[hit].tolist(), first[hit].tolist()):
-            found[a] = lo + i
-        wanted[classes] = False
+        first = _first_index(segment_phi(lo, hi, tables) % m, m)
+        hit = wanted & (first < hi - lo)
+        for a in np.flatnonzero(hit).tolist():
+            found[a] = lo + int(first[a])
+        wanted &= ~hit
         lo, size = hi, min(2 * size, DEFAULT_SEGMENT)
     return found
 
@@ -192,9 +203,11 @@ def constructive_search(a: int, triple: IntervalTriple) -> SearchWitness | None:
             m=m, a=a, delta=delta,
             p1=int(lists[0][0]), p2=int(lists[1][0]), p3=int(lists[2][0]),
         )
-    # the primes ascend, so the first index of each class is its smallest p1
-    classes, first = np.unique((lists[0] - 1) % m, return_index=True)
-    smallest_p1 = dict(zip(classes.tolist(), lists[0][first].tolist()))
+    # the primes ascend, so the first index of each class of p1 - 1 (one
+    # scatter-min over I1) holds its smallest p1
+    first = _first_index((lists[0] - 1) % m, m)
+    classes = np.flatnonzero(first < lists[0].size)
+    smallest_p1 = dict(zip(classes.tolist(), lists[0][first[classes]].tolist()))
     inv3 = [(p3, pow((p3 - 1) % m, -1, m)) for p3 in lists[2].tolist()]
     t = a * pow(1 + delta, -1, m) % m
     best: tuple[int, tuple[int, int, int]] | None = None

@@ -106,6 +106,11 @@ class TestSegmentPhi:
         with pytest.raises(BoundsError):
             segment_phi(1, 1000, t)
 
+    def test_end_past_int64_rejected(self, tables):
+        # checked before the base primes, which this sieve lacks
+        with pytest.raises(BoundsError, match="segment end .* exceeds 2\\^63"):
+            segment_phi(2**63 - 10, 2**63 + 1, tables)
+
 
 class TestOracle:
     def test_golden_values(self, tables):
@@ -170,6 +175,20 @@ class TestOracle:
             ),
             label="cap",
         )
+        found = oracle_N_multi(a_values, m, cap, tables200k)
+        assert found == naive_first_hits(a_values, m, cap, naive_phi)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_more_classes_than_first_segment(self, tables200k, naive_phi, data):
+        # m > FIRST_SEGMENT: the class table is longer than the first
+        # segments, and most classes stay unhit in them
+        m = data.draw(st.integers(2049, 2**14 - 1).map(lambda i: 2 * i + 1), label="m")
+        a_values = data.draw(
+            st.lists(st.sampled_from(units_of(m)), min_size=1, max_size=40, unique=True),
+            label="a_values",
+        )
+        cap = data.draw(st.integers(1, NAIVE_LIMIT - 1), label="cap")
         found = oracle_N_multi(a_values, m, cap, tables200k)
         assert found == naive_first_hits(a_values, m, cap, naive_phi)
 
@@ -265,6 +284,17 @@ class TestConstructiveSearch:
     def test_overlapping_intervals_rejected(self, tables):
         with pytest.raises(DomainError):
             witness(1, 3, 2, tables)
+
+    def test_i1_empty_once_two_is_dropped(self, tables):
+        # a = 2 mod 9 has delta = 1, so p1 = 2 is dropped and I1 is empty
+        m, a = 9, 2
+        assert indicator_1am(a, m) == 1
+        i1, i2, i3 = (
+            build_custom_interval(lo, hi, m, tables)
+            for lo, hi in ((1, 2), (2, 30), (30, 60))
+        )
+        assert i1.primes.tolist() == [2]
+        assert constructive_search(a, IntervalTriple(i1, i2, i3)) is None
 
     def test_minimizes_n(self, tables):
         # every other admissible triple gives a product at least as large
