@@ -13,7 +13,6 @@ from .arith import (
     is_prime,
     log_integral,
     log_integral_between,
-    moebius,
     primitive_root,
     trial_factorize,
 )

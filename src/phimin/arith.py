@@ -93,12 +93,6 @@ def divisor_count(f: Factorization) -> int:
     return math.prod(e + 1 for _, e in f.factors)
 
 
-def moebius(f: Factorization) -> int:
-    if any(e >= 2 for _, e in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
 def primitive_root(p: int, alpha: int = 1) -> int:
     """Least primitive root modulo p^alpha, for odd prime p."""
     if p % 2 == 0 or not is_prime(p):

@@ -112,12 +112,6 @@ class UnitGroupContext:
             self._conductors = cond
         return self._conductors
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UnitGroupContext) and other.modulus == self.modulus
-
-    def __hash__(self) -> int:
-        return hash(("UnitGroupContext", self.modulus))
-
     def __repr__(self) -> str:
         comps = [(c.prime_power, c.generator, c.order) for c in self.components]
         return f"UnitGroupContext(modulus={self.modulus}, components={comps})"
@@ -146,8 +140,8 @@ class DirichletCharacter:
     """A character mod m, stored as exponents on the component generators.
 
     chi(x) = exp(2*pi*i * sum_i e_i * dlog_i(x) / order_i) on units,
-    0 off units.  Multiplication, conjugation, and conductor are exact
-    integer operations on the exponent vector.
+    0 off units.  The conductor is an exact integer operation on the
+    exponent vector.
     """
 
     __slots__ = ("context", "exponents", "_conductor")
@@ -195,27 +189,6 @@ class DirichletCharacter:
 
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.context != other.context:
-            raise DomainError("characters live on different moduli")
-        return DirichletCharacter(
-            self.context,
-            [a + b for a, b in zip(self.exponents, other.exponents)],
-        )
-
-    def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.context, [-e for e in self.exponents])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DirichletCharacter)
-            and other.context.modulus == self.context.modulus
-            and other.exponents == self.exponents
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.context.modulus, self.exponents))
 
     def __repr__(self) -> str:
         return f"DirichletCharacter(mod {self.context.modulus}, exponents={self.exponents})"

@@ -83,16 +83,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["m", "a", "cap", "found", "N", "exponent"])
-        w.writerow(
-            [
-                m,
-                a,
-                cap,
-                str(result.found).lower(),
-                "" if result.N is None else result.N,
-                "" if result.exponent is None else f"{result.exponent:.6f}",
-            ]
-        )
+        found = str(result.found).lower()
+        w.writerow([m, a, cap, found, result.N, _fixed(result.exponent)])
     else:
         _emit(record)
     return EXIT_OK if result.found else EXIT_NOT_FOUND
@@ -151,15 +143,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    try:
-        parts = [int(x) for x in args.m_range.split(":")]
+    parts = args.m_range.split(":")
+    try:  # a bad integer and a wrong part count both raise ValueError
+        lo, hi, step = map(int, parts + ["2"] if len(parts) == 2 else parts)
     except ValueError:
-        raise DomainError(f"malformed --m-range {args.m_range!r}, want lo:hi[:step]")
-    if len(parts) == 2:
-        lo, hi, step = parts[0], parts[1], 2
-    elif len(parts) == 3:
-        lo, hi, step = parts
-    else:
         raise DomainError(f"malformed --m-range {args.m_range!r}, want lo:hi[:step]")
     if step < 1 or hi < lo:
         raise DomainError(f"empty or descending --m-range {args.m_range!r}")
@@ -187,23 +174,22 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _fixed(x: float | None) -> str | None:
+    """Six decimals; None stays None, which csv writes as an empty cell."""
+    return None if x is None else f"{x:.6f}"
+
+
 def _write_scan_csv(rows: list[dict], out) -> None:
     w = csv.writer(out, lineterminator="\n")
     w.writerow(search.SCAN_FIELDS)
     for r in rows:
-        w.writerow(
-            [
-                r["m"],
-                r["a"],
-                r["delta"],
-                "" if r["N"] is None else r["N"],
-                "" if r["N_exponent"] is None else f"{r['N_exponent']:.6f}",
-                "" if r["witness_n"] is None else r["witness_n"],
-                "" if r["witness_exponent"] is None else f"{r['witness_exponent']:.6f}",
-                "" if r["J_direct"] is None else r["J_direct"],
-                str(r["found"]).lower(),
-            ]
+        cells = dict(
+            r,
+            N_exponent=_fixed(r["N_exponent"]),
+            witness_exponent=_fixed(r["witness_exponent"]),
+            found=str(r["found"]).lower(),
         )
+        w.writerow([cells[f] for f in search.SCAN_FIELDS])
 
 
 # -- verify suites ---------------------------------------------------------
@@ -452,16 +438,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    caught: list[warnings.WarningMessage] = []
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            # "default" records each distinct message once per call site
+            warnings.simplefilter("default", SmallKWarning)
+            code, error = args.func(args), None
     except ConsistencyError as exc:
-        print(f"phimin: consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        code, error = EXIT_INCONSISTENT, f"consistency failure: {exc}"
     except DomainError as exc:
-        print(f"phimin: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, error = EXIT_USAGE, str(exc)
+    finally:
+        # SmallKWarning as one line without a source location; any other
+        # warning is shown as Python would show it
+        for w in caught:
+            if issubclass(w.category, SmallKWarning):
+                print(f"phimin: warning: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if error is not None:
+        print(f"phimin: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

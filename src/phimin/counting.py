@@ -33,28 +33,18 @@ def indicator_1am(a: int, m: int) -> int:
 def count_solutions_direct(a: int, triple: IntervalTriple) -> int:
     """Exact solution count by convolving residue count vectors.
 
-    Pure integer arithmetic: for each pair of occupied classes (x, y) of
-    the two intervals with the fewest occupied classes, the class of the
-    third is forced, so J = sum cx[x] cy[y] cz[a (1+d)^-1 (x y)^-1].  Only
-    those two class sets are inverted, and the forced classes form one
-    |classes_x| x |classes_y| index table, contracted by two mat-vecs.
+    Pure integer arithmetic over the triple's class grid: each pair of
+    occupied classes (x, y) forces the class z of the third interval, so
+    J = sum cx[x] cy[y] cz[z], contracted by two mat-vecs.
     """
     m = triple.modulus
     delta = indicator_1am(a, m)
-    if m * m >= 2**63 or triple.product >= 2**63:
+    if triple.product >= 2**63:
         # J <= |I1||I2||I3| bounds every partial sum below
         raise BoundsError(f"int64 convolution would overflow at m={m}")
-    t = a * pow(1 + delta, -1, m) % m
-    (cx, x), (cy, y), (cz, _) = sorted(
-        ((iv.count_vector, np.nonzero(iv.count_vector)[0]) for iv in triple),
-        key=lambda pair: pair[1].size,
-    )
-    inv_x, inv_y = (
-        np.array([pow(int(b), -1, m) for b in classes], dtype=np.int64)
-        for classes in (x, y)
-    )
-    z = np.outer(t * inv_x % m, inv_y) % m
-    return int(cx[x] @ (cz[z] @ cy[y]))
+    grid = triple.class_grid
+    cx, cy, cz = (tuple(triple)[j].count_vector for j in grid.axes)
+    return int(cx[grid.x] @ (cz[grid.forced(a, delta)] @ cy[grid.y]))
 
 
 def count_solutions_characters(
@@ -145,8 +135,8 @@ def conductor_split(
 ) -> tuple[float, float]:
     """Split sum_{chi != chi0, psi} |S1 S2 S3| by conductor <= threshold
     versus conductor > threshold."""
-    if threshold < 1:
-        raise DomainError(f"threshold must be >= 1, got {threshold}")
+    if not (math.isfinite(threshold) and threshold >= 1):
+        raise DomainError(f"threshold must be finite and >= 1, got {threshold}")
     m = triple.modulus
     indicator_1am(a, m)
     sums = [np.abs(character_sums_all(ctx, iv)) for iv in triple]

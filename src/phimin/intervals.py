@@ -8,16 +8,18 @@ O(|I|).  The canonical triple uses bounds m^(1+1/k), m, m^(1/k).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import log_integral_between, trial_factorize
 from .characters import DirichletCharacter, UnitGroupContext
-from .errors import ConsistencyError, DomainError
+from .errors import BoundsError, ConsistencyError, DomainError
 from .sieve import SieveTables
 
 PARSEVAL_REL_TOL = 1e-6
@@ -62,6 +64,38 @@ def require_disjoint(*intervals: PrimeIntervalSet) -> None:
             )
 
 
+def first_index(residues: np.ndarray, m: int) -> np.ndarray:
+    """Index of the first occurrence of each class 0..m-1 in `residues`,
+    or len(residues) for a class that does not occur: one O(len) scatter-min."""
+    first = np.full(m, residues.size)
+    np.minimum.at(first, residues, np.arange(residues.size))
+    return first
+
+
+def smallest_per_class(primes: np.ndarray, m: int) -> np.ndarray:
+    """Least prime in each class of p - 1 mod m, 0 for an empty class;
+    the primes ascend, so that is the one at each class's first index."""
+    return np.append(primes, 0)[first_index((primes - 1) % m, m)]
+
+
+class ClassGrid(NamedTuple):
+    """The forced-class table of a triple, shared by the direct count and
+    the witness search.  I_axes[0] and I_axes[1] have the fewest occupied
+    classes x and y of p - 1, and inv_xy = (x y)^-1 mod m, so the
+    congruence forces the class z = a (1 + d)^-1 inv_xy of the third."""
+
+    modulus: int
+    axes: tuple[int, int, int]
+    x: np.ndarray
+    y: np.ndarray
+    inv_xy: np.ndarray
+
+    def forced(self, a: int, delta: int) -> np.ndarray:
+        """The class z of I_axes[2] forced by each pair (x, y) for unit a."""
+        m = self.modulus
+        return a * pow(1 + delta, -1, m) % m * self.inv_xy % m
+
+
 @dataclass(frozen=True)
 class IntervalTriple:
     """I1, I2, I3 over one modulus, checked once to share it and to be
@@ -84,6 +118,26 @@ class IntervalTriple:
 
     def __iter__(self):
         return iter((self.i1, self.i2, self.i3))
+
+    @functools.cached_property
+    def class_grid(self) -> ClassGrid:
+        """Built on first use, then shared by every unit a."""
+        m = self.modulus
+        if m * m >= 2**63:
+            raise BoundsError(f"int64 class products would overflow at m={m}")
+        ivs = tuple(self)
+        occupied = [np.flatnonzero(iv.count_vector) for iv in ivs]
+        axes = tuple(sorted(range(3), key=lambda j: occupied[j].size))
+        x, y = (occupied[j] for j in axes[:2])
+        inv_x, inv_y = (
+            np.array([pow(int(b), -1, m) for b in c], dtype=np.int64) for c in (x, y)
+        )
+        return ClassGrid(m, axes, x, y, np.outer(inv_x, inv_y) % m)
+
+    @functools.cached_property
+    def least_primes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """smallest_per_class of I1, I2, I3, which only the search reads."""
+        return tuple(smallest_per_class(iv.primes, self.modulus) for iv in self)
 
 
 def _snap_root(m: int, num: int, den: int) -> float:

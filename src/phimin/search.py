@@ -6,6 +6,7 @@ n = 4^d * p1 p2 p3, and exponent statistics log N / log m over scans.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +20,9 @@ from .intervals import (
     IntervalTriple,
     SmallKWarning,
     build_interval,
+    first_index,
     interval_sieve_limit,
+    smallest_per_class,
 )
 from .sieve import SieveTables, build_sieve
 
@@ -101,8 +104,9 @@ def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
             phi[s::q] *= p
             rem[s::q] //= p
             q *= p
-    big = rem > 1
-    phi[big] *= rem[big] - 1
+    # rem is now 1 or one prime above sqrt(hi - 1); in place, no temporary
+    rem -= 1
+    phi *= np.maximum(rem, 1, out=rem)
     return phi
 
 
@@ -130,14 +134,6 @@ def check_cap(cap: int) -> None:
         raise BoundsError(f"cap {cap} does not fit the int64 totient stream")
 
 
-def _first_index(residues: np.ndarray, m: int) -> np.ndarray:
-    """Index of the first occurrence of each class 0..m-1 in `residues`,
-    or len(residues) for a class that does not occur: one O(len) scatter-min."""
-    first = np.full(m, residues.size)
-    np.minimum.at(first, residues, np.arange(residues.size))
-    return first
-
-
 def oracle_N(a: int, m: int, cap: int, tables: SieveTables) -> OracleResult:
     """Least n <= cap with phi(n) = a (mod m), by streaming scan."""
     found = oracle_N_multi([a], m, cap, tables)
@@ -153,7 +149,7 @@ def oracle_N_multi(
     twice as many, up to DEFAULT_SEGMENT: until that ceiling the stream
     ends before 2 * max N + FIRST_SEGMENT integers, and memory stays
     O(DEFAULT_SEGMENT) at any cap.  One scatter-min pass per segment
-    (_first_index) finds the first hit of every class without sorting.
+    (first_index) finds the first hit of every class without sorting.
     """
     check_cap(cap)
     targets = set()
@@ -166,7 +162,7 @@ def oracle_N_multi(
     lo, size = 1, FIRST_SEGMENT
     while lo <= cap and wanted.any():
         hi = min(lo + size, cap + 1)
-        first = _first_index(segment_phi(lo, hi, tables) % m, m)
+        first = first_index(segment_phi(lo, hi, tables) % m, m)
         hit = wanted & (first < hi - lo)
         for a in np.flatnonzero(hit).tolist():
             found[a] = lo + int(first[a])
@@ -181,49 +177,37 @@ def canonical_triple(m: int, k: int, tables: SieveTables) -> IntervalTriple:
 
 
 def constructive_search(a: int, triple: IntervalTriple) -> SearchWitness | None:
-    """Search for a solution n = 4^d * p1 p2 p3 with p_j in I_j.
+    """Least solution n = 4^d * p1 p2 p3 with p_j in I_j.
 
-    I1 is indexed by the residue of p1 - 1 keeping the smallest p1 per
-    class; each (p2, p3) pair then forces the residue of p1 - 1.  Among
-    hits the witness minimizing n wins (ties broken by (p1, p2, p3)).
-    Returns None when the congruence has no solution over the intervals.
+    Each p_j of a solution can be swapped for the least prime of its
+    class of p_j - 1, so the least n is the least product of class
+    minima over the triple's forced-class grid; n fixes (p1, p2, p3)
+    because the three sets are pairwise disjoint.  Returns None when the
+    congruence has no solution over the intervals.
     """
     m = triple.modulus
     check_reduced_odd(a, m)
     delta = indicator_1am(a, m)
-    lists = [iv.primes for iv in triple]
+    grid = triple.class_grid
+    smallest = list(triple.least_primes)
     if delta:
         # 4^1 shares the factor 2 with p_j = 2, so such triples are not
         # phi-witnesses even when they satisfy the formal congruence.
-        lists = [ps[ps != 2] for ps in lists]
-    if m == 1:
-        if any(ps.size == 0 for ps in lists):
-            return None
-        return SearchWitness(
-            m=m, a=a, delta=delta,
-            p1=int(lists[0][0]), p2=int(lists[1][0]), p3=int(lists[2][0]),
-        )
-    # the primes ascend, so the first index of each class of p1 - 1 (one
-    # scatter-min over I1) holds its smallest p1
-    first = _first_index((lists[0] - 1) % m, m)
-    classes = np.flatnonzero(first < lists[0].size)
-    smallest_p1 = dict(zip(classes.tolist(), lists[0][first[classes]].tolist()))
-    inv3 = [(p3, pow((p3 - 1) % m, -1, m)) for p3 in lists[2].tolist()]
-    t = a * pow(1 + delta, -1, m) % m
-    best: tuple[int, tuple[int, int, int]] | None = None
-    for p2 in lists[1].tolist():
-        t2 = t * pow((p2 - 1) % m, -1, m) % m
-        for p3, inv in inv3:
-            p1 = smallest_p1.get(t2 * inv % m)
-            if p1 is None:
-                continue
-            n = 4**delta * p1 * p2 * p3
-            key = (n, (p1, p2, p3))
-            if best is None or key < best:
-                best = key
-    if best is None:
+        for j, iv in enumerate(triple):
+            if iv.size and iv.primes[0] == 2:
+                smallest[j] = smallest_per_class(iv.primes[1:], m)
+    sx, sy, sz = (smallest[j] for j in grid.axes)
+    px, py, pz = sx[grid.x], sy[grid.y], sz[grid.forced(a, delta)]
+    # exact products: int64 while every n fits, Python ints beyond
+    bound = 4**delta * math.prod(int(p.max(initial=0)) for p in (px, py, pz))
+    dtype = np.int64 if bound < 2**63 else object
+    n = np.outer(px.astype(dtype), py.astype(dtype)) * pz.astype(dtype)
+    hits = np.flatnonzero(n)  # an empty class has smallest prime 0
+    if not hits.size:
         return None
-    p1, p2, p3 = best[1]
+    i, j = np.unravel_index(hits[n.ravel()[hits].argmin()], n.shape)
+    found = dict(zip(grid.axes, (px[i], py[j], pz[i, j])))
+    p1, p2, p3 = (int(found[axis]) for axis in range(3))
     return SearchWitness(m=m, a=a, delta=delta, p1=p1, p2=p2, p3=p3)
 
 
@@ -249,9 +233,7 @@ def default_cap(m: int) -> int:
 
 def _sample_units(m: int, a_sample: int | str) -> list[int]:
     units = [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
-    if a_sample == "all":
-        return units
-    return units[: int(a_sample)]
+    return units if a_sample == "all" else units[: int(a_sample)]
 
 
 def scan_sieve_limit(m_values: Iterable[int], k: int) -> int:
@@ -305,6 +287,12 @@ def _scan_one_m(
 _WORKER_TABLES: SieveTables | None = None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _init_worker(limit: int) -> None:
     global _WORKER_TABLES
     _WORKER_TABLES = build_sieve(limit)
@@ -324,8 +312,9 @@ def exponent_scan(
 ) -> tuple[list[dict], dict]:
     """Oracle N, witness n, and their exponents for every (m, a) row.
 
-    Rows keep input order regardless of `jobs`; per-row domain errors
-    are recorded in the row instead of aborting the scan.  Returns
+    Rows keep input order regardless of `jobs` (at most one worker per
+    modulus and per CPU); per-row domain errors are recorded in the row
+    instead of aborting the scan.  Returns
     (rows, summary) where the summary aggregates the exponents.
     """
     for m in m_values:
@@ -333,6 +322,8 @@ def exponent_scan(
             raise DomainError(f"scan moduli must be odd and >= 3, got {m}")
     limit = scan_sieve_limit(m_values, k)
     task_args = [(m, tuple(_sample_units(m, a_sample)), k) for m in m_values]
+    # fork starts every worker at the first submit, each sieving to `limit`
+    jobs = min(jobs, len(m_values), _usable_cpus())
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(limit,)

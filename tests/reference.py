@@ -1,14 +1,18 @@
 """Reference routes the tests compare phimin against.
 
-They are deliberately literal: a loop over every prime triple and a
-numpy totient sieve, with no shared code path beyond the input checks.
+They are deliberately literal: loops over every prime triple, a numpy
+totient sieve and interval sets built by primality tests, with no shared
+code path beyond the input checks.
 """
+
+import math
 
 import numpy as np
 
+from phimin.arith import is_prime
 from phimin.counting import indicator_1am
 from phimin.errors import DomainError
-from phimin.intervals import IntervalTriple
+from phimin.intervals import IntervalTriple, PrimeIntervalSet
 
 ENUMERATION_CAP = 10**6
 
@@ -43,3 +47,33 @@ def count_solutions_enumerate(a: int, triple: IntervalTriple) -> int:
                 if (1 + delta) * x1 * x2 * x3 % m == a % m:
                     total += 1
     return total
+
+
+def least_witness(a: int, triple: IntervalTriple):
+    """(n, (p1, p2, p3)) of the least solution n = 4^d p1 p2 p3 over all
+    prime triples, on Python ints, or None.  With d = 1 no p_j may be 2,
+    which would share the factor 2 with 4."""
+    m = triple.modulus
+    delta = indicator_1am(a, m)
+    best = None
+    for p1 in triple.i1.primes.tolist():
+        for p2 in triple.i2.primes.tolist():
+            for p3 in triple.i3.primes.tolist():
+                if delta and 2 in (p1, p2, p3):
+                    continue
+                if (1 + delta) * (p1 - 1) * (p2 - 1) * (p3 - 1) % m != a % m:
+                    continue
+                key = (4**delta * p1 * p2 * p3, (p1, p2, p3))
+                best = key if best is None else min(best, key)
+    return best
+
+
+def prime_window(lo, width, m):
+    """Interval set over (lo, lo + width] built by primality tests instead
+    of a sieve, so that it can sit far above any sieve limit."""
+    primes = np.array(
+        [p for p in range(lo + 1, lo + width + 1) if is_prime(p) and math.gcd(p - 1, m) == 1],
+        dtype=np.int64,
+    )
+    counts = np.bincount((primes - 1) % m, minlength=m).astype(np.int64)
+    return PrimeIntervalSet(None, lo, lo + width, m, primes, counts)

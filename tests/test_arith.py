@@ -9,7 +9,6 @@ from phimin.arith import (
     is_prime,
     log_integral,
     log_integral_between,
-    moebius,
     primitive_root,
     trial_factorize,
 )
@@ -77,22 +76,6 @@ class TestEulerPhi:
         for n in range(20_011, 100_001, 997):
             count = int(np.count_nonzero(np.gcd(np.arange(1, n + 1), n) == 1))
             assert euler_phi(trial_factorize(n)) == count
-
-class TestMoebius:
-    def test_examples(self):
-        assert moebius(trial_factorize(1)) == 1
-        assert moebius(trial_factorize(15)) == 1
-        assert moebius(trial_factorize(9)) == 0
-
-    def test_divisor_sum_identity(self):
-        # sum over d | n of mu(d) is 1 at n=1 and 0 otherwise
-        for n in range(1, 10_001, 7):
-            total = sum(
-                moebius(trial_factorize(d))
-                for d in range(1, n + 1)
-                if n % d == 0
-            )
-            assert total == (1 if n == 1 else 0)
 
 class TestPrimitiveRoot:
     def test_examples(self):

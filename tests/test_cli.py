@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from phimin import cli, search
+from phimin.intervals import SmallKWarning
 
 
 def run_cli(*args, env=None):
@@ -76,6 +78,26 @@ class TestSearchCommand:
         r = run_cli("search", "--a", "1")
         assert r.returncode == 2
 
+    def test_small_k_warning_is_one_line(self):
+        r = run_cli("search", "--m", "5", "--a", "2", "--k", "2")
+        assert r.returncode == 0
+        assert r.stderr == (
+            "phimin: warning: k=2 below 10: asymptotic exponents degrade, "
+            "identities are unaffected\n"
+        )
+        assert run_cli("search", "--m", "1031", "--a", "2", "--k", "10").stderr == ""
+
+    def test_warnings_shown_when_command_raises(self, monkeypatch, capsys):
+        def failing(args):
+            warnings.warn("k=2 below 10: x", SmallKWarning)
+            warnings.warn("other", UserWarning)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_search", failing)
+        with pytest.warns(UserWarning, match="other"), pytest.raises(RuntimeError):
+            cli.main(["search", "--m", "5", "--a", "2"])
+        assert capsys.readouterr().err == "phimin: warning: k=2 below 10: x\n"
+
 
 class TestCountCommand:
     def test_mod5_report(self):
@@ -105,6 +127,17 @@ class TestCountCommand:
             "threshold", "certified",
         }
         assert set(rec) == want
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exit_2(self, value, capsys):
+        argv = ["count", "--m", "301", "--a", "2", f"--threshold={value}"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(
+            f"\nphimin: threshold must be finite and >= 1, got {float(value)}\n"
+        )
 
 
 class TestVerifyCommand:

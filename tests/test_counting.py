@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phimin.arith import is_prime
 from phimin import cli, counting
 from phimin.characters import UnitGroupContext, build_unit_group
 from phimin.counting import (
@@ -25,22 +24,11 @@ from phimin.counting import (
 from phimin.errors import BoundsError, DomainError
 from phimin.intervals import IntervalTriple, PrimeIntervalSet, build_custom_interval
 from phimin.search import canonical_triple
-from reference import ENUMERATION_CAP, count_solutions_enumerate
+from reference import ENUMERATION_CAP, count_solutions_enumerate, prime_window
 
 
 def units_of(m):
     return [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
-
-
-def prime_window(lo, width, m):
-    """Interval set over (lo, lo + width] built by primality tests instead
-    of a sieve, so that it can sit near 10^9."""
-    primes = np.array(
-        [p for p in range(lo + 1, lo + width + 1) if is_prime(p) and math.gcd(p - 1, m) == 1],
-        dtype=np.int64,
-    )
-    counts = np.bincount((primes - 1) % m, minlength=m).astype(np.int64)
-    return PrimeIntervalSet(None, lo, lo + width, m, primes, counts)
 
 
 class TestIndicator:

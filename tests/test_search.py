@@ -20,7 +20,7 @@ from phimin.search import (
     oracle_N_multi,
     segment_phi,
 )
-from reference import phi_table
+from reference import count_solutions_enumerate, least_witness, phi_table, prime_window
 
 NAIVE_LIMIT = 1 << 18
 
@@ -322,23 +322,54 @@ class TestConstructiveSearch:
             width = data.draw(st.integers(1, 120))
             ivs.append(build_custom_interval(lo, lo + width, m, tables))
             lo += width + data.draw(st.integers(0, 60))
-        i1, i2, i3 = data.draw(st.permutations(ivs), label="order")
-        delta = indicator_1am(a, m)
-        best = None
-        for p1 in i1.primes.tolist():
-            for p2 in i2.primes.tolist():
-                for p3 in i3.primes.tolist():
-                    if delta and 2 in (p1, p2, p3):
-                        continue
-                    if (1 + delta) * (p1 - 1) * (p2 - 1) * (p3 - 1) % m != a % m:
-                        continue
-                    key = (4**delta * p1 * p2 * p3, (p1, p2, p3))
-                    best = key if best is None else min(best, key)
-        w = constructive_search(a, IntervalTriple(i1, i2, i3))
+        triple = IntervalTriple(*data.draw(st.permutations(ivs), label="order"))
+        best = least_witness(a, triple)
+        w = constructive_search(a, triple)
         if best is None:
             assert w is None
         else:
-            assert (w.n, (w.p1, w.p2, w.p3), w.delta) == (*best, delta)
+            assert (w.n, (w.p1, w.p2, w.p3), w.delta) == (*best, indicator_1am(a, m))
+
+    def test_products_past_int64(self):
+        # the products p1 p2 p3 straddle 2^63, where int64 would wrap the
+        # larger ones to negative values below the true minimum
+        for m in (7, 21):
+            triple = IntervalTriple(
+                *(prime_window(lo, 300, m) for lo in (2_096_552, 2_097_002, 2_097_452))
+            )
+            assert math.prod(int(iv.primes[-1]) for iv in triple) > 2**63
+            assert math.prod(int(iv.primes[0]) for iv in triple) < 2**63
+            hits = 0
+            for a in units_of(m):
+                best = least_witness(a, triple)
+                w = constructive_search(a, triple)
+                if best is None:
+                    assert w is None
+                    continue
+                hits += 1
+                assert (w.n, (w.p1, w.p2, w.p3)) == best
+                assert all(type(p) is int for p in (w.p1, w.p2, w.p3))
+            assert hits
+
+    def test_one_grid_serves_units_in_any_order(self, tables):
+        # I1 holds 2, which a = 2 (mod 3) units must skip and the others
+        # may use, so a cached table altered by one unit would show
+        m = 45
+        triple = IntervalTriple(
+            *(build_custom_interval(lo, hi, m, tables)
+              for lo, hi in ((1, 40), (40, 120), (120, 300)))
+        )
+        assert triple.i1.primes[0] == 2
+        units = units_of(m)
+        expected = {
+            a: (least_witness(a, triple), count_solutions_enumerate(a, triple))
+            for a in units
+        }
+        for a in units + units[::-1]:
+            w = constructive_search(a, triple)
+            got = None if w is None else (w.n, (w.p1, w.p2, w.p3))
+            assert (got, count_solutions_direct(a, triple)) == expected[a]
+        assert any(w for w, _ in expected.values())
 
     def test_modulus_mismatch_rejected(self, tables):
         i1, i2, _ = canonical_triple(45, 2, tables)
@@ -384,7 +415,9 @@ class TestExponentScan:
         with pytest.raises(DomainError):
             exponent_scan([10], a_sample=1)
 
-    def test_jobs_deterministic(self):
+    def test_jobs_deterministic(self, monkeypatch):
+        # three CPUs whatever the host has, so the real pool always runs
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
         serial, s1 = exponent_scan(list(range(9, 30, 2)), a_sample=4, k=2, jobs=1)
         parallel, s2 = exponent_scan(list(range(9, 30, 2)), a_sample=4, k=2, jobs=3)
         assert serial == parallel
@@ -400,6 +433,56 @@ class TestExponentScan:
         monkeypatch.setattr(search, "build_interval", build)
         exponent_scan([51, 53], a_sample=6, k=2)
         assert built == [(j, m) for m in (51, 53) for j in (1, 2, 3)]
+
+    def test_one_class_grid_per_modulus(self, monkeypatch):
+        # counts the builds behind the triple's own caching descriptor
+        built = []
+        cached = IntervalTriple.class_grid
+        real = cached.func
+
+        def counted(triple):
+            built.append(triple.modulus)
+            return real(triple)
+
+        monkeypatch.setattr(cached, "func", counted)
+        exponent_scan([51, 53], a_sample=6, k=2)
+        assert built == [51, 53]
+
+    def test_workers_capped(self, monkeypatch):
+        # a recording stand-in for the pool, which runs the tasks in-process
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(search, "_WORKER_TABLES", None)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 4)
+        serial, _ = exponent_scan([9, 11, 13], a_sample=2, k=3)
+        assert exponent_scan([9, 11, 13], a_sample=2, k=3, jobs=1000)[0] == serial
+        exponent_scan(list(range(9, 30, 2)), a_sample=1, k=3, jobs=1000)
+        assert seen == [3, 4]
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+        exponent_scan([9, 11, 13], a_sample=2, k=3, jobs=1000)
+        assert seen == [3, 4]
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert search._usable_cpus() == 2
+        monkeypatch.delattr(search.os, "sched_getaffinity")
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert search._usable_cpus() == 1
 
     def test_oracle_dominated_by_witness(self):
         rows, _ = exponent_scan([51, 53], a_sample=6, k=2)
