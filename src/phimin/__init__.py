@@ -11,7 +11,6 @@ from .arith import (
     Factorization,
     euler_phi,
     is_prime,
-    log_integral,
     log_integral_between,
     primitive_root,
     trial_factorize,
@@ -26,7 +25,6 @@ from .characters import (
     UnitGroupContext,
     all_characters,
     build_unit_group,
-    principal_character,
     psi_character,
 )
 from .counting import (

@@ -1,5 +1,5 @@
 """Elementary arithmetic: factorization, multiplicative functions,
-primitive roots, and the logarithmic integral Li(x) = int_2^x dt/log t.
+primitive roots, and the logarithmic integral int_a^b dt/log t.
 """
 
 from __future__ import annotations
@@ -44,22 +44,8 @@ class Factorization:
 
     factors: tuple[tuple[int, int], ...]
 
-    @property
-    def n(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-    def validate(self) -> None:
-        prev = 1
-        for p, e in self.factors:
-            if p <= prev or e < 1 or not is_prime(p):
-                raise DomainError(f"invalid factorization entry ({p}, {e})")
-            prev = p
 
 
 def trial_factorize(n: int) -> Factorization:
@@ -133,10 +119,3 @@ def log_integral_between(a: float, b: float) -> float:
         total += half * float(np.sum(_GL_WEIGHTS / np.log(t)))
         lo = hi
     return total
-
-
-def log_integral(x: float) -> float:
-    """Li(x) = int_2^x dt/log t."""
-    if x < 2:
-        raise DomainError(f"Li undefined below 2, got {x}")
-    return log_integral_between(2.0, x)

@@ -155,28 +155,12 @@ class DirichletCharacter:
         )
         self._conductor: int | None = None
 
-    # -- exact layer ----------------------------------------------------
-
-    def angle_numerator(self, x: int) -> int | None:
-        """t with chi(x) = exp(2*pi*i*t/T), or None when gcd(x, m) > 1."""
-        ctx = self.context
-        r = x % ctx.modulus if ctx.modulus > 1 else 0
-        if not ctx.unit_mask[r]:
-            return None
-        T = ctx.value_order
-        t = 0
-        for e, o, dlog in zip(self.exponents, ctx.orders, ctx.dlogs):
-            t += e * int(dlog[r]) * (T // o)
-        return t % T
-
-    # -- numeric layer --------------------------------------------------
-
     def __call__(self, x: int) -> complex:
-        t = self.angle_numerator(x)
-        return 0j if t is None else complex(self.context.roots[t])
+        return complex(self.value_vector()[x % self.context.modulus])
 
     def value_vector(self) -> np.ndarray:
-        """chi on residues 0..m-1 as a complex array."""
+        """chi on residues 0..m-1 as a complex array: exact integer angle
+        numerators t, then one lookup of exp(2*pi*i*t/T)."""
         ctx = self.context
         T = ctx.value_order
         t = np.zeros(max(ctx.modulus, 1), dtype=np.int64)
@@ -232,10 +216,6 @@ def all_characters(ctx: UnitGroupContext) -> list[DirichletCharacter]:
         DirichletCharacter(ctx, exps)
         for exps in itertools.product(*(range(o) for o in ctx.orders))
     ]
-
-
-def principal_character(ctx: UnitGroupContext) -> DirichletCharacter:
-    return DirichletCharacter(ctx, [0] * len(ctx.components))
 
 
 def psi_character(ctx: UnitGroupContext) -> DirichletCharacter:

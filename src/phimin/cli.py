@@ -118,9 +118,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     m, a, k = args.m, args.a, args.k
     triple = _canonical_triple(a, m, k)
-    report = counting.count_report(
-        a, triple, build_unit_group(m), k=k, threshold=args.threshold
-    )
+    report = counting.count_report(a, triple, k=k, threshold=args.threshold)
     _emit({"command": "count", **report.to_dict()})
     return EXIT_OK
 
@@ -326,13 +324,12 @@ def _suite_identity() -> list[dict]:
     tables = build_sieve(1000)
     checks = []
     for m in (9, 15, 21, 33, 45):
-        ctx = build_unit_group(m)
         ivs = intervals.IntervalTriple(
             build_custom_interval(2.0 * m, 4.0 * m, m, tables),
             build_custom_interval(float(m), 2.0 * m, m, tables),
             build_custom_interval(3.0, float(m), m, tables),
         )
-        psi = psi_character(ctx)
+        psi = psi_character(ivs.unit_group)
         product = ivs.product
         worst = 0.0
         for a in range(1, m):
@@ -360,10 +357,10 @@ def _suite_identity() -> list[dict]:
         for a in (1, 2):
             if math.gcd(a, m) != 1:
                 continue
-            j_char = counting.count_solutions_characters(a, ivs, ctx)
-            base = product / ctx.phi
-            psi_part = counting.psi_term(a, ivs, ctx)
-            rest = counting.remainder_term(a, ivs, ctx)
+            j_char = counting.count_solutions_characters(a, ivs)
+            base = product / ivs.unit_group.phi
+            psi_part = counting.psi_term(a, ivs)
+            rest = counting.remainder_term(a, ivs)
             err = abs(j_char - (base + psi_part + rest))
             checks.append(
                 {
@@ -419,11 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=("rho", "parseval", "constant", "lemma1", "rakhmonov", "identity"),
-    )
+    p.add_argument("--suite", required=True, choices=tuple(_VERIFY_SUITES))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="exponent scan over a range of moduli")

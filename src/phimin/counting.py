@@ -15,10 +15,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .arith import euler_phi, trial_factorize
-from .characters import UnitGroupContext, psi_character
+from .characters import psi_character
 from .errors import BoundsError, ConsistencyError, DomainError
-from .intervals import IntervalTriple, character_sums_all
+# character_sums_all stays importable here: bench/worker.py traces it by name
+from .intervals import IntervalTriple, character_sum, character_sums_all  # noqa: F401
 
 ORACLE_REL_TOL = 1e-6
 
@@ -47,32 +47,35 @@ def count_solutions_direct(a: int, triple: IntervalTriple) -> int:
     return int(cx[grid.x] @ (cz[grid.forced(a, delta)] @ cy[grid.y]))
 
 
-def count_solutions_characters(
-    a: int, triple: IntervalTriple, ctx: UnitGroupContext
-) -> float:
+def count_solutions_characters(a: int, triple: IntervalTriple) -> float:
     """J via orthogonality:
 
         (1/phi(m)) sum_chi S1 S2 S3 * conj(chi(a)) * chi(1 + d).
 
     The imaginary part must vanish; a residual above tolerance raises.
     """
-    if ctx.modulus != triple.modulus:
-        raise DomainError("context modulus mismatch")
-    total = complex(_character_terms(a, triple, ctx).sum())
-    if abs(total.imag) > ORACLE_REL_TOL * ctx.phi:
+    phi = triple.unit_group.phi
+    total = complex(_character_terms(a, triple).sum())
+    if abs(total.imag) > ORACLE_REL_TOL * phi:
         raise ConsistencyError(
             f"imaginary part {total.imag} of the character count did not cancel"
         )
-    return total.real / ctx.phi
+    return total.real / phi
 
 
-def _character_terms(
-    a: int, triple: IntervalTriple, ctx: UnitGroupContext
-) -> np.ndarray:
+def _character_terms(a: int, triple: IntervalTriple) -> np.ndarray:
     """S1 S2 S3 * conj(chi(a)) * chi(1 + d) for every character."""
     delta = indicator_1am(a, triple.modulus)
-    s1, s2, s3 = (character_sums_all(ctx, iv) for iv in triple)
+    ctx = triple.unit_group
+    s1, s2, s3 = triple.character_sums
     return s1 * s2 * s3 * np.conj(ctx.values_at(a)) * ctx.values_at(1 + delta)
+
+
+def _beyond_chi0_psi(triple: IntervalTriple) -> np.ndarray:
+    """Mask of the characters other than chi0 (conductor 1) and psi, the
+    only character of conductor 3, which exists only when 3 | m."""
+    conductors = triple.unit_group.conductors()
+    return (conductors != 1) & (conductors != 3)
 
 
 def main_term(a: int, triple: IntervalTriple) -> float:
@@ -80,38 +83,30 @@ def main_term(a: int, triple: IntervalTriple) -> float:
     m = triple.modulus
     indicator_1am(a, m)
     factor = 2 if m % 3 == 0 else 1
-    return factor * triple.product / euler_phi(trial_factorize(m))
+    return factor * triple.product / triple.unit_group.phi
 
 
-def psi_term(a: int, triple: IntervalTriple, ctx: UnitGroupContext) -> float:
+def psi_term(a: int, triple: IntervalTriple) -> float:
     """Exact contribution of the conductor-3 character psi to J:
     S1(psi) S2(psi) S3(psi) conj(psi(a)) psi(1 + d) / phi(m); zero when
     3 does not divide m."""
     m = triple.modulus
-    if m % 3 != 0:
-        indicator_1am(a, m)
-        return 0.0
     delta = indicator_1am(a, m)
-    psi = psi_character(ctx)
-    vec = psi.value_vector()
-    prod = complex(1.0)
-    for iv in triple:
-        prod *= complex(np.dot(vec, iv.count_vector))
+    if m % 3 != 0:
+        return 0.0
+    psi = psi_character(triple.unit_group)
+    prod = math.prod(character_sum(psi, iv) for iv in triple)
     prod *= psi(a).conjugate() * psi(1 + delta)
     if abs(prod.imag) > 1e-9 * max(1.0, abs(prod.real)):
         raise ConsistencyError("psi term must be real")
-    return float(prod.real) / ctx.phi
+    return float(prod.real) / triple.unit_group.phi
 
 
-def remainder_term(a: int, triple: IntervalTriple, ctx: UnitGroupContext) -> float:
+def remainder_term(a: int, triple: IntervalTriple) -> float:
     """Signed contribution of all characters outside {chi0, psi} to J,
     so that J = |I1||I2||I3|/phi + psi_term + remainder_term exactly."""
-    terms = _character_terms(a, triple, ctx)
-    conductors = ctx.conductors()
-    keep = conductors > 1
-    if triple.modulus % 3 == 0:
-        keep &= conductors != 3  # psi is the only character there
-    return float(terms[keep].sum().real) / ctx.phi
+    terms = _character_terms(a, triple)
+    return float(terms[_beyond_chi0_psi(triple)].sum().real) / triple.unit_group.phi
 
 
 def default_split_threshold(m: int, k: int) -> float:
@@ -131,22 +126,19 @@ def default_split_threshold(m: int, k: int) -> float:
 
 
 def conductor_split(
-    a: int, triple: IntervalTriple, ctx: UnitGroupContext, threshold: float
+    a: int, triple: IntervalTriple, threshold: float
 ) -> tuple[float, float]:
     """Split sum_{chi != chi0, psi} |S1 S2 S3| by conductor <= threshold
     versus conductor > threshold."""
     if not (math.isfinite(threshold) and threshold >= 1):
         raise DomainError(f"threshold must be finite and >= 1, got {threshold}")
-    m = triple.modulus
-    indicator_1am(a, m)
-    sums = [np.abs(character_sums_all(ctx, iv)) for iv in triple]
-    prod = sums[0] * sums[1] * sums[2]
-    conductors = ctx.conductors()
-    skip = conductors == 1
-    if m % 3 == 0:
-        skip |= conductors == 3  # the psi character is the only one there
-    small = float(prod[~skip & (conductors <= threshold)].sum())
-    large = float(prod[~skip & (conductors > threshold)].sum())
+    indicator_1am(a, triple.modulus)
+    s1, s2, s3 = (np.abs(s) for s in triple.character_sums)
+    prod = s1 * s2 * s3
+    conductors = triple.unit_group.conductors()
+    beyond = _beyond_chi0_psi(triple)
+    small = float(prod[beyond & (conductors <= threshold)].sum())
+    large = float(prod[beyond & (conductors > threshold)].sum())
     return small, large
 
 
@@ -160,16 +152,14 @@ class PositivityReport:
     certified: bool
 
 
-def positivity_certificate(
-    a: int, triple: IntervalTriple, ctx: UnitGroupContext
-) -> PositivityReport:
+def positivity_certificate(a: int, triple: IntervalTriple) -> PositivityReport:
     """Compare S = sum_{chi != chi0, psi} |S1 S2 S3| against |I1||I2||I3|.
 
     When S < |I1||I2||I3| the count J is positive for every reduced a,
     with no enumeration needed.
     """
     m = triple.modulus
-    small, large = conductor_split(a, triple, ctx, threshold=float(m))
+    small, large = conductor_split(a, triple, threshold=float(m))
     s, product = small + large, triple.product
     return PositivityReport(
         m=m,
@@ -205,28 +195,28 @@ class CountReport:
 def count_report(
     a: int,
     triple: IntervalTriple,
-    ctx: UnitGroupContext,
     k: int | None = None,
     threshold: float | None = None,
 ) -> CountReport:
     """Full two-route count with decomposition and conductor split.
 
+    The split runs first, so a bad threshold raises before either count.
     Raises ConsistencyError when the two routes disagree beyond
     1e-6 * (1 + J_direct): orthogonality is exact, so disagreement
     means a bug.
     """
     m = triple.modulus
+    if threshold is None:
+        threshold = default_split_threshold(m, k) if k is not None else float(m)
+    # any threshold splits the same characters, so small + large is the
+    # positivity certificate's sum
+    small, large = conductor_split(a, triple, threshold)
     j_direct = count_solutions_direct(a, triple)
-    j_chars = count_solutions_characters(a, triple, ctx)
+    j_chars = count_solutions_characters(a, triple)
     if abs(j_chars - j_direct) > ORACLE_REL_TOL * (1 + j_direct):
         raise ConsistencyError(
             f"count mismatch at (a={a}, m={m}): direct {j_direct}, characters {j_chars}"
         )
-    if threshold is None:
-        threshold = default_split_threshold(m, k) if k is not None else float(m)
-    small, large = conductor_split(a, triple, ctx, threshold)
-    # any threshold splits the same characters, so small + large is the
-    # positivity certificate's sum
     return CountReport(
         m=m,
         a=a,
@@ -235,7 +225,7 @@ def count_report(
         J_direct=j_direct,
         J_characters=j_chars,
         main_term=main_term(a, triple),
-        psi_term=psi_term(a, triple, ctx),
+        psi_term=psi_term(a, triple),
         S_small=small,
         S_large=large,
         threshold=threshold,

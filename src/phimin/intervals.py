@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import log_integral_between, trial_factorize
-from .characters import DirichletCharacter, UnitGroupContext
+from .characters import DirichletCharacter, UnitGroupContext, build_unit_group
 from .errors import BoundsError, ConsistencyError, DomainError
 from .sieve import SieveTables
 
@@ -99,7 +99,9 @@ class ClassGrid(NamedTuple):
 @dataclass(frozen=True)
 class IntervalTriple:
     """I1, I2, I3 over one modulus, checked once to share it and to be
-    pairwise disjoint; `product` is |I1||I2||I3|."""
+    pairwise disjoint; `product` is |I1||I2||I3|.  The per-modulus tables
+    (class grid, least primes, unit group, character sums) are built on
+    first use and cached, so a scan never builds the character side."""
 
     i1: PrimeIntervalSet
     i2: PrimeIntervalSet
@@ -138,6 +140,15 @@ class IntervalTriple:
     def least_primes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """smallest_per_class of I1, I2, I3, which only the search reads."""
         return tuple(smallest_per_class(iv.primes, self.modulus) for iv in self)
+
+    @functools.cached_property
+    def unit_group(self) -> UnitGroupContext:
+        return build_unit_group(self.modulus)
+
+    @functools.cached_property
+    def character_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """character_sums_all of I1, I2, I3: one FFT per interval."""
+        return tuple(character_sums_all(self.unit_group, iv) for iv in self)
 
 
 def _snap_root(m: int, num: int, den: int) -> float:

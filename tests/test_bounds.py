@@ -13,7 +13,6 @@ from phimin.characters import (
     DirichletCharacter,
     all_characters,
     build_unit_group,
-    principal_character,
 )
 from phimin.errors import DomainError
 from phimin.search import exponent_scan
@@ -105,7 +104,7 @@ class TestRakhmonov:
     def test_principal_rejected(self, tables):
         ctx = build_unit_group(15)
         with pytest.raises(DomainError):
-            rakhmonov_inequality_check(principal_character(ctx), 100.0, 15, tables)
+            rakhmonov_inequality_check(all_characters(ctx)[0], 100.0, 15, tables)
 
 
 def test_scan_exponent_regression():

@@ -7,7 +7,6 @@ from phimin.characters import (
     DirichletCharacter,
     all_characters,
     build_unit_group,
-    principal_character,
     psi_character,
 )
 from phimin.errors import DomainError, EvenModulusError
@@ -73,7 +72,7 @@ class TestAllCharacters:
 class TestEval:
     def test_principal_is_one_on_units(self):
         for m in (9, 15, 45):
-            chi0 = principal_character(build_unit_group(m))
+            chi0 = all_characters(build_unit_group(m))[0]
             for u in units_of(m):
                 assert abs(chi0(u) - 1) < 1e-12
 
@@ -119,7 +118,7 @@ class TestEval:
 class TestConductor:
     def test_examples(self):
         ctx15 = build_unit_group(15)
-        assert principal_character(ctx15).conductor() == 1
+        assert all_characters(ctx15)[0].conductor() == 1
         ctx9 = build_unit_group(9)
         order2 = DirichletCharacter(ctx9, [3])
         assert order2.conductor() == 3

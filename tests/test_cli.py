@@ -99,6 +99,53 @@ class TestSearchCommand:
         assert capsys.readouterr().err == "phimin: warning: k=2 below 10: x\n"
 
 
+# stdout of `phimin count` at a = 2, k = 2 for the benchmark moduli, frozen
+# before the character side moved onto IntervalTriple.  Floats are held to
+# 12 significant digits: the FFT's last bits differ between numpy's pocketfft
+# releases, and the package supports numpy >= 1.25.
+GOLDEN_COUNT = [
+    (
+        "--m 2003 --a 2 --k 2",
+        '{"schema_version": 1, "command": "count", "m": 2003, "a": 2, "k": 2, '
+        '"delta": 0, "J_direct": 1614, "J_characters": 1614.0000000000002, '
+        '"main_term": 1638.113886113886, "psi_term": 0.0, '
+        '"S_small": 1857941.55698307, "S_large": 0.0, "threshold": 2003.0, '
+        '"certified": true}',
+    ),
+    (
+        "--m 3003 --a 2 --k 2",
+        '{"schema_version": 1, "command": "count", "m": 3003, "a": 2, "k": 2, '
+        '"delta": 1, "J_direct": 404, "J_characters": 404.00000000000006, '
+        '"main_term": 429.68888888888887, "psi_term": 214.84444444444443, '
+        '"S_small": 581382.6243110308, "S_large": 0.0, "threshold": 3003.0, '
+        '"certified": false}',
+    ),
+    (
+        "--m 2187 --a 2 --k 2",
+        '{"schema_version": 1, "command": "count", "m": 2187, "a": 2, "k": 2, '
+        '"delta": 1, "J_direct": 433, "J_characters": 433.0, '
+        '"main_term": 457.02606310013715, "psi_term": 228.51303155006858, '
+        '"S_small": 436371.0064531358, "S_large": 0.0, "threshold": 2187.0, '
+        '"certified": false}',
+    ),
+    (
+        "--m 3125 --a 2 --k 2",
+        '{"schema_version": 1, "command": "count", "m": 3125, "a": 2, "k": 2, '
+        '"delta": 0, "J_direct": 1823, "J_characters": 1823.0, '
+        '"main_term": 1679.422, "psi_term": 0.0, "S_small": 3121300.4831769345, '
+        '"S_large": 0.0, "threshold": 3125.0, "certified": true}',
+    ),
+    (
+        "--m 3003 --a 2 --k 2 --threshold 7",
+        '{"schema_version": 1, "command": "count", "m": 3003, "a": 2, "k": 2, '
+        '"delta": 1, "J_direct": 404, "J_characters": 404.00000000000006, '
+        '"main_term": 429.68888888888887, "psi_term": 214.84444444444443, '
+        '"S_small": 34689.43925956425, "S_large": 546693.1850514667, '
+        '"threshold": 7.0, "certified": false}',
+    ),
+]
+
+
 class TestCountCommand:
     def test_mod5_report(self):
         r = run_cli("count", "--m", "5", "--a", "2", "--k", "2")
@@ -128,6 +175,12 @@ class TestCountCommand:
         }
         assert set(rec) == want
 
+    @pytest.mark.parametrize("flags, line", GOLDEN_COUNT)
+    def test_golden_output(self, flags, line, capsys):
+        assert cli.main(["count", *flags.split()]) == 0
+        got, want = json.loads(capsys.readouterr().out), json.loads(line)
+        assert list(got) == list(want)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_exit_2(self, value, capsys):

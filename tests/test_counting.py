@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phimin import cli, counting
-from phimin.characters import UnitGroupContext, build_unit_group
+from phimin import cli, counting, intervals
+from phimin.characters import UnitGroupContext
 from phimin.counting import (
     conductor_split,
     count_report,
@@ -46,12 +46,11 @@ class TestCountsMod5:
     # canonical k=2 intervals: I1={7}, I2={3,5}, I3={2}
     def test_three_routes_agree(self, tables):
         ivs = canonical_triple(5, 2, tables)
-        ctx = build_unit_group(5)
         expected = {1: 0, 2: 1, 3: 0, 4: 1}
         for a, want in expected.items():
             jd = count_solutions_direct(a, ivs)
             je = count_solutions_enumerate(a, ivs)
-            jc = count_solutions_characters(a, ivs, ctx)
+            jc = count_solutions_characters(a, ivs)
             assert jd == je == want
             assert abs(jc - want) < 1e-9
 
@@ -60,11 +59,10 @@ class TestCountsMod5:
         assert main_term(2, ivs) == 0.5  # 1*2*1 / 4
 
     def test_empty_intervals_give_zero(self, tables):
-        ctx = build_unit_group(9)
         empty = build_custom_interval(4, 3, 9, tables)
         triple = IntervalTriple(empty, empty, empty)
         assert count_solutions_direct(1, triple) == 0
-        assert count_solutions_characters(1, triple, ctx) == 0
+        assert count_solutions_characters(1, triple) == 0
         assert main_term(1, triple) == 0
 
 
@@ -96,19 +94,17 @@ class TestPreconditions:
 class TestOracleEquivalence:
     def test_canonical_grid(self, tables):
         for m in (9, 15, 21, 25):
-            ctx = build_unit_group(m)
             for k in (2, 3):
                 ivs = canonical_triple(m, k, tables)
                 for a in units_of(m):
                     jd = count_solutions_direct(a, ivs)
-                    jc = count_solutions_characters(a, ivs, ctx)
+                    jc = count_solutions_characters(a, ivs)
                     assert abs(jc - jd) < 1e-6 * (1 + jd)
                     assert jd == count_solutions_enumerate(a, ivs)
 
     def test_randomized_custom_intervals(self, tables):
         rng = random.Random(20260809)
         for m in (9, 15, 33, 35):
-            ctx = build_unit_group(m)
             for _ in range(4):
                 cuts = sorted(rng.sample(range(2, 900), 6))
                 ivs = IntervalTriple(
@@ -117,7 +113,7 @@ class TestOracleEquivalence:
                 )
                 for a in units_of(m)[:6]:
                     jd = count_solutions_direct(a, ivs)
-                    jc = count_solutions_characters(a, ivs, ctx)
+                    jc = count_solutions_characters(a, ivs)
                     assert abs(jc - jd) < 1e-6 * (1 + jd)
 
 
@@ -148,7 +144,7 @@ class TestLargePrimes:
         ivs = IntervalTriple(*data.draw(st.permutations(ivs), label="order"))
         j = count_solutions_direct(a, ivs)
         assert count_solutions_enumerate(a, ivs) == j
-        jc = count_solutions_characters(a, ivs, build_unit_group(m))
+        jc = count_solutions_characters(a, ivs)
         assert abs(jc - j) <= 1e-6 * (1 + j)
 
 
@@ -185,24 +181,60 @@ class TestDirectCount:
         assert rec["J_direct"] == 29711
         assert abs(rec["J_characters"] - rec["J_direct"]) <= 1e-6 * (1 + rec["J_direct"])
 
-    def test_report_skips_dense_table(self, tables, monkeypatch):
-        calls = []
-        real_sums = counting.character_sums_all
+    @staticmethod
+    def spy_character_side(monkeypatch):
+        """Record each character-sum FFT by interval index, and each
+        unit-group build by modulus."""
+        sums, groups = [], []
+        real_sums, real_group = intervals.character_sums_all, intervals.build_unit_group
 
+        def counted_sums(ctx, iv):
+            sums.append(iv.index)
+            return real_sums(ctx, iv)
+
+        def counted_group(m):
+            groups.append(m)
+            return real_group(m)
+
+        monkeypatch.setattr(intervals, "character_sums_all", counted_sums)
+        monkeypatch.setattr(intervals, "build_unit_group", counted_group)
+        return sums, groups
+
+    def test_report_skips_dense_table(self, tables, monkeypatch):
         def no_table(self):
             raise AssertionError("value_matrix called")
 
-        def counted(ctx, iv):
-            calls.append(iv.index)
-            return real_sums(ctx, iv)
-
         monkeypatch.setattr(UnitGroupContext, "value_matrix", no_table)
-        monkeypatch.setattr(counting, "character_sums_all", counted)
+        sums, groups = self.spy_character_side(monkeypatch)
         m = 45
-        ctx = build_unit_group(m)
-        rep = count_report(2, canonical_triple(m, 2, tables), ctx, k=2)
+        rep = count_report(2, canonical_triple(m, 2, tables), k=2)
         assert abs(rep.J_characters - rep.J_direct) <= 1e-6 * (1 + rep.J_direct)
-        assert sorted(calls) == [1, 1, 2, 2, 3, 3]
+        assert sorted(sums) == [1, 2, 3]
+        assert groups == [m]
+
+    def test_character_side_built_once_per_triple(self, tables, monkeypatch):
+        sums, groups = self.spy_character_side(monkeypatch)
+        m = 45
+        triple = canonical_triple(m, 2, tables)
+        first = count_report(2, triple, k=2)
+        assert count_report(2, triple, k=2) == first
+        for a in (4, 7):
+            count_report(a, triple, threshold=7.0)
+            remainder_term(a, triple)
+            psi_term(a, triple)
+        assert sorted(sums) == [1, 2, 3]
+        assert groups == [m]
+
+    def test_bad_threshold_exits_before_counting(self, monkeypatch, capsys):
+        sums, _ = self.spy_character_side(monkeypatch)
+        direct = []
+        monkeypatch.setattr(
+            counting, "count_solutions_direct", lambda *args: direct.append(args)
+        )
+        argv = ["count", "--m", "20001", "--a", "2", "--threshold", "nan"]
+        assert cli.main(argv) == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert direct == [] and sums == []
 
 
 class TestDecomposition:
@@ -215,28 +247,25 @@ class TestDecomposition:
 
     def test_reassembly(self, tables):
         for m in (9, 15, 21, 35):
-            ctx = build_unit_group(m)
             ivs = self.three_free_intervals(m, tables)
-            base = ivs.product / ctx.phi
+            base = ivs.product / ivs.unit_group.phi
             for a in units_of(m):
-                total = base + psi_term(a, ivs, ctx) + remainder_term(a, ivs, ctx)
-                jc = count_solutions_characters(a, ivs, ctx)
+                total = base + psi_term(a, ivs) + remainder_term(a, ivs)
+                jc = count_solutions_characters(a, ivs)
                 assert abs(jc - total) < 1e-6
 
     def test_psi_term_doubles_main_term(self, tables):
         # with intervals free of p = 3 the psi term equals the second
         # copy of the main term exactly when 3 | m
         for m in (9, 15, 21):
-            ctx = build_unit_group(m)
             ivs = self.three_free_intervals(m, tables)
-            copy = ivs.product / ctx.phi
+            copy = ivs.product / ivs.unit_group.phi
             for a in units_of(m):
-                assert abs(psi_term(a, ivs, ctx) - copy) < 1e-9
+                assert abs(psi_term(a, ivs) - copy) < 1e-9
 
     def test_psi_term_zero_without_three(self, tables):
-        ctx = build_unit_group(35)
         ivs = self.three_free_intervals(35, tables)
-        assert psi_term(2, ivs, ctx) == 0.0
+        assert psi_term(2, ivs) == 0.0
 
 
 class TestStructuralInvariances:
@@ -282,49 +311,43 @@ class TestStructuralInvariances:
 class TestConductorSplit:
     def test_mod5_hand_values(self, tables):
         ivs = canonical_triple(5, 2, tables)
-        ctx = build_unit_group(5)
-        small, large = conductor_split(2, ivs, ctx, threshold=5.0)
+        small, large = conductor_split(2, ivs, threshold=5.0)
         assert abs(small - 2 * math.sqrt(2)) < 1e-9
         assert large == 0.0
 
     def test_threshold_at_least_m_empties_large(self, tables):
         for m in (9, 15, 21):
-            ctx = build_unit_group(m)
             ivs = canonical_triple(m, 2, tables)
-            _, large = conductor_split(1, ivs, ctx, threshold=float(m))
+            _, large = conductor_split(1, ivs, threshold=float(m))
             assert large == 0.0
 
     def test_threshold_below_one_rejected(self, tables):
         ivs = canonical_triple(5, 2, tables)
-        ctx = build_unit_group(5)
         with pytest.raises(DomainError):
-            conductor_split(2, ivs, ctx, threshold=0.5)
+            conductor_split(2, ivs, threshold=0.5)
 
     def test_split_partitions_total(self, tables):
         for m in (15, 21):
-            ctx = build_unit_group(m)
             ivs = canonical_triple(m, 2, tables)
-            s_all = conductor_split(1, ivs, ctx, threshold=float(m))
+            s_all = conductor_split(1, ivs, threshold=float(m))
             for thr in (1.0, 3.0, 7.0):
-                small, large = conductor_split(1, ivs, ctx, threshold=thr)
+                small, large = conductor_split(1, ivs, threshold=thr)
                 assert abs(small + large - (s_all[0] + s_all[1])) < 1e-9
 
 
 class TestPositivity:
     def test_mod5_not_certified_at_desk_scale(self, tables):
         ivs = canonical_triple(5, 2, tables)
-        ctx = build_unit_group(5)
-        rep = positivity_certificate(2, ivs, ctx)
+        rep = positivity_certificate(2, ivs)
         assert rep.interval_product == 2
         assert abs(rep.remainder_sum - 2 * math.sqrt(2)) < 1e-9
         assert not rep.certified
 
     def test_empty_interval_no_certificate(self, tables):
-        ctx = build_unit_group(9)
         a = build_custom_interval(20, 40, 9, tables)
         b = build_custom_interval(41, 60, 9, tables)
         empty = build_custom_interval(4, 3, 9, tables)
-        rep = positivity_certificate(1, IntervalTriple(a, b, empty), ctx)
+        rep = positivity_certificate(1, IntervalTriple(a, b, empty))
         assert rep.interval_product == 0
         assert rep.ratio is None
         assert not rep.certified
@@ -336,8 +359,7 @@ class TestPositivity:
         ratios = []
         for m in (101, 1009, 3001):
             ivs = canonical_triple(m, 2, t)
-            ctx = build_unit_group(m)
-            rep = positivity_certificate(1, ivs, ctx)
+            rep = positivity_certificate(1, ivs)
             ratios.append(rep.ratio)
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] < 1.0  # certified from m = 1009 on
@@ -345,13 +367,12 @@ class TestPositivity:
     def test_certificate_implies_positive_counts(self, tables):
         # wide custom intervals make the main term dominate
         m = 9
-        ctx = build_unit_group(m)
         ivs = IntervalTriple(
             build_custom_interval(600.0, 2900.0, m, tables),
             build_custom_interval(150.0, 600.0, m, tables),
             build_custom_interval(3.0, 150.0, m, tables),
         )
-        rep = positivity_certificate(1, ivs, ctx)
+        rep = positivity_certificate(1, ivs)
         assert rep.certified
         for a in units_of(m):
             assert count_solutions_direct(a, ivs) > 0
@@ -364,9 +385,8 @@ class TestThresholdAndReport:
 
     def test_report_fields(self, tables):
         m = 15
-        ctx = build_unit_group(m)
         ivs = canonical_triple(m, 3, tables)
-        rep = count_report(2, ivs, ctx, k=3)
+        rep = count_report(2, ivs, k=3)
         d = rep.to_dict()
         assert d["m"] == 15 and d["a"] == 2 and d["k"] == 3
         assert d["delta"] == 1

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phimin.arith import log_integral
+from phimin.arith import log_integral_between
 from phimin.characters import (
     DirichletCharacter,
     all_characters,
     build_unit_group,
-    principal_character,
     psi_character,
 )
 from phimin.errors import BoundsError, DomainError
@@ -163,12 +162,14 @@ class TestRequireDisjoint:
 
 class TestCardinalityPrediction:
     def test_m5_j2_formula(self):
-        want = (log_integral(5) - log_integral(2.5)) * (1 - 1 / 4)
+        li_5, li_25 = (log_integral_between(2.0, x) for x in (5, 2.5))
+        want = (li_5 - li_25) * (1 - 1 / 4)
         assert abs(cardinality_prediction(2, 5, 2) - want) < 1e-12
 
     def test_clamped_lower_endpoint(self):
         # 0.5 * f_2(3) = 1.5 < 2 clamps to 2
-        want = (log_integral(3) - log_integral(2)) * (1 - 1 / 2)
+        li_3, li_2 = (log_integral_between(2.0, x) for x in (3, 2))
+        want = (li_3 - li_2) * (1 - 1 / 2)
         assert abs(cardinality_prediction(2, 3, 2) - want) < 1e-12
 
     def test_monotone_in_m(self):
@@ -186,7 +187,7 @@ class TestCharacterSum:
         for m in (5, 9, 15):
             ctx = build_unit_group(m)
             iv = build_custom_interval(2, 400, m, tables)
-            s = character_sum(principal_character(ctx), iv)
+            s = character_sum(all_characters(ctx)[0], iv)
             assert abs(s - iv.size) < 1e-9
 
     def test_hand_case_mod5(self):
@@ -198,13 +199,13 @@ class TestCharacterSum:
     def test_empty_interval(self, tables):
         ctx = build_unit_group(5)
         iv = build_custom_interval(10, 5, 5, tables)
-        assert character_sum(principal_character(ctx), iv) == 0
+        assert character_sum(all_characters(ctx)[0], iv) == 0
 
     def test_modulus_mismatch(self, tables):
         ctx = build_unit_group(9)
         iv = build_custom_interval(2, 40, 15, tables)
         with pytest.raises(DomainError):
-            character_sum(principal_character(ctx), iv)
+            character_sum(all_characters(ctx)[0], iv)
 
 
 class TestRho:
@@ -251,7 +252,7 @@ class TestRho:
             rho_definition(DirichletCharacter(ctx, [3]))  # conductor 3
         ctx1 = build_unit_group(1)
         with pytest.raises(DomainError):
-            rho_definition(principal_character(ctx1))
+            rho_definition(all_characters(ctx1)[0])
 
 
 class TestParseval:
