@@ -9,7 +9,6 @@ bounds the counting argument rests on.
 
 from .arith import (
     Factorization,
-    euler_phi,
     is_prime,
     log_integral_between,
     primitive_root,

@@ -18,7 +18,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -66,13 +66,6 @@ def trial_factorize(n: int) -> Factorization:
     if n > 1:
         out.append((n, 1))
     return Factorization(tuple(out))
-
-
-def euler_phi(f: Factorization) -> int:
-    out = 1
-    for p, e in f.factors:
-        out *= p ** (e - 1) * (p - 1)
-    return out
 
 
 def divisor_count(f: Factorization) -> int:

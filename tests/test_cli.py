@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -87,15 +88,28 @@ class TestSearchCommand:
         )
         assert run_cli("search", "--m", "1031", "--a", "2", "--k", "10").stderr == ""
 
-    def test_warnings_shown_when_command_raises(self, monkeypatch, capsys):
+    # main looks each command up by name when it runs, so every cmd_* can be
+    # replaced after import
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--m", "5", "--a", "2"],
+            ["search", "--m", "5", "--a", "2"],
+            ["count", "--m", "5", "--a", "2"],
+            ["verify", "--suite", "rho"],
+            ["scan", "--m-range", "9:11"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_warnings_shown_when_command_raises(self, argv, monkeypatch, capsys):
         def failing(args):
             warnings.warn("k=2 below 10: x", SmallKWarning)
             warnings.warn("other", UserWarning)
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "cmd_search", failing)
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", failing)
         with pytest.warns(UserWarning, match="other"), pytest.raises(RuntimeError):
-            cli.main(["search", "--m", "5", "--a", "2"])
+            cli.main(argv)
         assert capsys.readouterr().err == "phimin: warning: k=2 below 10: x\n"
 
 
@@ -193,6 +207,35 @@ class TestCountCommand:
         )
 
 
+# `phimin verify` records of every suite, frozen before the records were
+# built by one helper.  `lhs` is a rounding residue on most checks, so it is
+# not pinned; every other float is held to 12 significant digits, as in
+# GOLDEN_COUNT.
+GOLDEN_VERIFY = json.loads(
+    (pathlib.Path(__file__).parent / "golden_verify.json").read_text()
+)
+VERIFY_KEYS = [
+    "schema_version", "command", "suite", "check", "inputs", "lhs", "rhs", "holds",
+]
+
+
+def assert_close(got, want):
+    """got equals want in structure, key order and type, floats to rel 1e-12."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_close(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close(g, w)
+    else:
+        assert got == want
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize(
         "suite", ["constant", "identity", "rho", "parseval", "lemma1"]
@@ -205,6 +248,20 @@ class TestVerifyCommand:
         assert all(rec["holds"] for rec in lines[:-1])
         for rec in lines[:-1]:
             assert {"check", "inputs", "lhs", "rhs", "holds"} <= set(rec)
+
+    @pytest.mark.parametrize("suite", list(GOLDEN_VERIFY))
+    def test_golden_output(self, suite, capsys):
+        assert cli.main(["verify", "--suite", suite]) == 0
+        *records, summary = map(json.loads, capsys.readouterr().out.splitlines())
+        want = GOLDEN_VERIFY[suite]
+        assert summary == {
+            "schema_version": 1, "command": "verify", "suite": suite,
+            "checks": len(want), "passed": True,
+        }
+        assert len(records) == len(want)
+        for got, check in zip(records, want):
+            assert list(got) == VERIFY_KEYS
+            assert_close({key: got[key] for key in check}, check)
 
     def test_unknown_suite_exit_2(self):
         r = run_cli("verify", "--suite", "nope")

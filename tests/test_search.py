@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phimin import search
-from phimin.arith import euler_phi, trial_factorize
+from phimin.arith import trial_factorize
 from phimin.counting import count_solutions_direct, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
 from phimin.intervals import IntervalTriple, build_custom_interval, build_interval
@@ -18,9 +18,16 @@ from phimin.search import (
     exponent_scan,
     oracle_N,
     oracle_N_multi,
+    scan_sieve_limit,
     segment_phi,
 )
-from reference import count_solutions_enumerate, least_witness, phi_table, prime_window
+from reference import (
+    count_solutions_enumerate,
+    euler_phi,
+    least_witness,
+    phi_table,
+    prime_window,
+)
 
 NAIVE_LIMIT = 1 << 18
 
@@ -389,6 +396,13 @@ class TestExponentScan:
                 "witness_n", "witness_exponent", "J_direct", "found",
             }
         assert summary["oracle_found"] == 10
+
+    def test_sieve_sized_to_its_moduli(self):
+        # m = 3, k = 2: oracle base primes to isqrt(27) + 1 = 6, I1 to 3^1.5
+        assert scan_sieve_limit([3], 2) == 7
+        assert exponent_scan([], a_sample=2, k=2) == (
+            [], {"rows": 0, "oracle_found": 0, "witness_found": 0, "errors": 0}
+        )
 
     def test_a_sample_limit(self):
         rows, _ = exponent_scan([45], a_sample=5, k=2)
