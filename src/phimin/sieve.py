@@ -1,12 +1,13 @@
 """Prime sieves: the sorted list of primes up to a limit.
 
 The primes list feeds interval enumeration and the base primes of the
-streamed totients.  Below the in-memory cap it is read off a
-smallest-prime-factor (SPF) array; above it a segmented Eratosthenes
-pass extends it, so limits around 10^9 stay feasible.  No query reads
-the SPF array (factorization is trial division): it stays only because
-the traced benchmark reports its size, until the benchmark reads
-counters the package reports itself.
+streamed totients.  A smallest-prime-factor (SPF) array up to
+isqrt(limit) gives the base primes as its fixed points, and one
+segmented Eratosthenes pass (Bays and Hudson, BIT 17, 1977) over
+[2, limit] gives every prime, so memory stays at one segment plus the
+list itself.  No query reads the SPF array (factorization is trial
+division): it is stored only because the traced benchmark reports its
+size, until the benchmark reads counters the package reports itself.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import numpy as np
 
 from .errors import BoundsError
 
-# SPF coverage is memory bound (4 bytes per integer); the primes-only
-# list keeps working far beyond it via segmented sieving.
-DEFAULT_SPF_CAP = 10**8
 HARD_LIMIT_CAP = 4 * 10**9
 SEGMENT_SIZE = 1 << 22
 
@@ -30,12 +28,12 @@ class SieveTables:
     """Immutable sieve data up to `limit`.
 
     `primes` holds every prime <= limit.  spf[n] is the smallest prime
-    factor of n for 2 <= n <= spf_limit (spf[0] = spf[1] = 0); nothing in
-    the package reads it, and it stays only for the traced benchmark.
+    factor of n for 2 <= n <= isqrt(limit) (spf[0] = spf[1] = 0); it is
+    the base-prime table of the segmented pass, nothing in the package
+    reads it, and it stays only for the traced benchmark's byte count.
     """
 
     limit: int
-    spf_limit: int
     spf: np.ndarray = field(repr=False)
     primes: np.ndarray = field(repr=False)
 
@@ -62,10 +60,10 @@ def _spf_array(limit: int) -> np.ndarray:
     return spf
 
 
-def _segmented_primes(lo: int, hi: int, base: np.ndarray) -> list[np.ndarray]:
-    """Primes in [lo, hi] using base primes covering sqrt(hi)."""
+def _segmented_primes(hi: int, base: np.ndarray) -> np.ndarray:
+    """Primes in [2, hi] using base primes covering sqrt(hi)."""
     chunks = []
-    start = max(lo, 2)
+    start = 2
     while start <= hi:
         stop = min(start + SEGMENT_SIZE - 1, hi)
         is_prime = np.ones(stop - start + 1, dtype=bool)
@@ -77,28 +75,15 @@ def _segmented_primes(lo: int, hi: int, base: np.ndarray) -> list[np.ndarray]:
             is_prime[first - start :: p] = False
         chunks.append(np.nonzero(is_prime)[0].astype(np.int64) + start)
         start = stop + 1
-    return chunks
+    return np.concatenate(chunks)
 
 
-def build_sieve(limit: int, spf_cap: int = DEFAULT_SPF_CAP) -> SieveTables:
-    """Build sieve tables covering 2..limit.
-
-    The SPF array stops at min(limit, spf_cap); the primes list always
-    reaches `limit` (segmented construction past the SPF range).
-    """
+def build_sieve(limit: int) -> SieveTables:
+    """Build sieve tables covering 2..limit."""
     if limit < 2:
         raise BoundsError(f"sieve limit must be >= 2, got {limit}")
     if limit > HARD_LIMIT_CAP:
         raise BoundsError(f"sieve limit {limit} exceeds cap {HARD_LIMIT_CAP}")
-    spf_limit = min(limit, spf_cap)
-    if spf_limit < math.isqrt(limit):
-        raise BoundsError("spf_cap must cover sqrt(limit) for segmented sieving")
-    spf = _spf_array(spf_limit)
-    idx = np.arange(spf_limit + 1, dtype=np.int32)
-    primes = np.nonzero(spf == idx)[0][1:].astype(np.int64)  # drop n=0 match
-    if limit > spf_limit:
-        base = primes[primes <= math.isqrt(limit)]
-        primes = np.concatenate(
-            [primes] + _segmented_primes(spf_limit + 1, limit, base)
-        )
-    return SieveTables(limit=limit, spf_limit=spf_limit, spf=spf, primes=primes)
+    spf = _spf_array(math.isqrt(limit))
+    base = np.nonzero(spf == np.arange(spf.size))[0][1:]  # drop the n = 0 match
+    return SieveTables(limit=limit, spf=spf, primes=_segmented_primes(limit, base))

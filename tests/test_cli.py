@@ -116,7 +116,9 @@ class TestSearchCommand:
 # stdout of `phimin count` at a = 2, k = 2 for the benchmark moduli, frozen
 # before the character side moved onto IntervalTriple.  Floats are held to
 # 12 significant digits: the FFT's last bits differ between numpy's pocketfft
-# releases, and the package supports numpy >= 1.25.
+# releases, and the package supports numpy >= 1.25.  The m = 100003 line was
+# frozen before the sieve became one segmented pass; its sieve limit,
+# 31,624,201, spans 8 segments of 2^22, so it pins that path end to end.
 GOLDEN_COUNT = [
     (
         "--m 2003 --a 2 --k 2",
@@ -156,6 +158,14 @@ GOLDEN_COUNT = [
         '"main_term": 429.68888888888887, "psi_term": 214.84444444444443, '
         '"S_small": 34689.43925956425, "S_large": 546693.1850514667, '
         '"threshold": 7.0, "certified": false}',
+    ),
+    (
+        "--m 100003 --a 2 --k 2",
+        '{"schema_version": 1, "command": "count", "m": 100003, "a": 2, "k": 2, '
+        '"delta": 0, "J_direct": 1166322, "J_characters": 1166321.9999999993, '
+        '"main_term": 1164220.4675906482, "psi_term": 0.0, '
+        '"S_small": 18330757577.460464, "S_large": 0.0, "threshold": 100003.0, '
+        '"certified": true}',
     ),
 ]
 

@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from phimin import sieve
+from phimin.arith import is_prime
 from phimin.errors import BoundsError
 from phimin.sieve import build_sieve
+
+MAX_LIMIT = 5000
+# Miller-Rabin, independent of the sieve.
+MR_PRIMES = [n for n in range(MAX_LIMIT + 1) if is_prime(n)]
 
 
 def test_small_limit_exhaustive():
@@ -25,25 +35,54 @@ def test_limit_above_cap_rejected():
         build_sieve(10**12)
 
 
-def test_spf_invariants_exhaustive():
-    t = build_sieve(10_000)
-    spf = t.spf
-    for n in range(2, 10_001):
+def assert_spf_invariants(spf, primes):
+    """spf[n] is the least prime factor of every n >= 2 it covers, and its
+    fixed points are exactly `primes` up to its top."""
+    top = spf.size - 1
+    for n in range(2, top + 1):
         p = int(spf[n])
         assert n % p == 0
         # minimality: no smaller divisor above 1
         for d in range(2, p):
             assert n % d != 0
     # primes are exactly the fixed points
-    fixed = [n for n in range(2, 10_001) if int(spf[n]) == n]
-    assert fixed == t.primes.tolist()
+    fixed = [n for n in range(2, top + 1) if int(spf[n]) == n]
+    assert fixed == [p for p in primes if p <= top]
 
 
-def test_segmented_primes_match_direct():
-    full = build_sieve(50_000)
-    seg = build_sieve(50_000, spf_cap=1000)
-    assert seg.spf_limit == 1000
-    assert np.array_equal(seg.primes, full.primes)
+def test_spf_invariants_exhaustive():
+    # The base-prime table that build_sieve(10**8) would build.
+    assert_spf_invariants(sieve._spf_array(10_000), build_sieve(10_000).primes.tolist())
+
+
+# Segments run [2, S + 1], [S + 2, 2S + 1], ...: the last one ends exactly at
+# `limit` when limit = 1 (mod S), and is partial otherwise.
+@settings(max_examples=60, deadline=None)
+@given(
+    limit=st.integers(2, MAX_LIMIT),
+    segment=st.sampled_from([7, 64, sieve.SEGMENT_SIZE]),
+)
+@example(limit=2, segment=7)  # empty base
+@example(limit=3, segment=7)  # empty base
+@example(limit=48, segment=7)  # 7^2 - 1
+@example(limit=49, segment=7)  # 7^2
+@example(limit=50, segment=7)  # 7^2 + 1; the 7th segment ends at the limit
+@example(limit=51, segment=7)  # a one-integer last segment
+@example(limit=4097, segment=64)  # the 64th segment ends at the limit
+@example(limit=4488, segment=64)  # 67^2 - 1
+@example(limit=4489, segment=64)  # 67^2
+@example(limit=4490, segment=64)  # 67^2 + 1
+@example(limit=4489, segment=sieve.SEGMENT_SIZE)  # 67^2, one segment
+def test_segmented_primes_match_direct(limit, segment):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "SEGMENT_SIZE", segment)
+        t = build_sieve(limit)
+    assert t.limit == limit
+    assert t.primes.dtype == np.int64
+    want = [p for p in MR_PRIMES if p <= limit]
+    assert t.primes.tolist() == want
+    assert t.spf.size == math.isqrt(limit) + 1
+    assert_spf_invariants(t.spf, want)
 
 
 def test_primes_in_range(tables):
