@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -323,7 +324,9 @@ _VERIFY_SUITES = {
 # -- parser ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once; main looks each command up by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="phimin",
         description="Least totient preimages in residue classes: oracles, "

@@ -191,13 +191,15 @@ def _make_interval(
 ) -> PrimeIntervalSet:
     if m < 1 or m % 2 == 0:
         raise DomainError(f"modulus must be odd and positive, got {m}")
-    if lo >= hi:
-        primes = np.empty(0, dtype=np.int64)
-    else:
-        primes = tables.primes_in(lo, hi)
-        shifted = (primes - 1) % m
-        primes = primes[np.gcd(shifted, m) == 1]
-    counts = np.bincount((primes - 1) % m, minlength=m).astype(np.int64)
+    primes = np.empty(0, dtype=np.int64) if lo >= hi else tables.primes_in(lo, hi)
+    unit = np.ones(m, dtype=bool)  # unit[b] is gcd(b, m) == 1
+    for p in trial_factorize(m).primes():
+        unit[::p] = False
+    res = primes - 1
+    res %= m
+    primes = primes[unit[res]]
+    counts = np.bincount(res, minlength=m).astype(np.int64)
+    counts[~unit] = 0  # the classes of the dropped primes
     return PrimeIntervalSet(
         index=index, lo=lo, hi=hi, modulus=m, primes=primes, count_vector=counts
     )

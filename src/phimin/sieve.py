@@ -3,11 +3,12 @@
 The primes list feeds interval enumeration and the base primes of the
 streamed totients.  A smallest-prime-factor (SPF) array up to
 isqrt(limit) gives the base primes as its fixed points, and one
-segmented Eratosthenes pass (Bays and Hudson, BIT 17, 1977) over
-[2, limit] gives every prime, so memory stays at one segment plus the
-list itself.  No query reads the SPF array (factorization is trial
-division): it is stored only because the traced benchmark reports its
-size, until the benchmark reads counters the package reports itself.
+odd-only segmented Eratosthenes pass (Bays and Hudson, BIT 17, 1977)
+over [2, limit] gives every prime, so memory stays at one segment of
+flags, one per odd number, plus the list itself.  No query reads the
+SPF array (factorization is trial division): it is stored only because
+the traced benchmark reports its size, until the benchmark reads
+counters the package reports itself.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ SEGMENT_SIZE = 1 << 22
 class SieveTables:
     """Immutable sieve data up to `limit`.
 
-    `primes` holds every prime <= limit.  spf[n] is the smallest prime
-    factor of n for 2 <= n <= isqrt(limit) (spf[0] = spf[1] = 0); it is
-    the base-prime table of the segmented pass, nothing in the package
-    reads it, and it stays only for the traced benchmark's byte count.
+    `primes` holds every prime <= limit, from the odd-only segmented
+    pass.  spf[n] is the smallest prime factor of n for
+    2 <= n <= isqrt(limit) (spf[0] = spf[1] = 0); it is the base-prime
+    table of that pass, nothing in the package reads it, and it stays
+    only for the traced benchmark's byte count.
     """
 
     limit: int
@@ -60,21 +62,25 @@ def _spf_array(limit: int) -> np.ndarray:
     return spf
 
 
-def _segmented_primes(hi: int, base: np.ndarray) -> np.ndarray:
-    """Primes in [2, hi] using base primes covering sqrt(hi)."""
-    chunks = []
-    start = 2
-    while start <= hi:
-        stop = min(start + SEGMENT_SIZE - 1, hi)
-        is_prime = np.ones(stop - start + 1, dtype=bool)
+def _segmented_primes(hi: int, base: list[int]) -> np.ndarray:
+    """Primes in [2, hi] from the odd primes up to sqrt(hi).  Flag i of the
+    odd-only array stands for 2i + 1, and a segment is SEGMENT_SIZE flags."""
+    chunks = [np.array([2], dtype=np.int64)]
+    n = (hi + 1) // 2  # the odd numbers 1, 3, ..., <= hi
+    for s in range(0, n, SEGMENT_SIZE):
+        e = min(s + SEGMENT_SIZE, n)
+        is_prime = np.ones(e - s, dtype=bool)
+        is_prime[0] = s > 0  # flag 0 of the first segment is 1
         for p in base:
-            p = int(p)
-            if p * p > stop:
+            if p * p // 2 >= e:
                 break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            is_prime[first - start :: p] = False
-        chunks.append(np.nonzero(is_prime)[0].astype(np.int64) + start)
-        start = stop + 1
+            first = max(p * p // 2, s + ((p - 1) // 2 - s) % p)
+            is_prime[first - s :: p] = False
+        idx = np.flatnonzero(is_prime).astype(np.int64, copy=False)
+        idx += s  # flag indices become odd primes in place, with no temporaries
+        idx *= 2
+        idx += 1
+        chunks.append(idx)
     return np.concatenate(chunks)
 
 
@@ -85,5 +91,5 @@ def build_sieve(limit: int) -> SieveTables:
     if limit > HARD_LIMIT_CAP:
         raise BoundsError(f"sieve limit {limit} exceeds cap {HARD_LIMIT_CAP}")
     spf = _spf_array(math.isqrt(limit))
-    base = np.nonzero(spf == np.arange(spf.size))[0][1:]  # drop the n = 0 match
+    base = np.nonzero(spf == np.arange(spf.size))[0][2:].tolist()  # drop 0 and 2
     return SieveTables(limit=limit, spf=spf, primes=_segmented_primes(limit, base))

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from phimin.sieve import build_sieve
+
+# `pytest --hypothesis-profile=ci`: five times the examples for every test
+# that leaves max_examples to the profile.
+settings.register_profile(
+    "ci", max_examples=5 * settings.get_profile("default").max_examples
+)
 
 
 @pytest.fixture(scope="session")

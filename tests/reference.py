@@ -76,12 +76,19 @@ def least_witness(a: int, triple: IntervalTriple):
     return best
 
 
-def prime_window(lo, width, m):
-    """Interval set over (lo, lo + width] built by primality tests instead
-    of a sieve, so that it can sit far above any sieve limit."""
+def shifted_prime_interval(lo, hi, m):
+    """Interval set over (lo, hi] by its definition: the primes p found by
+    primality tests, so the set can sit far above any sieve limit, kept
+    where np.gcd(p - 1, m) == 1."""
     primes = np.array(
-        [p for p in range(lo + 1, lo + width + 1) if is_prime(p) and math.gcd(p - 1, m) == 1],
+        [p for p in range(math.floor(lo) + 1, math.floor(hi) + 1) if is_prime(p)],
         dtype=np.int64,
     )
+    primes = primes[np.gcd(primes - 1, m) == 1]
     counts = np.bincount((primes - 1) % m, minlength=m).astype(np.int64)
-    return PrimeIntervalSet(None, lo, lo + width, m, primes, counts)
+    return PrimeIntervalSet(None, lo, hi, m, primes, counts)
+
+
+def prime_window(lo, width, m):
+    """shifted_prime_interval over (lo, lo + width]."""
+    return shifted_prime_interval(lo, lo + width, m)

@@ -112,13 +112,35 @@ class TestSearchCommand:
             cli.main(argv)
         assert capsys.readouterr().err == "phimin: warning: k=2 below 10: x\n"
 
+    def test_parser_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert cli.main(["search", "--m", "1031", "--a", "2", "--k", "10"]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_usage_error_leaves_parser_unchanged(self, capsys):
+        # the failed parse sets --k before it stops, and the valid call
+        # leaves --k at its default
+        valid = ["search", "--m", "1031", "--a", "2"]
+        cli.build_parser.cache_clear()
+        assert cli.main(valid) == 0
+        alone = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--k", "10", "--m", "7", "--a", "two"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(valid) == 0
+        assert capsys.readouterr().out == alone
+        assert cli.build_parser.cache_info().misses == 1
+
 
 # stdout of `phimin count` at a = 2, k = 2 for the benchmark moduli, frozen
 # before the character side moved onto IntervalTriple.  Floats are held to
 # 12 significant digits: the FFT's last bits differ between numpy's pocketfft
 # releases, and the package supports numpy >= 1.25.  The m = 100003 line was
 # frozen before the sieve became one segmented pass; its sieve limit,
-# 31,624,201, spans 8 segments of 2^22, so it pins that path end to end.
+# 31,624,201, spans 4 segments of 2^22 odd numbers, so it pins that path
+# end to end.
 GOLDEN_COUNT = [
     (
         "--m 2003 --a 2 --k 2",

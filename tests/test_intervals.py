@@ -28,6 +28,7 @@ from phimin.intervals import (
     rho_closed_form,
     rho_definition,
 )
+from reference import shifted_prime_interval
 
 
 def canonical(m, k, tables):
@@ -107,6 +108,32 @@ class TestBuildInterval:
         assert build_custom_interval(0, 2, 9, tables).primes.tolist() == [2]
         assert build_custom_interval(10, 10, 9, tables).size == 0
         assert build_custom_interval(10, 3, 9, tables).size == 0
+
+    # The `tables` fixture sieves to 3000.  No max_examples here, so the
+    # hypothesis profile (the "ci" one from conftest) sets how hard it looks.
+    @settings(deadline=None)
+    @given(
+        m=st.one_of(
+            st.integers(0, 1500).map(lambda i: 2 * i + 1),
+            # m = 1, prime powers, and multiples of 3
+            st.sampled_from([1, 3, 81, 2187, 625, 343, 2197, 15, 105, 1155, 2835]),
+        ),
+        lo=st.one_of(st.integers(-1, 3000).map(float), st.floats(-1.0, 3000.0)),
+        hi=st.one_of(st.integers(-1, 3000).map(float), st.floats(-1.0, 3000.0)),
+    )
+    @example(m=1, lo=0.0, hi=3000.0)  # every prime, ending at the sieve limit
+    @example(m=3, lo=1.0, hi=2.0)  # only 2, whose p - 1 = 1 is a unit
+    @example(m=9, lo=1.5, hi=10.0)  # straddles 2
+    @example(m=2187, lo=-1.0, hi=3000.0)  # a prime power over the whole sieve
+    @example(m=1155, lo=2999.0, hi=3000.0)  # an empty range at the limit
+    @example(m=7, lo=10.0, hi=3.0)  # lo >= hi
+    def test_matches_gcd_definition(self, tables, m, lo, hi):
+        got = build_custom_interval(lo, hi, m, tables)
+        want = shifted_prime_interval(lo, hi, m)
+        assert got.primes.dtype == np.int64
+        assert got.count_vector.dtype == np.int64
+        np.testing.assert_array_equal(got.primes, want.primes)
+        np.testing.assert_array_equal(got.count_vector, want.count_vector)
 
 
 def sorted_interval(values, m=7):

@@ -55,20 +55,30 @@ def test_spf_invariants_exhaustive():
     assert_spf_invariants(sieve._spf_array(10_000), build_sieve(10_000).primes.tolist())
 
 
-# Segments run [2, S + 1], [S + 2, 2S + 1], ...: the last one ends exactly at
-# `limit` when limit = 1 (mod S), and is partial otherwise.
-@settings(max_examples=60, deadline=None)
+# Flag i stands for the odd number 2i + 1, and segment s holds flags sS to
+# (s + 1)S - 1, the odd numbers 2sS + 1 ... 2(s + 1)S - 1: the last segment
+# ends exactly at `limit` when (limit + 1) // 2 is a multiple of S, and is
+# partial otherwise.  p^2 is flag p^2 // 2.  No max_examples here, so the
+# hypothesis profile (the "ci" one from conftest) sets how hard it looks.
+@settings(deadline=None)
 @given(
     limit=st.integers(2, MAX_LIMIT),
     segment=st.sampled_from([7, 64, sieve.SEGMENT_SIZE]),
 )
 @example(limit=2, segment=7)  # empty base
 @example(limit=3, segment=7)  # empty base
+@example(limit=8, segment=7)  # empty odd base: 3^2 = 9 is above the limit
 @example(limit=48, segment=7)  # 7^2 - 1
 @example(limit=49, segment=7)  # 7^2
-@example(limit=50, segment=7)  # 7^2 + 1; the 7th segment ends at the limit
-@example(limit=51, segment=7)  # a one-integer last segment
-@example(limit=4097, segment=64)  # the 64th segment ends at the limit
+@example(limit=50, segment=7)  # 7^2 + 1
+@example(limit=97, segment=7)  # the 7th segment ends at the limit, 97
+@example(limit=98, segment=7)  # ... and at 98, which adds no odd number
+@example(limit=99, segment=7)  # a one-odd-number last segment
+@example(limit=168, segment=7)  # 13^2 - 1: the 12th segment ends at the limit
+@example(limit=169, segment=7)  # 13^2 is flag 84, the first of the 13th segment
+@example(limit=170, segment=7)  # 13^2 + 1
+@example(limit=4095, segment=64)  # the 32nd segment ends at the limit
+@example(limit=4097, segment=64)  # a one-odd-number last segment
 @example(limit=4488, segment=64)  # 67^2 - 1
 @example(limit=4489, segment=64)  # 67^2
 @example(limit=4490, segment=64)  # 67^2 + 1
