@@ -34,7 +34,6 @@ from .counting import (
     count_solutions_direct,
     indicator_1am,
     main_term,
-    default_split_threshold,
     positivity_certificate,
     psi_term,
     remainder_term,

@@ -1,5 +1,6 @@
-"""Elementary arithmetic: factorization, multiplicative functions,
-primitive roots, and the logarithmic integral int_a^b dt/log t.
+"""Elementary arithmetic: the input rules for a modulus m and a class
+a (mod m), factorization, multiplicative functions, primitive roots, and
+the logarithmic integral int_a^b dt/log t.
 """
 
 from __future__ import annotations
@@ -9,7 +10,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvenModulusError
+
+
+def check_odd_modulus(m: int) -> None:
+    """Reject a modulus that is not odd and positive."""
+    if m < 1:
+        raise DomainError(f"modulus must be positive, got {m}")
+    if m % 2 == 0:
+        raise EvenModulusError(
+            f"modulus {m} is even: a reduced class a (mod m) contains a "
+            "totient only when a = 1, where N = 1; use odd m"
+        )
+
+
+def check_reduced_odd(a: int, m: int) -> None:
+    """Reject a modulus that is not odd and positive, and a class a that
+    is not reduced mod m."""
+    check_odd_modulus(m)
+    if math.gcd(a, m) != 1:
+        raise DomainError(
+            f"gcd({a}, {m}) > 1: least-solution bounds require a reduced class"
+        )
+
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import primitive_root, trial_factorize
-from .errors import DomainError, EvenModulusError
+from .arith import check_odd_modulus, primitive_root, trial_factorize
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,7 @@ class UnitGroupContext:
 
 def build_unit_group(m: int) -> UnitGroupContext:
     """Unit-group context for odd m >= 1 (m = 1 gives the trivial group)."""
-    if m < 1:
-        raise DomainError(f"modulus must be positive, got {m}")
-    if m % 2 == 0:
-        raise EvenModulusError(
-            f"modulus {m} is even; for even m only the class 1 (mod m) "
-            "contains a totient, so odd m is required here"
-        )
+    check_odd_modulus(m)
     comps = []
     for p, a in trial_factorize(m).factors:
         pp = p**a

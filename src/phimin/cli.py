@@ -22,6 +22,7 @@ import warnings
 from typing import Sequence
 
 from . import bounds, counting, intervals, search
+from .arith import check_reduced_odd
 from .characters import all_characters, build_unit_group, psi_character
 from .errors import ConsistencyError, DomainError
 from .intervals import SmallKWarning, build_custom_interval, build_interval
@@ -55,7 +56,7 @@ def _env_int(name: str, default: int) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     m, a = args.m, args.a
-    search.check_reduced_odd(a, m)
+    check_reduced_odd(a, m)
     cap = args.cap if args.cap is not None else search.default_cap(m)
     search.check_cap(cap)
     tables = build_sieve(math.isqrt(cap) + 1)
@@ -82,7 +83,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _canonical_triple(a: int, m: int, k: int) -> intervals.IntervalTriple:
     """Check (a, m), then build the canonical triple over a sieve sized
     to cover it."""
-    search.check_reduced_odd(a, m)
+    check_reduced_odd(a, m)
     tables = build_sieve(intervals.interval_sieve_limit(m, k))
     return search.canonical_triple(m, k, tables)
 
@@ -282,18 +283,15 @@ def _suite_identity() -> list[dict]:
         )
         psi = psi_character(ivs.unit_group)
         product = ivs.product
+        # S1(psi) S2(psi) S3(psi) does not depend on a
+        s1, s2, s3 = (intervals.character_sum(psi, iv) for iv in ivs)
+        sums = s1 * s2 * s3
         worst = 0.0
         for a in range(1, m):
             if math.gcd(a, m) != 1:
                 continue
             delta = counting.indicator_1am(a, m)
-            val = (
-                intervals.character_sum(psi, ivs.i1)
-                * intervals.character_sum(psi, ivs.i2)
-                * intervals.character_sum(psi, ivs.i3)
-                * psi(a).conjugate()
-                * psi(1 + delta)
-            )
+            val = sums * psi(a).conjugate() * psi(1 + delta)
             worst = max(worst, abs(val - product))
         inputs = {"m": m, "interval_product": product}
         checks.append(_check("psi_product_identity", inputs, worst, 1e-9, worst < 1e-9))

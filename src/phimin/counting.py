@@ -6,6 +6,8 @@ where d = 1 exactly when 3 | m and a = 2 (mod 3).  The count J is
 computed two independent ways: an integer convolution over residue
 classes, and the character-orthogonality average.  The character route
 splits into main term, psi term, and a remainder bounded by conductor.
+The psi term is exact class arithmetic: psi, the one character of
+conductor 3, is read off the count vectors' classes mod 3.
 """
 
 from __future__ import annotations
@@ -15,18 +17,18 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .characters import psi_character
+from .arith import check_reduced_odd
 from .errors import BoundsError, ConsistencyError, DomainError
 # character_sums_all stays importable here: bench/worker.py traces it by name
-from .intervals import IntervalTriple, character_sum, character_sums_all  # noqa: F401
+from .intervals import IntervalTriple, character_sums_all  # noqa: F401
 
 ORACLE_REL_TOL = 1e-6
 
 
 def indicator_1am(a: int, m: int) -> int:
-    """1 when 3 | m and a = 2 (mod 3), else 0.  Requires gcd(a, m) = 1."""
-    if math.gcd(a, m) != 1:
-        raise DomainError(f"gcd({a}, {m}) > 1; the class contains no reduced residue")
+    """1 when 3 | m and a = 2 (mod 3), else 0.  Requires odd m and
+    gcd(a, m) = 1."""
+    check_reduced_odd(a, m)
     return 1 if m % 3 == 0 and a % 3 == 2 else 0
 
 
@@ -89,17 +91,22 @@ def main_term(a: int, triple: IntervalTriple) -> float:
 def psi_term(a: int, triple: IntervalTriple) -> float:
     """Exact contribution of the conductor-3 character psi to J:
     S1(psi) S2(psi) S3(psi) conj(psi(a)) psi(1 + d) / phi(m); zero when
-    3 does not divide m."""
+    3 does not divide m.
+
+    psi(b) is +1 on b = 1 and -1 on b = 2 (mod 3), so S_j(psi) is a
+    difference of class counts; d = 1 exactly when a = 2 (mod 3), so
+    conj(psi(a)) psi(1 + d) = 1 for every unit a.  The product is an
+    integer, divided once with correct rounding.
+    """
     m = triple.modulus
-    delta = indicator_1am(a, m)
+    indicator_1am(a, m)
     if m % 3 != 0:
         return 0.0
-    psi = psi_character(triple.unit_group)
-    prod = math.prod(character_sum(psi, iv) for iv in triple)
-    prod *= psi(a).conjugate() * psi(1 + delta)
-    if abs(prod.imag) > 1e-9 * max(1.0, abs(prod.real)):
-        raise ConsistencyError("psi term must be real")
-    return float(prod.real) / triple.unit_group.phi
+    prod = math.prod(
+        int(iv.count_vector[1::3].sum()) - int(iv.count_vector[2::3].sum())
+        for iv in triple
+    )
+    return prod / triple.unit_group.phi
 
 
 def remainder_term(a: int, triple: IntervalTriple) -> float:
@@ -107,22 +114,6 @@ def remainder_term(a: int, triple: IntervalTriple) -> float:
     so that J = |I1||I2||I3|/phi + psi_term + remainder_term exactly."""
     terms = _character_terms(a, triple)
     return float(terms[_beyond_chi0_psi(triple)].sum().real) / triple.unit_group.phi
-
-
-def default_split_threshold(m: int, k: int) -> float:
-    """(log m)^(4(k+3)^2), capped at m.
-
-    The uncapped value exceeds m for every feasible m at k >= 10, which
-    would make the conductor split degenerate, so the default threshold
-    is min of the two.
-    """
-    if m <= 3:
-        return float(m)
-    a_exp = 4 * (k + 3) ** 2
-    log_log = math.log(math.log(m))
-    if a_exp * log_log >= math.log(m):
-        return float(m)
-    return math.exp(a_exp * log_log)
 
 
 def conductor_split(
@@ -200,6 +191,12 @@ def count_report(
 ) -> CountReport:
     """Full two-route count with decomposition and conductor split.
 
+    The threshold defaults to m, past every conductor.  That is the
+    paper's (log m)^(4(k+3)^2) capped at m: with k >= 2 the exponent is
+    at least 100, and (log m)^100 exceeds m for every odd m from 5 up to
+    e^647, far past the sieve cap; m <= 3 gives m either way.  k is only
+    echoed in the report.
+
     The split runs first, so a bad threshold raises before either count.
     Raises ConsistencyError when the two routes disagree beyond
     1e-6 * (1 + J_direct): orthogonality is exact, so disagreement
@@ -207,7 +204,7 @@ def count_report(
     """
     m = triple.modulus
     if threshold is None:
-        threshold = default_split_threshold(m, k) if k is not None else float(m)
+        threshold = float(m)
     # any threshold splits the same characters, so small + large is the
     # positivity certificate's sum
     small, large = conductor_split(a, triple, threshold)

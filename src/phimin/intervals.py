@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import log_integral_between, trial_factorize
+from .arith import check_odd_modulus, log_integral_between, trial_factorize
 from .characters import DirichletCharacter, UnitGroupContext, build_unit_group
 from .errors import BoundsError, ConsistencyError, DomainError
 from .sieve import SieveTables
@@ -189,8 +189,7 @@ def interval_sieve_limit(m: int, k: int) -> int:
 def _make_interval(
     index: int | None, lo: float, hi: float, m: int, tables: SieveTables
 ) -> PrimeIntervalSet:
-    if m < 1 or m % 2 == 0:
-        raise DomainError(f"modulus must be odd and positive, got {m}")
+    check_odd_modulus(m)
     primes = np.empty(0, dtype=np.int64) if lo >= hi else tables.primes_in(lo, hi)
     unit = np.ones(m, dtype=bool)  # unit[b] is gcd(b, m) == 1
     for p in trial_factorize(m).primes():

@@ -1,6 +1,8 @@
 """Least totient preimages: the exact oracle for the smallest n with
 phi(n) = a (mod m), the three-prime constructive search for a solution
 n = 4^d * p1 p2 p3, and exponent statistics log N / log m over scans.
+The odd-modulus and reduced-class rules come from arith; this module
+adds the oracle cap rule and the scan's m >= 3.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arith import check_odd_modulus, check_reduced_odd
 from .counting import count_solutions_direct, indicator_1am
-from .errors import BoundsError, DomainError, EvenModulusError
+from .errors import BoundsError, DomainError
 from .intervals import (
     IntervalTriple,
     SmallKWarning,
@@ -110,22 +113,6 @@ def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     return phi
 
 
-def check_reduced_odd(a: int, m: int) -> None:
-    """Reject a modulus that is not odd and positive, and a class a that
-    is not reduced mod m."""
-    if m < 1:
-        raise DomainError(f"modulus must be positive, got {m}")
-    if m % 2 == 0:
-        raise EvenModulusError(
-            f"modulus {m} is even: a reduced class a (mod m) contains a "
-            "totient only when a = 1, where N = 1; use odd m"
-        )
-    if math.gcd(a, m) != 1:
-        raise DomainError(
-            f"gcd({a}, {m}) > 1: least-solution bounds require a reduced class"
-        )
-
-
 def check_cap(cap: int) -> None:
     """Reject an oracle cap below 1, or one the int64 stream cannot reach."""
     if cap < 1:
@@ -186,7 +173,6 @@ def constructive_search(a: int, triple: IntervalTriple) -> SearchWitness | None:
     congruence has no solution over the intervals.
     """
     m = triple.modulus
-    check_reduced_odd(a, m)
     delta = indicator_1am(a, m)
     grid = triple.class_grid
     smallest = list(triple.least_primes)
@@ -323,7 +309,8 @@ def exponent_scan(
     (rows, summary) where the summary aggregates the exponents.
     """
     for m in m_values:
-        if m < 3 or m % 2 == 0:
+        check_odd_modulus(m)
+        if m < 3:
             raise DomainError(f"scan moduli must be odd and >= 3, got {m}")
     limit = scan_sieve_limit(m_values, k)
     task_args = [(m, tuple(_sample_units(m, a_sample)), k) for m in m_values]

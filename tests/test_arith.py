@@ -3,15 +3,42 @@ import math
 import numpy as np
 import pytest
 
+from phimin import cli
 from phimin.arith import (
+    check_reduced_odd,
     divisor_count,
     is_prime,
     log_integral_between,
     primitive_root,
     trial_factorize,
 )
-from phimin.errors import DomainError
+from phimin.characters import build_unit_group
+from phimin.errors import DomainError, EvenModulusError
+from phimin.intervals import build_custom_interval
+from phimin.search import canonical_triple, constructive_search
 from reference import euler_phi, phi_table
+
+
+class TestInputRules:
+    def test_even_modulus_one_error_everywhere(self, tables):
+        with pytest.raises(EvenModulusError) as rule:
+            check_reduced_odd(1, 4)
+        for build in (
+            lambda: build_custom_interval(2, 20, 4, tables),
+            lambda: build_unit_group(4),
+        ):
+            with pytest.raises(EvenModulusError) as exc:
+                build()
+            assert str(exc.value) == str(rule.value)
+
+    def test_non_unit_rejected_by_search(self, tables):
+        triple = canonical_triple(15, 2, tables)
+        with pytest.raises(DomainError, match="reduced class"):
+            constructive_search(3, triple)
+
+    def test_cli_even_modulus_exit_2(self, capsys):
+        assert cli.main(["search", "--m", "4", "--a", "3"]) == 2
+        assert "even" in capsys.readouterr().err
 
 class TestFactorize:
     def test_one_is_empty_product(self):

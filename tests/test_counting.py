@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phimin import cli, counting, intervals
-from phimin.characters import UnitGroupContext
+from phimin.characters import UnitGroupContext, psi_character
 from phimin.counting import (
     conductor_split,
     count_report,
@@ -16,13 +16,17 @@ from phimin.counting import (
     count_solutions_direct,
     indicator_1am,
     main_term,
-    default_split_threshold,
     positivity_certificate,
     psi_term,
     remainder_term,
 )
 from phimin.errors import BoundsError, DomainError
-from phimin.intervals import IntervalTriple, PrimeIntervalSet, build_custom_interval
+from phimin.intervals import (
+    IntervalTriple,
+    PrimeIntervalSet,
+    build_custom_interval,
+    character_sum,
+)
 from phimin.search import canonical_triple
 from reference import ENUMERATION_CAP, count_solutions_enumerate, prime_window
 
@@ -267,6 +271,30 @@ class TestDecomposition:
         ivs = self.three_free_intervals(35, tables)
         assert psi_term(2, ivs) == 0.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_psi_term_matches_character_engine(self, tables, data):
+        # a lowest interval from 2.0 may hold p = 3, whose class 2 = -1
+        # (mod 3) gives S(psi) = |I| - 2; the class-count route must agree
+        m = data.draw(st.integers(0, 99).map(lambda i: 6 * i + 3), label="m")
+        lo = data.draw(st.sampled_from([2.0, 3.5]), label="lo")
+        cuts = sorted(data.draw(
+            st.lists(st.integers(4, 2900), min_size=3, max_size=3, unique=True),
+            label="cuts",
+        ))
+        bounds = [lo, *map(float, cuts)]
+        ivs = IntervalTriple(
+            *(build_custom_interval(bounds[i], bounds[i + 1], m, tables)
+              for i in range(3))
+        )
+        psi = psi_character(ivs.unit_group)
+        sums = math.prod(character_sum(psi, iv) for iv in ivs)
+        phi = ivs.unit_group.phi
+        for a in units_of(m):
+            want = sums * psi(a).conjugate() * psi(1 + indicator_1am(a, m))
+            assert abs(psi_term(a, ivs) * phi - want) < 1e-9
+            assert abs(want - round(want.real)) < 1e-9
+
 
 class TestStructuralInvariances:
     def test_permutation_of_primes_within_interval(self, tables):
@@ -379,10 +407,6 @@ class TestPositivity:
 
 
 class TestThresholdAndReport:
-    def test_default_split_threshold_caps_at_m(self):
-        for m in (9, 301, 999):
-            assert default_split_threshold(m, 10) == float(m)
-
     def test_report_fields(self, tables):
         m = 15
         ivs = canonical_triple(m, 3, tables)
