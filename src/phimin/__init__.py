@@ -32,6 +32,7 @@ from .counting import (
     count_report,
     count_solutions_characters,
     count_solutions_direct,
+    direct_counts,
     indicator_1am,
     main_term,
     positivity_certificate,
@@ -63,6 +64,7 @@ from .search import (
     canonical_triple,
     constructive_search,
     exponent_scan,
+    least_witnesses,
     oracle_N,
 )
 from .sieve import SieveTables, build_sieve

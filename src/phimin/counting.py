@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from typing import Sequence
 
 import numpy as np
 
@@ -32,21 +33,32 @@ def indicator_1am(a: int, m: int) -> int:
     return 1 if m % 3 == 0 and a % 3 == 2 else 0
 
 
-def count_solutions_direct(a: int, triple: IntervalTriple) -> int:
-    """Exact solution count by convolving residue count vectors.
+def direct_counts(a_values: Sequence[int], triple: IntervalTriple) -> list[int]:
+    """Exact solution count J of every unit, by convolving residue count
+    vectors.
 
     Pure integer arithmetic over the triple's class grid: each pair of
     occupied classes (x, y) forces the class z of the third interval, so
-    J = sum cx[x] cy[y] cz[z], contracted by two mat-vecs.
+    J = sum cx[x] cy[y] cz[z], contracted by two mat-vecs over the
+    units x grid tensor of forced classes, GRID_BLOCK entries at a time.
     """
     m = triple.modulus
-    delta = indicator_1am(a, m)
+    deltas = [indicator_1am(a, m) for a in a_values]
     if triple.product >= 2**63:
         # J <= |I1||I2||I3| bounds every partial sum below
         raise BoundsError(f"int64 convolution would overflow at m={m}")
     grid = triple.class_grid
     cx, cy, cz = (tuple(triple)[j].count_vector for j in grid.axes)
-    return int(cx[grid.x] @ (cz[grid.forced(a, delta)] @ cy[grid.y]))
+    cx, cy = cx[grid.x], cy[grid.y]
+    counts: list[int] = []
+    for s in grid.blocks(len(deltas)):
+        counts += (cz[grid.forced(a_values[s], deltas[s])] @ cy @ cx).tolist()
+    return counts
+
+
+def count_solutions_direct(a: int, triple: IntervalTriple) -> int:
+    """Exact solution count J of unit a: direct_counts of one unit."""
+    return direct_counts([a], triple)[0]
 
 
 def count_solutions_characters(a: int, triple: IntervalTriple) -> float:

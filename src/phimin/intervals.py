@@ -13,7 +13,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .errors import BoundsError, ConsistencyError, DomainError
 from .sieve import SieveTables
 
 PARSEVAL_REL_TOL = 1e-6
+# most (unit, x, y) entries of a forced-class tensor held at once
+GRID_BLOCK = 1 << 16
 
 
 class SmallKWarning(UserWarning):
@@ -90,10 +92,22 @@ class ClassGrid(NamedTuple):
     y: np.ndarray
     inv_xy: np.ndarray
 
-    def forced(self, a: int, delta: int) -> np.ndarray:
-        """The class z of I_axes[2] forced by each pair (x, y) for unit a."""
+    def forced(self, a_values: Sequence[int], deltas: Sequence[int]) -> np.ndarray:
+        """The class z[u, i, j] of I_axes[2] forced by the pair (x[i], y[j])
+        for unit a_values[u] with indicator deltas[u], shape
+        (units, |x|, |y|).  Every factor is below m and m^2 < 2^63."""
         m = self.modulus
-        return a * pow(1 + delta, -1, m) % m * self.inv_xy % m
+        half = (m + 1) // 2  # (1 + 1)^-1 mod odd m
+        coef = [a * half % m if d else a % m for a, d in zip(a_values, deltas)]
+        z = np.array(coef, dtype=np.int64).reshape(-1, 1, 1) * self.inv_xy
+        z %= m
+        return z
+
+    def blocks(self, units: int) -> Iterator[slice]:
+        """Slices of 0..units-1 whose forced tensors hold at most
+        GRID_BLOCK entries, one unit at least."""
+        step = max(1, GRID_BLOCK // max(1, self.x.size * self.y.size))
+        return (slice(s, s + step) for s in range(0, units, step))
 
 
 @dataclass(frozen=True)

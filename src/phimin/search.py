@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith import check_odd_modulus, check_reduced_odd
-from .counting import count_solutions_direct, indicator_1am
+# count_solutions_direct stays importable here: bench/worker.py traces it by name
+from .counting import count_solutions_direct, direct_counts, indicator_1am  # noqa: F401
 from .errors import BoundsError, DomainError
 from .intervals import (
     IntervalTriple,
@@ -31,6 +32,7 @@ from .sieve import SieveTables, build_sieve
 
 FIRST_SEGMENT = 1 << 12
 DEFAULT_SEGMENT = 1 << 20
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -164,37 +166,83 @@ def canonical_triple(m: int, k: int, tables: SieveTables) -> IntervalTriple:
 
 
 def constructive_search(a: int, triple: IntervalTriple) -> SearchWitness | None:
-    """Least solution n = 4^d * p1 p2 p3 with p_j in I_j.
+    """Least solution n = 4^d * p1 p2 p3 with p_j in I_j, or None when the
+    congruence has no solution over the intervals: least_witnesses of
+    one unit."""
+    return least_witnesses([a], triple)[0]
+
+
+def least_witnesses(
+    a_values: Sequence[int], triple: IntervalTriple
+) -> list[SearchWitness | None]:
+    """constructive_search of every unit, over the units x grid tensor.
 
     Each p_j of a solution can be swapped for the least prime of its
     class of p_j - 1, so the least n is the least product of class
     minima over the triple's forced-class grid; n fixes (p1, p2, p3)
-    because the three sets are pairwise disjoint.  Returns None when the
-    congruence has no solution over the intervals.
+    because the three sets are pairwise disjoint.  One masked argmin per
+    block of GRID_BLOCK entries of one d finds every unit's first least
+    product in the C order of the (x, y) grid.
     """
     m = triple.modulus
-    delta = indicator_1am(a, m)
+    deltas = [indicator_1am(a, m) for a in a_values]
     grid = triple.class_grid
-    smallest = list(triple.least_primes)
-    if delta:
-        # 4^1 shares the factor 2 with p_j = 2, so such triples are not
-        # phi-witnesses even when they satisfy the formal congruence.
-        for j, iv in enumerate(triple):
-            if iv.size and iv.primes[0] == 2:
-                smallest[j] = smallest_per_class(iv.primes[1:], m)
-    sx, sy, sz = (smallest[j] for j in grid.axes)
-    px, py, pz = sx[grid.x], sy[grid.y], sz[grid.forced(a, delta)]
-    # exact products: int64 while every n fits, Python ints beyond
-    bound = 4**delta * math.prod(int(p.max(initial=0)) for p in (px, py, pz))
-    dtype = np.int64 if bound < 2**63 else object
-    n = np.outer(px.astype(dtype), py.astype(dtype)) * pz.astype(dtype)
-    hits = np.flatnonzero(n)  # an empty class has smallest prime 0
-    if not hits.size:
-        return None
-    i, j = np.unravel_index(hits[n.ravel()[hits].argmin()], n.shape)
-    found = dict(zip(grid.axes, (px[i], py[j], pz[i, j])))
-    p1, p2, p3 = (int(found[axis]) for axis in range(3))
-    return SearchWitness(m=m, a=a, delta=delta, p1=p1, p2=p2, p3=p3)
+    found: list[SearchWitness | None] = [None] * len(deltas)
+    if not (grid.x.size and grid.y.size):
+        return found
+    for delta in (0, 1):
+        units = [u for u, d in enumerate(deltas) if d == delta]
+        if not units:
+            continue
+        smallest = list(triple.least_primes)
+        if delta:
+            # 4^1 shares the factor 2 with p_j = 2, so such triples are not
+            # phi-witnesses even when they satisfy the formal congruence.
+            for j, iv in enumerate(triple):
+                if iv.size and iv.primes[0] == 2:
+                    smallest[j] = smallest_per_class(iv.primes[1:], m)
+        sx, sy, sz = (smallest[j] for j in grid.axes)
+        px, py = sx[grid.x], sy[grid.y]
+        top = 4**delta * int(px.max()) * int(py.max())
+        for s in grid.blocks(len(units)):
+            block = units[s]
+            pz = sz[grid.forced([a_values[u] for u in block], [delta] * len(block))]
+            # exact products: int64 while every n fits below the empty-class
+            # mark 2^63 - 1, Python ints one unit at a time beyond
+            bound = top * int(pz.max())
+            if bound < INT64_MAX:
+                hits = _least_products(px, py, pz, np.int64, INT64_MAX)
+            else:
+                hits = [
+                    _least_products(px, py, pz[b : b + 1], object, bound + 1)[0]
+                    for b in range(len(block))
+                ]
+            for b, (u, hit) in enumerate(zip(block, hits)):
+                if hit is None:
+                    continue
+                i, j = divmod(hit, py.size)
+                at = dict(zip(grid.axes, (px[i], py[j], pz[b, i, j])))
+                p1, p2, p3 = (int(at[axis]) for axis in range(3))
+                found[u] = SearchWitness(
+                    m=m, a=a_values[u], delta=delta, p1=p1, p2=p2, p3=p3
+                )
+    return found
+
+
+def _least_products(
+    px: np.ndarray, py: np.ndarray, pz: np.ndarray, dtype, empty: int
+) -> list[int | None]:
+    """Per unit u, the flat (x, y) index of the first least px py pz[u],
+    or None when every class is empty.  An empty class has least prime 0,
+    so its product is 0, and `empty`, above every product, replaces it."""
+    px, py, pz = (p.astype(dtype, copy=False) for p in (px, py, pz))
+    n = px[:, None] * py * pz
+    n[n == 0] = empty
+    n = n.reshape(len(n), -1)
+    return [
+        None if low == empty else at
+        for at, low in zip(n.argmin(axis=1).tolist(), n.min(axis=1).tolist())
+    ]
 
 
 # -- scan ----------------------------------------------------------------
@@ -240,9 +288,11 @@ def _scan_one_m(
     k: int,
     tables: SieveTables,
 ) -> list[dict]:
-    """One row per unit a; when the canonical triple fails its check (the
-    intervals collide at small m), every row carries the error instead of
-    a witness and a count."""
+    """One row per unit a.  One oracle stream serves every unit, and
+    least_witnesses and direct_counts answer all of them in one pass over
+    the triple's class grid.  When the canonical triple fails its check
+    (the intervals collide at small m), every row carries the error
+    instead of a witness and a count."""
     rows = []
     oracle = oracle_N_multi(a_values, m, default_cap(m), tables)
     triple = error = None
@@ -252,21 +302,22 @@ def _scan_one_m(
             triple = canonical_triple(m, k, tables)
         except DomainError as exc:
             error = str(exc)
-    for a in a_values:
+    deltas = [indicator_1am(a, m) for a in a_values]
+    witnesses = counts = [None] * len(a_values)
+    if triple is not None:
+        witnesses = least_witnesses(a_values, triple)
+        counts = direct_counts(a_values, triple)
+    for a, delta, witness, j_direct in zip(a_values, deltas, witnesses, counts):
         n_val = oracle[a % m]
         row: dict = {
             "m": m,
             "a": a,
-            "delta": indicator_1am(a, m),
+            "delta": delta,
             "N": n_val,
             "N_exponent": math.log(n_val) / math.log(m) if n_val is not None else None,
         }
-        witness = j_direct = None
         if triple is None:
             row["error"] = error
-        else:
-            witness = constructive_search(a, triple)
-            j_direct = count_solutions_direct(a, triple)
         row["witness_n"] = witness.n if witness else None
         row["witness_exponent"] = witness.exponent if witness else None
         row["J_direct"] = j_direct

@@ -62,26 +62,46 @@ def _spf_array(limit: int) -> np.ndarray:
     return spf
 
 
+def prime_count_bound(x: int) -> int:
+    """An integer at least pi(x), the number of primes <= x, for x >= 2:
+    Dusart's pi(x) <= x / ln x * (1 + 1.2762 / ln x), valid for x > 1."""
+    log = math.log(x)
+    return int(x / log * (1 + 1.2762 / log)) + 1
+
+
 def _segmented_primes(hi: int, base: list[int]) -> np.ndarray:
-    """Primes in [2, hi] from the odd primes up to sqrt(hi).  Flag i of the
-    odd-only array stands for 2i + 1, and a segment is SEGMENT_SIZE flags."""
-    chunks = [np.array([2], dtype=np.int64)]
+    """Primes in [2, hi] from the odd primes up to sqrt(hi).  The list is
+    allocated once from prime_count_bound, filled segment by segment and
+    shrunk in place, so the peak is the list plus one segment's flags and
+    indices."""
+    primes = np.empty(prime_count_bound(hi), dtype=np.int64)
+    primes[0] = 2
+    count = 1
     n = (hi + 1) // 2  # the odd numbers 1, 3, ..., <= hi
     for s in range(0, n, SEGMENT_SIZE):
-        e = min(s + SEGMENT_SIZE, n)
-        is_prime = np.ones(e - s, dtype=bool)
-        is_prime[0] = s > 0  # flag 0 of the first segment is 1
-        for p in base:
-            if p * p // 2 >= e:
-                break
-            first = max(p * p // 2, s + ((p - 1) // 2 - s) % p)
-            is_prime[first - s :: p] = False
-        idx = np.flatnonzero(is_prime).astype(np.int64, copy=False)
-        idx += s  # flag indices become odd primes in place, with no temporaries
-        idx *= 2
-        idx += 1
-        chunks.append(idx)
-    return np.concatenate(chunks)
+        count += _odd_segment(s, min(s + SEGMENT_SIZE, n), base, primes[count:])
+    primes.resize(count, refcheck=False)
+    return primes
+
+
+def _odd_segment(s: int, e: int, base: list[int], out: np.ndarray) -> int:
+    """Write the odd primes among flags s..e-1 to the front of `out` and
+    return how many there are.  Flag i of the odd-only array stands for
+    2i + 1, and the odd base primes strike their multiples from p^2 on."""
+    is_prime = np.ones(e - s, dtype=bool)
+    is_prime[0] = s > 0  # flag 0 of the first segment is 1
+    for p in base:
+        if p * p // 2 >= e:
+            break
+        first = max(p * p // 2, s + ((p - 1) // 2 - s) % p)
+        is_prime[first - s :: p] = False
+    idx = np.flatnonzero(is_prime)
+    out = out[: idx.size]
+    out[:] = idx
+    out += s  # flag indices become odd primes in place, with no temporaries
+    out *= 2
+    out += 1
+    return idx.size
 
 
 def build_sieve(limit: int) -> SieveTables:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -341,6 +342,16 @@ class TestScanCommand:
 
     def test_even_m_exit_2(self):
         assert run_cli("scan", "--m-range", "8:12:2").returncode == 2
+
+    def test_golden_all_units(self, capsys):
+        # every unit of every odd m in [51, 151] (4,190 rows, large d = 1
+        # groups), where the acceptance scan takes 20 units per m; the
+        # digest was computed before the scan answered all units of a
+        # modulus in one pass, when it still looped over them one by one
+        argv = ["scan", "--m-range", "51:151", "--a-sample", "all", "--k", "2"]
+        assert cli.main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "603f455b599c6a4c626842c427ca0cc82967aba3e5ffdd62cd72724cf2f98717"
 
     def test_summary_written(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phimin import search
+from phimin import intervals, search
 from phimin.arith import trial_factorize
-from phimin.counting import count_solutions_direct, indicator_1am
+from phimin.counting import count_solutions_direct, direct_counts, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
 from phimin.intervals import IntervalTriple, build_custom_interval, build_interval
 from phimin.search import (
@@ -16,6 +16,7 @@ from phimin.search import (
     constructive_search,
     default_cap,
     exponent_scan,
+    least_witnesses,
     oracle_N,
     oracle_N_multi,
     scan_sieve_limit,
@@ -357,6 +358,16 @@ class TestConstructiveSearch:
                 assert (w.n, (w.p1, w.p2, w.p3)) == best
                 assert all(type(p) is int for p in (w.p1, w.p2, w.p3))
             assert hits
+            # every unit at once, reversed and repeated; at m = 21 each
+            # d group's bound passes 2^63 - 1, so every unit takes Python ints
+            units = units_of(m)[::-1] * 2
+            got = least_witnesses(units, triple)
+            assert [
+                None if w is None else (w.n, (w.p1, w.p2, w.p3)) for w in got
+            ] == [least_witness(a, triple) for a in units]
+            assert all(
+                type(p) is int for w in got if w for p in (w.p1, w.p2, w.p3)
+            )
 
     def test_one_grid_serves_units_in_any_order(self, tables):
         # I1 holds 2, which a = 2 (mod 3) units must skip and the others
@@ -383,6 +394,100 @@ class TestConstructiveSearch:
         i3 = canonical_triple(47, 2, tables).i3
         with pytest.raises(DomainError, match="interval modulus 47 differs from 45"):
             constructive_search(2, IntervalTriple(i1, i2, i3))
+
+
+# odd moduli up to 1500: any odd m, the multiples of 3 (where d = 1 occurs)
+# and the odd prime powers
+ODD_PRIME_POWERS = [
+    p**e for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for e in range(1, 8) if p**e <= 1500
+]
+MODULI = st.one_of(
+    st.integers(0, 749).map(lambda i: 2 * i + 1),
+    st.integers(0, 249).map(lambda i: 6 * i + 3),
+    st.sampled_from(ODD_PRIME_POWERS),
+)
+# the reference routes loop over every prime triple, once per unit
+CANONICAL_PRODUCT_CAP = 30_000
+
+
+def check_batch(units, triple):
+    """least_witnesses and direct_counts of `units` at once against the
+    literal references, unit by unit."""
+    witnesses = least_witnesses(units, triple)
+    counts = direct_counts(units, triple)
+    assert len(witnesses) == len(counts) == len(units)
+    for a, w, j in zip(units, witnesses, counts):
+        best = least_witness(a, triple)
+        if best is None:
+            assert w is None
+        else:
+            assert (w.a, w.delta) == (a, indicator_1am(a, triple.modulus))
+            assert (w.n, (w.p1, w.p2, w.p3)) == best
+        assert j == count_solutions_enumerate(a, triple)
+    return witnesses, counts
+
+
+class TestBatchedCore:
+    """The scan's one pass over all units against the reference routes;
+    a GRID_BLOCK of 7 entries spreads the units over several blocks."""
+
+    @pytest.mark.parametrize("block", [intervals.GRID_BLOCK, 7])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_references(self, tables200k, block, data):
+        m = data.draw(MODULI, label="m")
+        units = data.draw(
+            st.lists(st.sampled_from(units_of(m)), min_size=2, max_size=10),
+            label="units",
+        )
+        triple = None
+        if data.draw(st.booleans(), label="canonical"):
+            k = data.draw(st.integers(2, 4), label="k")
+            try:
+                triple = canonical_triple(m, k, tables200k)
+            except DomainError:  # colliding intervals at small m
+                pass
+            if triple is not None and triple.product > CANONICAL_PRODUCT_CAP:
+                triple = None
+        if triple is None:
+            lo = data.draw(st.integers(0, 2000), label="lo")
+            ivs = []
+            for _ in range(3):
+                width = data.draw(st.integers(1, 150))
+                ivs.append(build_custom_interval(lo, lo + width, m, tables200k))
+                lo += width + data.draw(st.integers(0, 100))
+            triple = IntervalTriple(*data.draw(st.permutations(ivs), label="order"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intervals, "GRID_BLOCK", block)
+            check_batch(units, triple)
+
+    @pytest.mark.parametrize("block", [intervals.GRID_BLOCK, 7])
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            # I1 holds 2, which d = 1 units (a = 2 mod 3) must skip
+            ((1, 40), (40, 120), (120, 300)),
+            # (24, 28] holds no prime, so the class grid has an empty axis
+            ((24, 28), (40, 120), (120, 300)),
+        ],
+    )
+    def test_edge_triples(self, tables, bounds, block, monkeypatch):
+        monkeypatch.setattr(intervals, "GRID_BLOCK", block)
+        m = 45
+        triple = IntervalTriple(
+            *(build_custom_interval(lo, hi, m, tables) for lo, hi in bounds)
+        )
+        units = units_of(m)[::-1] + units_of(m)[:5]
+        assert {indicator_1am(a, m) for a in units} == {0, 1}
+        witnesses, counts = check_batch(units, triple)
+        if triple.i1.size:
+            assert triple.i1.primes[0] == 2
+            assert any(witnesses)
+        else:
+            assert triple.class_grid.x.size == 0
+            assert witnesses == [None] * len(units)
+            assert counts == [0] * len(units)
 
 
 class TestExponentScan:
@@ -461,6 +566,26 @@ class TestExponentScan:
         monkeypatch.setattr(cached, "func", counted)
         exponent_scan([51, 53], a_sample=6, k=2)
         assert built == [51, 53]
+
+    def test_one_batched_pass_per_modulus(self, monkeypatch):
+        # each modulus answers all its units in one call of each core
+        calls = []
+
+        def spy(name, fn):
+            def counted(a_values, triple):
+                calls.append((name, triple.modulus, list(a_values)))
+                return fn(a_values, triple)
+
+            monkeypatch.setattr(search, name, counted)
+
+        spy("least_witnesses", search.least_witnesses)
+        spy("direct_counts", search.direct_counts)
+        exponent_scan([51, 53], a_sample=6, k=2)
+        assert sorted(calls) == sorted(
+            (name, m, units_of(m)[:6])
+            for m in (51, 53)
+            for name in ("least_witnesses", "direct_counts")
+        )
 
     def test_workers_capped(self, monkeypatch):
         # a recording stand-in for the pool, which runs the tasks in-process

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,3 +102,21 @@ def test_primes_in_range(tables):
     assert tables.primes_in(12.5, 13).tolist() == [13]
     with pytest.raises(BoundsError):
         tables.primes_in(0, tables.limit + 1)
+
+
+def test_peak_is_the_list_plus_one_segment():
+    # the list is allocated once from Dusart's bound and shrunk in place;
+    # one chunk per segment joined at the end would need twice the list
+    segment = 1 << 16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "SEGMENT_SIZE", segment)
+        tracemalloc.start()
+        try:
+            t = build_sieve(3_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert t.primes.size == 216_816
+    assert sieve.prime_count_bound(3_000_000) - t.primes.size < 0.01 * t.primes.size
+    # one flag byte and at most one int64 index per flag of the segment
+    assert peak < t.primes.nbytes + 9 * segment
