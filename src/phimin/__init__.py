@@ -19,13 +19,7 @@ from .bounds import (
     interval_count_accuracy,
     rakhmonov_inequality_check,
 )
-from .characters import (
-    DirichletCharacter,
-    UnitGroupContext,
-    all_characters,
-    build_unit_group,
-    psi_character,
-)
+from .characters import UnitGroupContext, build_unit_group
 from .counting import (
     CountReport,
     conductor_split,
@@ -53,7 +47,7 @@ from .intervals import (
     build_custom_interval,
     build_interval,
     cardinality_prediction,
-    character_sum,
+    character_sums_all,
     parseval_sum,
     rho_closed_form,
     rho_definition,

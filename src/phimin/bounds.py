@@ -11,13 +11,13 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import divisor_count, trial_factorize
-from .characters import DirichletCharacter
+from .characters import build_unit_group
 from .errors import ConsistencyError, DomainError
 from .intervals import (
     build_custom_interval,
     build_interval,
     cardinality_prediction,
-    character_sum,
+    character_sums_all,
 )
 from .sieve import SieveTables, build_sieve
 
@@ -82,33 +82,37 @@ def interval_count_accuracy(
 
 
 def rakhmonov_inequality_check(
-    chi: DirichletCharacter, x: float, m: int, tables: SieveTables
-) -> tuple[float, float, bool]:
+    x: float, m: int, tables: SieveTables
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|sum_{p <= x} chi(p-1)| against the bound
 
         x (log x)^5 tau(q) (sqrt(1/q + q tau(q1)^2 / x) + x^(-1/6) tau(q1)),
 
-    q = conductor(chi), q1 = product of primes dividing m but not q.
-    The bound is a theorem, so holds=False signals an implementation bug.
+    q = conductor(chi), q1 = product of primes dividing m but not q, for
+    every non-principal character chi mod m at once: (lhs, rhs, holds)
+    arrays in the character order of UnitGroupContext without its
+    principal first entry.  The sums are one FFT; the bound is worked out
+    once per distinct conductor.  The bound is a theorem, so a False in
+    holds signals an implementation bug.
     """
-    if chi.context.modulus != m:
-        raise DomainError("character modulus mismatch")
-    if chi.is_principal():
-        raise DomainError("the bound concerns non-principal characters")
     if x > tables.limit:
         raise DomainError(f"x={x} exceeds sieve limit {tables.limit}")
-    lhs = abs(character_sum(chi, build_custom_interval(0.0, x, m, tables)))
+    ctx = build_unit_group(m)
+    counts = build_custom_interval(0.0, x, m, tables).count_vector
+    lhs = np.abs(character_sums_all(ctx, counts)[1:])
+    rhs = np.zeros(lhs.shape)
     if x < 2:
-        return lhs, 0.0, lhs <= 0.0
-    q = chi.conductor()
-    q1 = math.prod(p for p in trial_factorize(m).primes() if q % p)
-    tau_q, tau_q1 = (divisor_count(trial_factorize(n)) for n in (q, q1))
+        return lhs, rhs, lhs <= rhs
+    conductors = ctx.conductors()[1:]
+    primes = trial_factorize(m).primes()
     logx = math.log(x)
-    rhs = (
-        x
-        * logx**5
-        * tau_q
-        * (math.sqrt(1.0 / q + q * tau_q1**2 / x) + x ** (-1 / 6) * tau_q1)
-    )
+    for q in np.unique(conductors).tolist():
+        q1 = math.prod(p for p in primes if q % p)
+        tau_q, tau_q1 = (divisor_count(trial_factorize(n)) for n in (q, q1))
+        rhs[conductors == q] = (
+            x
+            * logx**5
+            * tau_q
+            * (math.sqrt(1.0 / q + q * tau_q1**2 / x) + x ** (-1 / 6) * tau_q1)
+        )
     return lhs, rhs, lhs <= rhs
-

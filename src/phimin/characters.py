@@ -1,16 +1,17 @@
-"""Dirichlet characters modulo an odd integer m.
+"""The unit group (Z/mZ)* of an odd modulus m and its Dirichlet characters.
 
-The unit group (Z/mZ)* is represented through its prime-power components
-p^a || m, each cyclic with a least primitive root (m odd), so a character
-is just a vector of exponents on the component generators.  Values are
-roots of unity exp(2*pi*i * t / T) with T = lcm of the component orders;
-the numerator t is kept as an exact integer, and only the final
-evaluation is floating point.
+(Z/mZ)* is the product of its prime-power components p^a || m, each
+cyclic with a least primitive root (m odd), and a unit's discrete logs on
+those generators place it on a grid of shape `orders`.  A character is a
+point of the same grid, so every character-valued quantity is an array
+over the grid: values at one residue, conductors, and (in `intervals`)
+the character sums of a count vector, which are one FFT over it.  Angle
+numerators are exact integers; only the final root-of-unity lookup is
+floating point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .arith import check_odd_modulus, primitive_root, trial_factorize
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,15 @@ class Component:
 
 class UnitGroupContext:
     """Generators, orders, and discrete-log tables for (Z/mZ)*, m odd.
+
+    The character order, used by every per-character array in phimin:
+    the character with exponent vector e, 0 <= e_i < orders[i], is
+
+        chi_e(x) = exp(2 pi i sum_i e_i dlog_i(x) / orders[i])
+
+    on units and 0 off them, and the characters are the exponent grid of
+    shape `orders` flattened in C order, so index 0 is the principal
+    character and index i has exponents np.unravel_index(i, orders).
 
     Immutable after construction; safe to share across workers.
     """
@@ -73,19 +82,18 @@ class UnitGroupContext:
         return np.nonzero(self.unit_mask)[0]
 
     def value_matrix(self) -> np.ndarray:
-        """Rows = characters in all_characters order, columns = residues.
+        """Dense phi(m) x m table: column x is values_at(x).
 
-        The dense phi(m) x m reference table; production paths use
-        character sums over the discrete-log grid and values_at instead.
+        No phimin path reads it; it stays only while bench/worker.py
+        traces it by name, and goes with that tracing (ROADMAP item 1).
         """
         if self._value_matrix is None:
-            self._value_matrix = np.vstack(
-                [chi.value_vector() for chi in all_characters(self)]
-            )
+            columns = [self.values_at(x) for x in range(self.modulus)]
+            self._value_matrix = np.stack(columns, axis=1)
         return self._value_matrix
 
     def values_at(self, x: int) -> np.ndarray:
-        """chi(x) for every character, in all_characters order.
+        """chi(x) for every character, in the character order.
 
         The angle numerators sum_i e_i * dlog_i(x) * (T / o_i) mod T are
         exact integers over the exponent grid; only the root lookup is
@@ -102,13 +110,13 @@ class UnitGroupContext:
         return self.roots[t]
 
     def conductors(self) -> np.ndarray:
-        """Conductor of each character, in all_characters order: the
-        component rule applied over every exponent vector at once."""
+        """Conductor of each character, in the character order: the least
+        d | m with chi trivial on every unit = 1 (mod d), the product of
+        the component conductors."""
         if self._conductors is None:
             cond = np.ones(1, dtype=np.int64)
             for comp in self.components:
-                local = _component_conductor(comp, np.arange(comp.order))
-                cond = np.multiply.outer(cond, local).ravel()
+                cond = np.multiply.outer(cond, _component_conductors(comp)).ravel()
             self._conductors = cond
         return self._conductors
 
@@ -130,95 +138,18 @@ def build_unit_group(m: int) -> UnitGroupContext:
     return UnitGroupContext(m, comps)
 
 
-class DirichletCharacter:
-    """A character mod m, stored as exponents on the component generators.
-
-    chi(x) = exp(2*pi*i * sum_i e_i * dlog_i(x) / order_i) on units,
-    0 off units.  The conductor is an exact integer operation on the
-    exponent vector.
-    """
-
-    __slots__ = ("context", "exponents", "_conductor")
-
-    def __init__(self, context: UnitGroupContext, exponents: Sequence[int]):
-        if len(exponents) != len(context.components):
-            raise DomainError("exponent vector length mismatch")
-        self.context = context
-        self.exponents = tuple(
-            e % o for e, o in zip(exponents, context.orders)
-        )
-        self._conductor: int | None = None
-
-    def __call__(self, x: int) -> complex:
-        return complex(self.value_vector()[x % self.context.modulus])
-
-    def value_vector(self) -> np.ndarray:
-        """chi on residues 0..m-1 as a complex array: exact integer angle
-        numerators t, then one lookup of exp(2*pi*i*t/T)."""
-        ctx = self.context
-        T = ctx.value_order
-        t = np.zeros(max(ctx.modulus, 1), dtype=np.int64)
-        for e, o, dlog in zip(self.exponents, ctx.orders, ctx.dlogs):
-            t += e * (T // o) * dlog
-        vals = ctx.roots[t % T]
-        return np.where(ctx.unit_mask, vals, 0j)
-
-    # -- group structure ------------------------------------------------
-
-    def is_principal(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def __repr__(self) -> str:
-        return f"DirichletCharacter(mod {self.context.modulus}, exponents={self.exponents})"
-
-    # -- conductor ------------------------------------------------------
-
-    def conductor(self) -> int:
-        """Least d | m with chi trivial on every unit = 1 (mod d),
-        multiplicative across the components."""
-        if self._conductor is None:
-            self._conductor = math.prod(
-                int(_component_conductor(comp, e))
-                for comp, e in zip(self.context.components, self.exponents)
-            )
-        return self._conductor
-
-    def is_primitive(self) -> bool:
-        return self.conductor() == self.context.modulus
-
-
-def _component_conductor(comp: Component, e: int | np.ndarray) -> np.ndarray:
-    """Least p^beta such that the exponent-e character on this component
-    is trivial on units congruent to 1 mod p^beta, elementwise over e.
+def _component_conductors(comp: Component) -> np.ndarray:
+    """For each exponent e in 0..order-1, the least p^beta such that the
+    exponent-e character on this component is trivial on units congruent
+    to 1 mod p^beta.
 
     Those units form the subgroup generated by g^((p-1) p^(beta-1)), of
     order p^(alpha-beta), so the character is trivial there exactly when
     p^(alpha-beta) | e: the conductor is p^max(1, alpha - v_p(e)), and 1
     for e = 0 (mod order).
     """
-    e = np.asarray(e, dtype=np.int64) % comp.order
+    e = np.arange(comp.order, dtype=np.int64)
     v = np.zeros(e.shape, dtype=np.int64)
     for j in range(1, comp.alpha):
         v += e % comp.prime**j == 0
     return np.where(e == 0, 1, comp.prime ** np.maximum(1, comp.alpha - v))
-
-
-def all_characters(ctx: UnitGroupContext) -> list[DirichletCharacter]:
-    """All phi(m) characters, ordered lexicographically by exponent
-    vector; the principal character comes first."""
-    return [
-        DirichletCharacter(ctx, exps)
-        for exps in itertools.product(*(range(o) for o in ctx.orders))
-    ]
-
-
-def psi_character(ctx: UnitGroupContext) -> DirichletCharacter:
-    """The character mod m induced by the nontrivial character mod 3:
-    +1 on x = 1 (mod 3), -1 on x = 2 (mod 3), 0 off units.  Defined only
-    when 3 | m; it is the unique character of conductor 3."""
-    if ctx.modulus % 3 != 0:
-        raise DomainError(f"3 does not divide {ctx.modulus}")
-    exps = [
-        comp.order // 2 if comp.prime == 3 else 0 for comp in ctx.components
-    ]
-    return DirichletCharacter(ctx, exps)

@@ -7,7 +7,7 @@ computed two independent ways: an integer convolution over residue
 classes, and the character-orthogonality average.  The character route
 splits into main term, psi term, and a remainder bounded by conductor.
 The psi term is exact class arithmetic: psi, the one character of
-conductor 3, is read off the count vectors' classes mod 3.
+conductor 3, is read off the count vectors' classes mod 3 (psi_sum).
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .errors import BoundsError, ConsistencyError, DomainError
 from .intervals import IntervalTriple, character_sums_all  # noqa: F401
 
 ORACLE_REL_TOL = 1e-6
+# psi, the one character of conductor 3, when 3 | m: psi(b) = PSI[b % 3]
+PSI = (0, 1, -1)
 
 
 def indicator_1am(a: int, m: int) -> int:
@@ -100,24 +102,26 @@ def main_term(a: int, triple: IntervalTriple) -> float:
     return factor * triple.product / triple.unit_group.phi
 
 
+def psi_sum(counts: np.ndarray) -> int:
+    """S(psi) = sum_b counts[b] psi(b) over the classes b mod m, 3 | m:
+    the exact difference of the class counts at 1 and 2 mod 3."""
+    return sum(PSI[r] * int(counts[r::3].sum()) for r in (1, 2))
+
+
 def psi_term(a: int, triple: IntervalTriple) -> float:
     """Exact contribution of the conductor-3 character psi to J:
     S1(psi) S2(psi) S3(psi) conj(psi(a)) psi(1 + d) / phi(m); zero when
     3 does not divide m.
 
-    psi(b) is +1 on b = 1 and -1 on b = 2 (mod 3), so S_j(psi) is a
-    difference of class counts; d = 1 exactly when a = 2 (mod 3), so
-    conj(psi(a)) psi(1 + d) = 1 for every unit a.  The product is an
-    integer, divided once with correct rounding.
+    S_j(psi) is psi_sum of the count vector; d = 1 exactly when
+    a = 2 (mod 3), so conj(psi(a)) psi(1 + d) = 1 for every unit a.  The
+    product is an integer, divided once with correct rounding.
     """
     m = triple.modulus
     indicator_1am(a, m)
     if m % 3 != 0:
         return 0.0
-    prod = math.prod(
-        int(iv.count_vector[1::3].sum()) - int(iv.count_vector[2::3].sum())
-        for iv in triple
-    )
+    prod = math.prod(psi_sum(iv.count_vector) for iv in triple)
     return prod / triple.unit_group.phi
 
 

@@ -2,8 +2,9 @@
 
 An interval set holds the primes p in (lo, hi] with gcd(p-1, m) = 1
 together with the residue count vector c[b] = #{p : p-1 = b (mod m)},
-so every character sum S(chi) = sum_p chi(p-1) costs O(m) instead of
-O(|I|).  The canonical triple uses bounds m^(1+1/k), m, m^(1/k).
+so the sums S(chi) = sum_p chi(p-1) over every character are one FFT of
+the count vector.  The canonical triple uses bounds m^(1+1/k), m,
+m^(1/k).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .arith import check_odd_modulus, log_integral_between, trial_factorize
-from .characters import DirichletCharacter, UnitGroupContext, build_unit_group
+from .characters import UnitGroupContext, build_unit_group
 from .errors import BoundsError, ConsistencyError, DomainError
 from .sieve import SieveTables
 
@@ -162,7 +163,7 @@ class IntervalTriple:
     @functools.cached_property
     def character_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """character_sums_all of I1, I2, I3: one FFT per interval."""
-        return tuple(character_sums_all(self.unit_group, iv) for iv in self)
+        return tuple(character_sums_all(self.unit_group, iv.count_vector) for iv in self)
 
 
 def _snap_root(m: int, num: int, den: int) -> float:
@@ -257,29 +258,17 @@ def cardinality_prediction(j: int, m: int, k: int) -> float:
     return log_integral_between(lo, hi) * prod
 
 
-def character_sum(chi: DirichletCharacter, interval: PrimeIntervalSet) -> complex:
-    """S(chi) = sum_{p in I} chi(p-1), computed from the count vector."""
-    if chi.context.modulus != interval.modulus:
-        raise DomainError(
-            f"character mod {chi.context.modulus} vs interval mod {interval.modulus}"
-        )
-    return complex(np.dot(chi.value_vector(), interval.count_vector))
-
-
-def character_sums_all(
-    ctx: UnitGroupContext, interval: PrimeIntervalSet
-) -> np.ndarray:
-    """S(chi) for every character at once (all_characters order).
+def character_sums_all(ctx: UnitGroupContext, counts: np.ndarray) -> np.ndarray:
+    """S(chi) = sum_b counts[b] chi(b) for every character, in the
+    character order of UnitGroupContext.
 
     S(chi_e) = sum_u c[u] exp(2 pi i sum_j e_j dlog_j(u) / o_j) is an
     unnormalised inverse DFT of the counts placed on the discrete-log
-    grid of shape ctx.orders, whose C-order flattening is the
-    all_characters order (the abelian-group FFT).  O(phi log phi) time
-    and O(m) memory; classes off the units contribute nothing.
+    grid of shape ctx.orders (the abelian-group FFT).  O(phi log phi)
+    time and O(m) memory; classes off the units contribute nothing.
     """
-    if ctx.modulus != interval.modulus:
-        raise DomainError("context and interval moduli differ")
-    counts = interval.count_vector
+    if len(counts) != ctx.modulus:
+        raise DomainError(f"{len(counts)} counts for modulus {ctx.modulus}")
     if not ctx.components:  # m = 1: only the trivial character
         return np.array([counts.sum()], dtype=complex)
     units = ctx.units()
@@ -288,40 +277,39 @@ def character_sums_all(
     return np.fft.ifftn(grid, norm="forward").ravel()
 
 
-def rho_definition(chi_d: DirichletCharacter) -> complex:
-    """The shifted-unit average sum_{v mod d} chi_0(v) chi_d(v-1) / phi(d),
-    evaluated directly from its defining sum."""
-    d = _require_primitive(chi_d)
-    vals = chi_d.value_vector()
-    units = chi_d.context.units()
-    return complex(vals[(units - 1) % d].sum()) / chi_d.context.phi
+def _primitive(ctx: UnitGroupContext) -> np.ndarray:
+    """Mask of the primitive characters mod d = ctx.modulus (conductor d)."""
+    if ctx.modulus <= 1:
+        raise DomainError("rho is defined for conductors d > 1")
+    return ctx.conductors() == ctx.modulus
 
 
-def rho_closed_form(chi_d: DirichletCharacter) -> complex:
-    """Closed form mu(d) * chi_d(-1) * prod_{p | d} (p-1)^(-1)."""
-    d = _require_primitive(chi_d)
-    comps = chi_d.context.components
+def rho_definition(ctx: UnitGroupContext) -> np.ndarray:
+    """The shifted-unit average sum_{v mod d} chi_0(v) chi(v-1) / phi(d) of
+    every primitive character chi mod d, in the character order: the
+    character sums of the indicator of the classes v - 1."""
+    primitive = _primitive(ctx)
+    shifted = np.bincount((ctx.units() - 1) % ctx.modulus, minlength=ctx.modulus)
+    return character_sums_all(ctx, shifted)[primitive] / ctx.phi
+
+
+def rho_closed_form(ctx: UnitGroupContext) -> np.ndarray:
+    """Closed form mu(d) * chi(-1) * prod_{p | d} (p-1)^(-1) of every
+    primitive character chi mod d, in the character order."""
+    primitive = _primitive(ctx)
+    comps = ctx.components
     if any(c.alpha >= 2 for c in comps):
-        return 0j
+        return np.zeros(int(primitive.sum()), dtype=complex)
     mu = -1 if len(comps) % 2 else 1
     prod = 1.0
     for c in comps:
         prod /= c.prime - 1
-    return mu * chi_d(-1) * prod
-
-
-def _require_primitive(chi_d: DirichletCharacter) -> int:
-    d = chi_d.context.modulus
-    if d <= 1:
-        raise DomainError("rho is defined for conductors d > 1")
-    if not chi_d.is_primitive():
-        raise DomainError(f"character mod {d} is not primitive")
-    return d
+    return mu * ctx.values_at(-1)[primitive] * prod
 
 
 def parseval_sum(interval: PrimeIntervalSet, ctx: UnitGroupContext) -> float:
     """sum_chi |S(chi)|^2, asserted equal to phi(m) * sum_b c[b]^2."""
-    sums = character_sums_all(ctx, interval)
+    sums = character_sums_all(ctx, interval.count_vector)
     total = float(np.sum(np.abs(sums) ** 2))
     exact = ctx.phi * float(np.sum(interval.count_vector.astype(np.float64) ** 2))
     if not math.isclose(total, exact, rel_tol=PARSEVAL_REL_TOL, abs_tol=1e-9):

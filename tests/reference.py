@@ -1,10 +1,12 @@
 """Reference routes the tests compare phimin against.
 
 They are deliberately literal: loops over every prime triple, a numpy
-totient sieve and interval sets built by primality tests, with no shared
-code path beyond the input checks.
+totient sieve, interval sets built by primality tests and a dense
+character table from brute-force discrete logs, with no shared code path
+beyond the input checks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -92,3 +94,42 @@ def shifted_prime_interval(lo, hi, m):
 def prime_window(lo, width, m):
     """shifted_prime_interval over (lo, lo + width]."""
     return shifted_prime_interval(lo, lo + width, m)
+
+
+def dense_characters(ctx):
+    """phi(m) x m table of chi_e(x), rows in itertools.product order of the
+    exponent vectors e (the C order of the grid of shape ctx.orders).
+
+    Only the component generators and orders are read from ctx, as they
+    fix which character each row is.  The discrete log of x on each
+    component is found by listing the powers of its generator with pow,
+    and each value is exp(2 pi i sum_j ((e_j l_j) mod o_j) / o_j), zero
+    where gcd(x, m) > 1.
+    """
+    m = ctx.modulus
+    comps = ctx.components
+    units = [x for x in range(m) if math.gcd(x, m) == 1]
+    logs = np.zeros((len(units), len(comps)), dtype=np.int64)
+    for j, c in enumerate(comps):
+        log = {pow(c.generator, k, c.prime_power): k for k in range(c.order)}
+        logs[:, j] = [log[x % c.prime_power] for x in units]
+    exps = list(itertools.product(*(range(c.order) for c in comps)))
+    exps = np.array(exps, dtype=np.int64).reshape(len(exps), len(comps))
+    turns = np.zeros((len(exps), len(units)))
+    for j, c in enumerate(comps):
+        turns += np.multiply.outer(exps[:, j], logs[:, j]) % c.order / c.order
+    table = np.zeros((len(exps), m), dtype=complex)
+    table[:, units] = np.exp(2j * np.pi * turns)
+    return table
+
+
+def kernel_conductors(ctx, table):
+    """Conductor of each row of table by its definition: the least d | m
+    with chi(u) = 1 on every unit u = 1 (mod d)."""
+    m = ctx.modulus
+    cond = np.zeros(len(table), dtype=np.int64)
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        kernel = [u for u in range(1, m + 1, d) if math.gcd(u, m) == 1]
+        trivial = np.all(np.abs(table[:, [u % m for u in kernel]] - 1) < 1e-9, axis=1)
+        cond[(cond == 0) & trivial] = d
+    return cond

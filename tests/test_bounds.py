@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from phimin.bounds import (
@@ -9,12 +10,9 @@ from phimin.bounds import (
     interval_count_accuracy,
     rakhmonov_inequality_check,
 )
-from phimin.characters import (
-    DirichletCharacter,
-    all_characters,
-    build_unit_group,
-)
+from phimin.characters import build_unit_group
 from phimin.errors import DomainError
+from phimin.intervals import build_custom_interval
 from phimin.search import exponent_scan
 
 
@@ -75,36 +73,45 @@ class TestIntervalCountAccuracy:
 
 class TestRakhmonov:
     def test_empty_sum_below_two(self, tables):
-        ctx = build_unit_group(5)
-        chi = DirichletCharacter(ctx, [1])
-        lhs, rhs, holds = rakhmonov_inequality_check(chi, 1.5, 5, tables)
-        assert lhs == 0.0 and holds
+        lhs, rhs, holds = rakhmonov_inequality_check(1.5, 5, tables)
+        assert lhs.shape == (3,)
+        assert np.all(lhs == 0.0) and holds.all()
 
     def test_quadratic_mod5_x100(self, tables):
-        ctx = build_unit_group(5)
-        chi = DirichletCharacter(ctx, [2])
-        lhs, rhs, holds = rakhmonov_inequality_check(chi, 100.0, 5, tables)
-        # independent enumeration of the shifted-prime sum
-        want = abs(
-            sum(chi(int(p) - 1) for p in tables.primes_in(0, 100))
-        )
-        assert abs(lhs - want) < 1e-9
-        assert holds and rhs > lhs
+        lhs, rhs, holds = rakhmonov_inequality_check(100.0, 5, tables)
+        # independent enumeration of the shifted-prime sum of the
+        # quadratic character mod 5 (exponent 2, entry 1 after chi0)
+        legendre = {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}
+        want = abs(sum(legendre[(int(p) - 1) % 5] for p in tables.primes_in(0, 100)))
+        assert abs(lhs[1] - want) < 1e-9
+        assert holds[1] and rhs[1] > lhs[1]
 
     def test_holds_across_moduli(self, tables):
         for m in (15, 21):
-            ctx = build_unit_group(m)
             for x in (200.0, 1000.0):
-                for chi in all_characters(ctx):
-                    if chi.is_principal():
-                        continue
-                    lhs, rhs, holds = rakhmonov_inequality_check(chi, x, m, tables)
-                    assert holds, (m, x, chi.exponents, lhs, rhs)
+                lhs, rhs, holds = rakhmonov_inequality_check(x, m, tables)
+                assert holds.all(), (m, x, np.flatnonzero(~holds), lhs, rhs)
 
-    def test_principal_rejected(self, tables):
+    def test_principal_excluded(self, tables):
         ctx = build_unit_group(15)
+        lhs, rhs, holds = rakhmonov_inequality_check(100.0, 15, tables)
+        assert lhs.shape == rhs.shape == holds.shape == (ctx.phi - 1,)
+        # chi0 would sum to the prime count, past every other |S(chi)| here
+        count = build_custom_interval(0.0, 100.0, 15, tables).size
+        assert np.all(lhs < count)
+
+    def test_rhs_per_conductor(self, tables):
+        # the bound depends on chi only through its conductor q
+        ctx = build_unit_group(105)
+        conductors = ctx.conductors()[1:]
+        _, rhs, _ = rakhmonov_inequality_check(1000.0, 105, tables)
+        for q in np.unique(conductors):
+            assert np.unique(rhs[conductors == q]).size == 1
+        assert np.unique(rhs).size == np.unique(conductors).size
+
+    def test_x_beyond_sieve_rejected(self, tables):
         with pytest.raises(DomainError):
-            rakhmonov_inequality_check(all_characters(ctx)[0], 100.0, 15, tables)
+            rakhmonov_inequality_check(tables.limit + 1.0, 15, tables)
 
 
 def test_scan_exponent_regression():

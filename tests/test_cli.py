@@ -242,8 +242,10 @@ class TestCountCommand:
 
 # `phimin verify` records of every suite, frozen before the records were
 # built by one helper.  `lhs` is a rounding residue on most checks, so it is
-# not pinned; every other float is held to 12 significant digits, as in
-# GOLDEN_COUNT.
+# not pinned there; the Rakhmonov `lhs`, the worst ratio |S(chi)|/bound, is
+# a computed quantity and is pinned, frozen from the per-character route
+# before the characters became columns of the discrete-log grid.  Every
+# pinned float is held to 12 significant digits, as in GOLDEN_COUNT.
 GOLDEN_VERIFY = json.loads(
     (pathlib.Path(__file__).parent / "golden_verify.json").read_text()
 )

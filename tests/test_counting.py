@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phimin import cli, counting, intervals
-from phimin.characters import UnitGroupContext, psi_character
+from phimin.characters import UnitGroupContext
 from phimin.counting import (
     conductor_split,
     count_report,
@@ -25,7 +25,6 @@ from phimin.intervals import (
     IntervalTriple,
     PrimeIntervalSet,
     build_custom_interval,
-    character_sum,
 )
 from phimin.search import canonical_triple
 from reference import ENUMERATION_CAP, count_solutions_enumerate, prime_window
@@ -187,14 +186,14 @@ class TestDirectCount:
 
     @staticmethod
     def spy_character_side(monkeypatch):
-        """Record each character-sum FFT by interval index, and each
-        unit-group build by modulus."""
+        """Record each character-sum FFT by the count vector it sums, and
+        each unit-group build by modulus."""
         sums, groups = [], []
         real_sums, real_group = intervals.character_sums_all, intervals.build_unit_group
 
-        def counted_sums(ctx, iv):
-            sums.append(iv.index)
-            return real_sums(ctx, iv)
+        def counted_sums(ctx, counts):
+            sums.append(counts)
+            return real_sums(ctx, counts)
 
         def counted_group(m):
             groups.append(m)
@@ -211,10 +210,18 @@ class TestDirectCount:
         monkeypatch.setattr(UnitGroupContext, "value_matrix", no_table)
         sums, groups = self.spy_character_side(monkeypatch)
         m = 45
-        rep = count_report(2, canonical_triple(m, 2, tables), k=2)
+        triple = canonical_triple(m, 2, tables)
+        rep = count_report(2, triple, k=2)
         assert abs(rep.J_characters - rep.J_direct) <= 1e-6 * (1 + rep.J_direct)
-        assert sorted(sums) == [1, 2, 3]
+        assert self.interval_indices(sums, triple) == [1, 2, 3]
         assert groups == [m]
+
+    @staticmethod
+    def interval_indices(sums, triple):
+        """Sorted interval index of each summed count vector, None for a
+        vector of no interval."""
+        vectors = {id(iv.count_vector): iv.index for iv in triple}
+        return sorted(vectors.get(id(c)) for c in sums)
 
     def test_character_side_built_once_per_triple(self, tables, monkeypatch):
         sums, groups = self.spy_character_side(monkeypatch)
@@ -226,7 +233,7 @@ class TestDirectCount:
             count_report(a, triple, threshold=7.0)
             remainder_term(a, triple)
             psi_term(a, triple)
-        assert sorted(sums) == [1, 2, 3]
+        assert self.interval_indices(sums, triple) == [1, 2, 3]
         assert groups == [m]
 
     def test_bad_threshold_exits_before_counting(self, monkeypatch, capsys):
@@ -287,11 +294,13 @@ class TestDecomposition:
             *(build_custom_interval(bounds[i], bounds[i + 1], m, tables)
               for i in range(3))
         )
-        psi = psi_character(ivs.unit_group)
-        sums = math.prod(character_sum(psi, iv) for iv in ivs)
-        phi = ivs.unit_group.phi
+        ctx = ivs.unit_group
+        (psi,) = np.flatnonzero(ctx.conductors() == 3)
+        sums = math.prod(s[psi] for s in ivs.character_sums)
+        phi = ctx.phi
         for a in units_of(m):
-            want = sums * psi(a).conjugate() * psi(1 + indicator_1am(a, m))
+            chi_a, chi_d = ctx.values_at(a)[psi], ctx.values_at(1 + indicator_1am(a, m))[psi]
+            want = sums * chi_a.conjugate() * chi_d
             assert abs(psi_term(a, ivs) * phi - want) < 1e-9
             assert abs(want - round(want.real)) < 1e-9
 

@@ -7,12 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phimin.arith import log_integral_between
-from phimin.characters import (
-    DirichletCharacter,
-    all_characters,
-    build_unit_group,
-    psi_character,
-)
+from phimin.characters import build_unit_group
 from phimin.errors import BoundsError, DomainError
 from phimin.intervals import (
     IntervalTriple,
@@ -21,14 +16,13 @@ from phimin.intervals import (
     build_custom_interval,
     build_interval,
     cardinality_prediction,
-    character_sum,
     character_sums_all,
     parseval_sum,
     require_disjoint,
     rho_closed_form,
     rho_definition,
 )
-from reference import shifted_prime_interval
+from reference import dense_characters, shifted_prime_interval
 
 
 def canonical(m, k, tables):
@@ -209,59 +203,63 @@ class TestCardinalityPrediction:
             cardinality_prediction(2, 1, 2)
 
 
+def primitive_indices(ctx):
+    """Positions of the primitive characters in the character order: the
+    entries of rho_definition and rho_closed_form, in turn."""
+    return np.flatnonzero(ctx.conductors() == ctx.modulus)
+
+
 class TestCharacterSum:
     def test_principal_gives_size(self, tables):
         for m in (5, 9, 15):
             ctx = build_unit_group(m)
             iv = build_custom_interval(2, 400, m, tables)
-            s = character_sum(all_characters(ctx)[0], iv)
+            s = character_sums_all(ctx, iv.count_vector)[0]
             assert abs(s - iv.size) < 1e-9
 
     def test_hand_case_mod5(self):
         ctx = build_unit_group(5)
-        chi = DirichletCharacter(ctx, [2])
         iv = interval_from_primes([3, 7], 5)
-        assert abs(character_sum(chi, iv)) < 1e-12  # chi(2) + chi(1) = 0
+        # the exponent-2 character: chi(2) + chi(1) = 0
+        assert abs(character_sums_all(ctx, iv.count_vector)[2]) < 1e-12
 
     def test_empty_interval(self, tables):
         ctx = build_unit_group(5)
         iv = build_custom_interval(10, 5, 5, tables)
-        assert character_sum(all_characters(ctx)[0], iv) == 0
+        assert character_sums_all(ctx, iv.count_vector)[0] == 0
 
     def test_modulus_mismatch(self, tables):
         ctx = build_unit_group(9)
         iv = build_custom_interval(2, 40, 15, tables)
         with pytest.raises(DomainError):
-            character_sum(all_characters(ctx)[0], iv)
+            character_sums_all(ctx, iv.count_vector)
 
 
 class TestRho:
     def test_quadratic_mod5(self):
         ctx = build_unit_group(5)
-        chi = DirichletCharacter(ctx, [2])
-        assert abs(rho_definition(chi) - (-0.25)) < 1e-12
-        assert abs(rho_closed_form(chi) - (-0.25)) < 1e-12
+        # the primitive characters mod 5 are exponents 1, 2, 3; 2 is quadratic
+        assert primitive_indices(ctx).tolist() == [1, 2, 3]
+        assert abs(rho_definition(ctx)[1] - (-0.25)) < 1e-12
+        assert abs(rho_closed_form(ctx)[1] - (-0.25)) < 1e-12
 
     def test_primitive_mod9_vanishes(self):
         ctx = build_unit_group(9)
-        for chi in all_characters(ctx):
-            if chi.is_primitive():
-                assert abs(rho_definition(chi)) < 1e-9
-                assert rho_closed_form(chi) == 0
+        definition, closed = rho_definition(ctx), rho_closed_form(ctx)
+        assert definition.shape == closed.shape == (4,)  # 4 primitive characters
+        assert np.all(np.abs(definition) < 1e-9)
+        assert np.all(closed == 0)
 
     def test_mod15_closed_form(self):
         ctx = build_unit_group(15)
-        for chi in all_characters(ctx):
-            if chi.is_primitive():
-                want = chi(-1) / 8  # mu(15) = 1, (3-1)(5-1) = 8
-                assert abs(rho_definition(chi) - want) < 1e-12
+        # mu(15) = 1, (3-1)(5-1) = 8
+        want = ctx.values_at(-1)[primitive_indices(ctx)] / 8
+        assert np.all(np.abs(rho_definition(ctx) - want) < 1e-12)
 
     def test_closed_form_sweep_to_45(self):
         for d in range(3, 46, 2):
             ctx = build_unit_group(d)
-            for chi in all_characters(ctx):
-                if chi.is_primitive():
-                    assert abs(rho_definition(chi) - rho_closed_form(chi)) < 1e-9
+            assert np.all(np.abs(rho_definition(ctx) - rho_closed_form(ctx)) < 1e-9)
 
     def test_magnitude_for_squarefree(self):
         for d in (15, 21, 33):
@@ -269,17 +267,19 @@ class TestRho:
             want = 1.0
             for c in ctx.components:
                 want /= c.prime - 1
-            for chi in all_characters(ctx):
-                if chi.is_primitive():
-                    assert abs(abs(rho_closed_form(chi)) - want) < 1e-12
+            assert np.all(np.abs(np.abs(rho_closed_form(ctx)) - want) < 1e-12)
 
     def test_rejects_imprimitive_and_trivial(self):
+        # only primitive characters are evaluated: mod 9 the conductor-3
+        # character (exponent 3) is not among them
         ctx = build_unit_group(9)
-        with pytest.raises(DomainError):
-            rho_definition(DirichletCharacter(ctx, [3]))  # conductor 3
+        assert primitive_indices(ctx).tolist() == [1, 2, 4, 5]
+        assert rho_definition(ctx).size == rho_closed_form(ctx).size == 4
         ctx1 = build_unit_group(1)
         with pytest.raises(DomainError):
-            rho_definition(all_characters(ctx1)[0])
+            rho_definition(ctx1)
+        with pytest.raises(DomainError):
+            rho_closed_form(ctx1)
 
 
 class TestParseval:
@@ -312,7 +312,7 @@ class TestParseval:
 
 
 def count_vector_interval(counts, m):
-    """Interval set that carries only a count vector, for the sums."""
+    """Interval set that carries only a count vector, for Parseval."""
     return PrimeIntervalSet(None, 0.0, 0.0, m, np.empty(0, dtype=np.int64), counts)
 
 
@@ -320,7 +320,7 @@ odd_moduli = st.integers(0, 199).map(lambda i: 2 * i + 1)
 
 
 class TestCharacterSumsFFT:
-    """The grid FFT against the dense value_matrix reference."""
+    """The grid FFT against the dense reference table."""
 
     @settings(max_examples=40, deadline=None)
     @given(m=odd_moduli, data=st.data())
@@ -331,8 +331,8 @@ class TestCharacterSumsFFT:
             data.draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m)),
             dtype=np.int64,
         )
-        got = character_sums_all(ctx, count_vector_interval(counts, m))
-        want = ctx.value_matrix() @ counts
+        got = character_sums_all(ctx, counts)
+        want = dense_characters(ctx) @ counts
         assert got.shape == (ctx.phi,)
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * max(counts.sum(), 1)
 
@@ -340,7 +340,7 @@ class TestCharacterSumsFFT:
     @given(m=odd_moduli, x=st.integers(-10**6, 10**6))
     def test_values_at_match_dense_columns(self, m, x):
         ctx = build_unit_group(m)
-        v = ctx.value_matrix()
+        v = dense_characters(ctx)
         non_units = [0, ctx.components[0].prime] if m > 1 else []
         for y in (x, 1, -1, *non_units):
             assert np.max(np.abs(ctx.values_at(y) - v[:, y % m])) < 1e-12
@@ -360,9 +360,14 @@ class TestCharacterSumsFFT:
 
     def test_trivial_group(self):
         ctx = build_unit_group(1)
-        iv = count_vector_interval(np.array([7], dtype=np.int64), 1)
-        assert character_sums_all(ctx, iv).tolist() == [7]
+        assert character_sums_all(ctx, np.array([7], dtype=np.int64)).tolist() == [7]
         assert ctx.values_at(5).tolist() == [1]
+
+
+def psi_column(ctx):
+    """Position of psi, the one character of conductor 3."""
+    (psi,) = np.flatnonzero(ctx.conductors() == 3)
+    return psi
 
 
 class TestPsiSumIdentity:
@@ -375,9 +380,10 @@ class TestPsiSumIdentity:
                 build_custom_interval(float(m), 2.0 * m, m, tables),
                 build_custom_interval(3.0, float(m), m, tables),
             )
-            psi = psi_character(ctx)
-            for iv in ivs:
-                assert abs(character_sum(psi, iv) - iv.size) < 1e-9
+            psi = psi_column(ctx)
+            s = [character_sums_all(ctx, iv.count_vector)[psi] for iv in ivs]
+            for iv, s_psi in zip(ivs, s):
+                assert abs(s_psi - iv.size) < 1e-9
             product = ivs[0].size * ivs[1].size * ivs[2].size
             assert product > 0
             for a in range(1, m):
@@ -385,11 +391,9 @@ class TestPsiSumIdentity:
                     continue
                 delta = 1 if a % 3 == 2 else 0
                 val = (
-                    character_sum(psi, ivs[0])
-                    * character_sum(psi, ivs[1])
-                    * character_sum(psi, ivs[2])
-                    * psi(a).conjugate()
-                    * psi(1 + delta)
+                    s[0] * s[1] * s[2]
+                    * ctx.values_at(a)[psi].conjugate()
+                    * ctx.values_at(1 + delta)[psi]
                 )
                 assert abs(val - product) < 1e-9
 
@@ -398,6 +402,5 @@ class TestPsiSumIdentity:
         ctx = build_unit_group(15)
         iv = build_custom_interval(2.0, 8.0, 15, tables)
         assert 3 in iv.primes.tolist()
-        psi = psi_character(ctx)
-        assert abs(character_sum(psi, iv) - iv.size) > 1.0
-
+        s_psi = character_sums_all(ctx, iv.count_vector)[psi_column(ctx)]
+        assert abs(s_psi - iv.size) > 1.0

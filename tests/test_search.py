@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -338,15 +339,32 @@ class TestConstructiveSearch:
         else:
             assert (w.n, (w.p1, w.p2, w.p3), w.delta) == (*best, indicator_1am(a, m))
 
-    def test_products_past_int64(self):
+    def test_products_past_int64(self, monkeypatch):
         # the products p1 p2 p3 straddle 2^63, where int64 would wrap the
-        # larger ones to negative values below the true minimum
-        for m in (7, 21):
-            triple = IntervalTriple(
-                *(prime_window(lo, 300, m) for lo in (2_096_552, 2_097_002, 2_097_452))
-            )
+        # larger ones to negative values below the true minimum; a spy on
+        # the dtype of _least_products shows which path each case takes
+        cases = [
+            # the least prime of every class keeps the bound below 2^63 - 1
+            (7, (2_096_552, 2_097_002, 2_097_452), "int64"),
+            # the least class primes alone push the bound past 2^63
+            (7, (2_096_652, 2_097_102, 2_097_552), "object"),
+            # each d group's bound passes 2^63 - 1, and the witnesses
+            # themselves lie on both sides of 2^63
+            (21, (2_096_552, 2_097_002, 2_097_452), "object"),
+        ]
+        paths = []
+        real = search._least_products
+
+        def spy(px, py, pz, dtype, empty):
+            paths.append(np.dtype(dtype).name)
+            return real(px, py, pz, dtype, empty)
+
+        monkeypatch.setattr(search, "_least_products", spy)
+        for m, lows, path in cases:
+            triple = IntervalTriple(*(prime_window(lo, 300, m) for lo in lows))
             assert math.prod(int(iv.primes[-1]) for iv in triple) > 2**63
             assert math.prod(int(iv.primes[0]) for iv in triple) < 2**63
+            paths.clear()
             hits = 0
             for a in units_of(m):
                 best = least_witness(a, triple)
@@ -358,8 +376,9 @@ class TestConstructiveSearch:
                 assert (w.n, (w.p1, w.p2, w.p3)) == best
                 assert all(type(p) is int for p in (w.p1, w.p2, w.p3))
             assert hits
-            # every unit at once, reversed and repeated; at m = 21 each
-            # d group's bound passes 2^63 - 1, so every unit takes Python ints
+            assert paths and set(paths) == {path}, (m, lows)
+            # every unit at once, reversed and repeated, takes the same path
+            paths.clear()
             units = units_of(m)[::-1] * 2
             got = least_witnesses(units, triple)
             assert [
@@ -368,6 +387,7 @@ class TestConstructiveSearch:
             assert all(
                 type(p) is int for w in got if w for p in (w.p1, w.p2, w.p3)
             )
+            assert paths and set(paths) == {path}, (m, lows)
 
     def test_one_grid_serves_units_in_any_order(self, tables):
         # I1 holds 2, which a = 2 (mod 3) units must skip and the others
