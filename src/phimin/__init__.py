@@ -43,7 +43,6 @@ from .errors import (
 from .intervals import (
     IntervalTriple,
     PrimeIntervalSet,
-    SmallKWarning,
     build_custom_interval,
     build_interval,
     cardinality_prediction,

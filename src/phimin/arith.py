@@ -1,6 +1,6 @@
 """Elementary arithmetic: the input rules for a modulus m and a class
-a (mod m), factorization, multiplicative functions, primitive roots, and
-the logarithmic integral int_a^b dt/log t.
+a (mod m), factorization, the units of m, multiplicative functions,
+primitive roots, and the logarithmic integral int_a^b dt/log t.
 """
 
 from __future__ import annotations
@@ -89,6 +89,14 @@ def trial_factorize(n: int) -> Factorization:
     if n > 1:
         out.append((n, 1))
     return Factorization(tuple(out))
+
+
+def unit_mask(m: int) -> np.ndarray:
+    """mask[b] is gcd(b, m) == 1 for b in 0..m-1, m >= 1: the units of m."""
+    mask = np.ones(m, dtype=bool)
+    for p in trial_factorize(m).primes():
+        mask[::p] = False
+    return mask
 
 
 def divisor_count(f: Factorization) -> int:

@@ -6,7 +6,6 @@ and Rakhmonov's shifted-prime character sum bound.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .intervals import (
 from .sieve import SieveTables, build_sieve
 
 CONSTANT_CEILING = 0.53
-_EXACT_CUTOFF = 10**4
 
 
 def euler_product_constant(prime_cutoff: int) -> tuple[float, float]:
@@ -38,26 +36,16 @@ def euler_product_constant(prime_cutoff: int) -> tuple[float, float]:
     From cutoff 1000 on the tail is small enough to certify, and the
     function raises if value + tail_bound fails to stay below 0.53.
 
-    Exact rational arithmetic up to cutoff 10^4, extended-precision
-    floats beyond.
+    One np.longdouble product of at most cutoff/2 factors, each rounded at
+    most three times by eps/2, so the relative error stays below
+    cutoff * eps (eps = 2^-63 on x86-64), far below the 0.12 margin to 0.53.
     """
     if prime_cutoff < 3:
         raise DomainError(f"cutoff must be >= 3, got {prime_cutoff}")
     primes = build_sieve(prime_cutoff).primes
-    primes = primes[primes >= 3]
-    if prime_cutoff <= _EXACT_CUTOFF:
-        prod_exact = Fraction(1)
-        for p in primes:
-            p = int(p)
-            prod_exact *= 1 + Fraction(1, (p - 2) ** 2)
-        product = prod_exact
-        value = float(prod_exact - 2)
-    else:
-        acc = np.longdouble(0.0)
-        for p in primes:
-            acc += np.log1p(np.longdouble(1.0) / np.longdouble(int(p) - 2) ** 2)
-        product = np.exp(acc)
-        value = float(product - 2)
+    odd = primes[primes >= 3].astype(np.longdouble)
+    product = np.prod(1 + 1 / (odd - 2) ** 2)
+    value = float(product - 2)
     tail_sum = 1.0 / (prime_cutoff - 2)
     tail_bound = float(product * math.expm1(tail_sum))
     if prime_cutoff >= 1000 and value + tail_bound >= CONSTANT_CEILING:

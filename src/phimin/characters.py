@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import check_odd_modulus, primitive_root, trial_factorize
+from .arith import check_odd_modulus, primitive_root, trial_factorize, unit_mask
 
 
 @dataclass(frozen=True)
@@ -59,21 +59,16 @@ class UnitGroupContext:
 
     def _build_tables(self) -> None:
         m = self.modulus
-        residues = np.arange(max(m, 1), dtype=np.int64)
-        unit_mask = np.ones(max(m, 1), dtype=bool)
-        dlogs = np.zeros((len(self.components), max(m, 1)), dtype=np.int64)
+        self.unit_mask = unit_mask(m)
+        self.dlogs = np.zeros((len(self.components), m), dtype=np.int64)
         for i, comp in enumerate(self.components):
-            table = np.full(comp.prime_power, -1, dtype=np.int64)
+            table = np.zeros(comp.prime_power, dtype=np.int64)
             cur = 1
             for j in range(comp.order):
                 table[cur] = j
                 cur = cur * comp.generator % comp.prime_power
-            local = table[residues % comp.prime_power]
-            unit_mask &= local >= 0
-            dlogs[i] = local
-        dlogs[:, ~unit_mask] = 0
-        self.unit_mask = unit_mask
-        self.dlogs = dlogs
+            self.dlogs[i] = np.tile(table, m // comp.prime_power)
+        self.dlogs[:, ~self.unit_mask] = 0
         T = self.value_order
         self.roots = np.exp(2j * np.pi * np.arange(T) / T)
 

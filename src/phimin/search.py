@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import check_odd_modulus, check_reduced_odd
+from .arith import check_odd_modulus, check_reduced_odd, unit_mask
 # count_solutions_direct stays importable here: bench/worker.py traces it by name
 from .counting import count_solutions_direct, direct_counts, indicator_1am  # noqa: F401
 from .errors import BoundsError, DomainError
 from .intervals import (
     IntervalTriple,
-    SmallKWarning,
     build_interval,
     first_index,
     interval_sieve_limit,
@@ -161,7 +159,8 @@ def oracle_N_multi(
 
 
 def canonical_triple(m: int, k: int, tables: SieveTables) -> IntervalTriple:
-    """The checked canonical triple I1, I2, I3 for modulus m and k."""
+    """The checked canonical triple I1, I2, I3 for modulus m and k; a k
+    below 10 is valid and only weakens the exponent 2 + 2/k."""
     return IntervalTriple(*(build_interval(j, m, k, tables) for j in (1, 2, 3)))
 
 
@@ -266,7 +265,7 @@ def default_cap(m: int) -> int:
 
 
 def _sample_units(m: int, a_sample: int | str) -> list[int]:
-    units = [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
+    units = np.flatnonzero(unit_mask(m)).tolist()
     return units if a_sample == "all" else units[: int(a_sample)]
 
 
@@ -296,12 +295,10 @@ def _scan_one_m(
     rows = []
     oracle = oracle_N_multi(a_values, m, default_cap(m), tables)
     triple = error = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallKWarning)
-        try:
-            triple = canonical_triple(m, k, tables)
-        except DomainError as exc:
-            error = str(exc)
+    try:
+        triple = canonical_triple(m, k, tables)
+    except DomainError as exc:
+        error = str(exc)
     deltas = [indicator_1am(a, m) for a in a_values]
     witnesses = counts = [None] * len(a_values)
     if triple is not None:

@@ -1,13 +1,14 @@
 """Reference routes the tests compare phimin against.
 
 They are deliberately literal: loops over every prime triple, a numpy
-totient sieve, interval sets built by primality tests and a dense
-character table from brute-force discrete logs, with no shared code path
-beyond the input checks.
+totient sieve, interval sets built by primality tests, a dense character
+table from brute-force discrete logs and an exact rational Euler product,
+with no shared code path beyond the input checks.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,3 +134,13 @@ def kernel_conductors(ctx, table):
         trivial = np.all(np.abs(table[:, [u % m for u in kernel]] - 1) < 1e-9, axis=1)
         cond[(cond == 0) & trivial] = d
     return cond
+
+
+def euler_product_exact(cutoff):
+    """prod (1 + (p-2)^(-2)) over the odd primes p <= cutoff as an exact
+    Fraction, the primes found by primality tests."""
+    product = Fraction(1)
+    for p in range(3, cutoff + 1, 2):
+        if is_prime(p):
+            product *= 1 + Fraction(1, (p - 2) ** 2)
+    return product

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phimin import cli
 from phimin.arith import (
@@ -11,6 +13,7 @@ from phimin.arith import (
     log_integral_between,
     primitive_root,
     trial_factorize,
+    unit_mask,
 )
 from phimin.characters import build_unit_group
 from phimin.errors import DomainError, EvenModulusError
@@ -63,6 +66,24 @@ class TestFactorize:
             assert primes == sorted(set(primes))
             assert all(is_prime(p) and e >= 1 for p, e in f.factors)
             assert math.prod(p**e for p, e in f.factors) == n
+
+
+# odd m to about 5,000, with 1, powers of 3, odd prime powers and odd
+# multiples of 3 drawn on purpose
+unit_moduli = st.one_of(
+    st.integers(0, 2499).map(lambda i: 2 * i + 1),
+    st.integers(0, 832).map(lambda i: 3 * (2 * i + 1)),
+    st.integers(1, 7).map(lambda j: 3**j),
+    st.sampled_from([1, 25, 125, 625, 3125, 49, 343, 2401, 121, 1331, 169, 2197]),
+)
+
+
+class TestUnitMask:
+    @settings(deadline=None)
+    @given(m=unit_moduli)
+    def test_matches_gcd(self, m):
+        assert unit_mask(m).tolist() == [math.gcd(b, m) == 1 for b in range(m)]
+
 
 class TestTrialFactorize:
     def test_matches_sieve_factorization(self):

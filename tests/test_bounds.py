@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from phimin.characters import build_unit_group
 from phimin.errors import DomainError
 from phimin.intervals import build_custom_interval
 from phimin.search import exponent_scan
+from reference import euler_product_exact
 
 
 class TestEulerProductConstant:
@@ -44,10 +46,13 @@ class TestEulerProductConstant:
             v, t = euler_product_constant(c)
             assert v + t < CONSTANT_CEILING
 
-    def test_exact_and_float_paths_agree(self):
-        v_exact, _ = euler_product_constant(10**4)
-        v_float, _ = euler_product_constant(10**4 + 1)  # float path, same primes
-        assert abs(v_exact - v_float) < 1e-12
+    def test_matches_exact_reference(self):
+        for cutoff in (3, 7, 1000, 10**4):
+            value, tail = euler_product_constant(cutoff)
+            exact = euler_product_exact(cutoff)
+            want_tail = float(exact) * math.expm1(1 / (cutoff - 2))
+            assert math.isclose(value, float(exact - 2), rel_tol=1e-15)
+            assert math.isclose(tail, want_tail, rel_tol=1e-15)
 
     def test_small_cutoff_rejected(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phimin.arith import unit_mask
 from phimin.characters import build_unit_group
 from phimin.errors import EvenModulusError
 from phimin.intervals import character_sums_all
@@ -259,3 +260,5 @@ class TestGridAgainstReference:
         for y in (x, 1, -1, 0, ctx.components[0].prime if m > 1 else 0):
             assert np.max(np.abs(ctx.values_at(y) - table[:, y % m])) < 1e-12
         assert ctx.conductors().tolist() == kernel_conductors(ctx, table).tolist()
+        assert ctx.unit_mask.tolist() == unit_mask(m).tolist()
+        assert not ctx.dlogs[:, ~ctx.unit_mask].any()  # dlogs are 0 off the units

@@ -8,7 +8,6 @@ import warnings
 import pytest
 
 from phimin import cli, search
-from phimin.intervals import SmallKWarning
 
 
 def run_cli(*args, env=None):
@@ -80,14 +79,39 @@ class TestSearchCommand:
         r = run_cli("search", "--a", "1")
         assert r.returncode == 2
 
-    def test_small_k_warning_is_one_line(self):
-        r = run_cli("search", "--m", "5", "--a", "2", "--k", "2")
+    @pytest.mark.parametrize("command", ["search", "count"])
+    def test_small_k_warning_is_one_line(self, command):
+        def advice(k):
+            return (
+                f"phimin: warning: k={k} below 10: asymptotic exponents degrade, "
+                "identities are unaffected\n"
+            )
+
+        for k in (2, 9, 10):
+            r = run_cli(command, "--m", "1031", "--a", "2", "--k", str(k))
+            assert r.returncode == 0
+            assert r.stderr == (advice(k) if k < 10 else "")
+        # k = 1 is rejected before the advice
+        r = run_cli(command, "--m", "1031", "--a", "2", "--k", "1")
+        assert r.returncode == 2
+        assert r.stderr == "phimin: k must be >= 2, got 1\n"
+        # the advice comes before the check of the triple, which fails here
+        r = run_cli(command, "--m", "5", "--a", "2", "--k", "9")
+        assert r.returncode == 2
+        collision = "phimin: interval sets 1 and 2 share primes at m=5\n"
+        assert r.stderr == advice(9) + collision
+
+    # the library does not warn, so the commands that build intervals at
+    # k = 2 without going through search or count print nothing
+    @pytest.mark.parametrize(
+        "argv",
+        [["scan", "--m-range", "9:11", "--k", "2"], ["verify", "--suite", "lemma1"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_advice_elsewhere(self, argv):
+        r = run_cli(*argv)
         assert r.returncode == 0
-        assert r.stderr == (
-            "phimin: warning: k=2 below 10: asymptotic exponents degrade, "
-            "identities are unaffected\n"
-        )
-        assert run_cli("search", "--m", "1031", "--a", "2", "--k", "10").stderr == ""
+        assert r.stderr == ""
 
     # main looks each command up by name when it runs, so every cmd_* can be
     # replaced after import
@@ -102,16 +126,14 @@ class TestSearchCommand:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_warnings_shown_when_command_raises(self, argv, monkeypatch, capsys):
+    def test_warnings_shown_when_command_raises(self, argv, monkeypatch):
         def failing(args):
-            warnings.warn("k=2 below 10: x", SmallKWarning)
             warnings.warn("other", UserWarning)
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, f"cmd_{argv[0]}", failing)
         with pytest.warns(UserWarning, match="other"), pytest.raises(RuntimeError):
             cli.main(argv)
-        assert capsys.readouterr().err == "phimin: warning: k=2 below 10: x\n"
 
     def test_parser_built_once(self, capsys):
         cli.build_parser.cache_clear()
