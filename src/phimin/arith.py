@@ -99,6 +99,24 @@ def unit_mask(m: int) -> np.ndarray:
     return mask
 
 
+def unit_inverses(b: np.ndarray, m: int) -> np.ndarray:
+    """b^-1 mod m for an int64 array of units b of m >= 1, as
+    b^(phi(m) - 1) by square-and-multiply over the whole array.
+
+    Precondition: m^2 < 2^63, so that every product of two residues below
+    m is exact in int64; the caller checks it.
+    """
+    e = math.prod(p ** (a - 1) * (p - 1) for p, a in trial_factorize(m).factors) - 1
+    inv = np.full_like(b, 1 % m)
+    base = b % m
+    while e:
+        if e & 1:
+            inv = inv * base % m
+        base = base * base % m
+        e >>= 1
+    return inv
+
+
 def divisor_count(f: Factorization) -> int:
     return math.prod(e + 1 for _, e in f.factors)
 

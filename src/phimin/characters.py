@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import check_odd_modulus, primitive_root, trial_factorize, unit_mask
+from .errors import BoundsError
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,15 @@ class UnitGroupContext:
 
     def _build_tables(self) -> None:
         m = self.modulus
+        for comp in self.components:
+            if comp.prime_power**2 > 2**63 - 1:
+                raise BoundsError(
+                    f"int64 power table products would overflow mod {comp.prime_power}"
+                )
         self.unit_mask = unit_mask(m)
         self.dlogs = np.zeros((len(self.components), m), dtype=np.int64)
         for i, comp in enumerate(self.components):
-            table = np.zeros(comp.prime_power, dtype=np.int64)
-            cur = 1
-            for j in range(comp.order):
-                table[cur] = j
-                cur = cur * comp.generator % comp.prime_power
-            self.dlogs[i] = np.tile(table, m // comp.prime_power)
+            self.dlogs[i] = np.tile(_dlog_table(comp), m // comp.prime_power)
         self.dlogs[:, ~self.unit_mask] = 0
         T = self.value_order
         self.roots = np.exp(2j * np.pi * np.arange(T) / T)
@@ -131,6 +132,23 @@ def build_unit_group(m: int) -> UnitGroupContext:
             Component(prime=p, alpha=a, prime_power=pp, generator=g, order=pp - pp // p)
         )
     return UnitGroupContext(m, comps)
+
+
+def _dlog_table(comp: Component) -> np.ndarray:
+    """table[g^j mod q] = j for 0 <= j < order, 0 off the units, q the
+    prime power.  The powers are built by doubling, pw[n:2n] = pw[:n] g^n
+    mod q, so each product of two residues needs q^2 < 2^63."""
+    q, order = comp.prime_power, comp.order
+    pw = np.empty(order, dtype=np.int64)
+    pw[0] = 1
+    n = 1
+    while n < order:
+        step = min(n, order - n)
+        np.remainder(pw[:step] * pow(comp.generator, n, q), q, out=pw[n : n + step])
+        n += step
+    table = np.zeros(q, dtype=np.int64)
+    table[pw] = np.arange(order)
+    return table
 
 
 def _component_conductors(comp: Component) -> np.ndarray:

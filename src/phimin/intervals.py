@@ -17,7 +17,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import check_odd_modulus, log_integral_between, trial_factorize, unit_mask
+from .arith import (
+    check_odd_modulus,
+    log_integral_between,
+    trial_factorize,
+    unit_inverses,
+    unit_mask,
+)
 from .characters import UnitGroupContext, build_unit_group
 from .errors import BoundsError, ConsistencyError, DomainError
 from .sieve import SieveTables
@@ -29,8 +35,8 @@ GRID_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class PrimeIntervalSet:
-    """Primes p in (lo, hi] with gcd(p-1, m) = 1, ascending, plus residue
-    counts."""
+    """Primes p in (lo, hi] with gcd(p-1, m) = 1, ascending, their classes
+    (p - 1) mod m, and residue counts."""
 
     index: int | None
     lo: float
@@ -38,10 +44,18 @@ class PrimeIntervalSet:
     modulus: int
     primes: np.ndarray = field(repr=False)
     count_vector: np.ndarray = field(repr=False)
+    classes: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return int(self.primes.size)
+
+    def least_per_class(self, skip: int = 0) -> np.ndarray:
+        """Least prime of primes[skip:] in each class of p - 1 mod m, 0 for
+        an empty class; the primes ascend, so that is the one at each
+        class's first index."""
+        first = first_index(self.classes[skip:], self.modulus)
+        return np.append(self.primes[skip:], 0)[first]
 
 
 def require_disjoint(*intervals: PrimeIntervalSet) -> None:
@@ -68,12 +82,6 @@ def first_index(residues: np.ndarray, m: int) -> np.ndarray:
     first = np.full(m, residues.size)
     np.minimum.at(first, residues, np.arange(residues.size))
     return first
-
-
-def smallest_per_class(primes: np.ndarray, m: int) -> np.ndarray:
-    """Least prime in each class of p - 1 mod m, 0 for an empty class;
-    the primes ascend, so that is the one at each class's first index."""
-    return np.append(primes, 0)[first_index((primes - 1) % m, m)]
 
 
 class ClassGrid(NamedTuple):
@@ -141,15 +149,13 @@ class IntervalTriple:
         occupied = [np.flatnonzero(iv.count_vector) for iv in ivs]
         axes = tuple(sorted(range(3), key=lambda j: occupied[j].size))
         x, y = (occupied[j] for j in axes[:2])
-        inv_x, inv_y = (
-            np.array([pow(int(b), -1, m) for b in c], dtype=np.int64) for c in (x, y)
-        )
-        return ClassGrid(m, axes, x, y, np.outer(inv_x, inv_y) % m)
+        inv = unit_inverses(np.concatenate((x, y)), m)
+        return ClassGrid(m, axes, x, y, np.outer(inv[: x.size], inv[x.size :]) % m)
 
     @functools.cached_property
     def least_primes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """smallest_per_class of I1, I2, I3, which only the search reads."""
-        return tuple(smallest_per_class(iv.primes, self.modulus) for iv in self)
+        """least_per_class of I1, I2, I3, which only the search reads."""
+        return tuple(iv.least_per_class() for iv in self)
 
     @functools.cached_property
     def unit_group(self) -> UnitGroupContext:
@@ -204,11 +210,17 @@ def _make_interval(
     unit = unit_mask(m)
     res = primes - 1
     res %= m
-    primes = primes[unit[res]]
+    kept = unit[res]
     counts = np.bincount(res, minlength=m).astype(np.int64)
     counts[~unit] = 0  # the classes of the dropped primes
     return PrimeIntervalSet(
-        index=index, lo=lo, hi=hi, modulus=m, primes=primes, count_vector=counts
+        index=index,
+        lo=lo,
+        hi=hi,
+        modulus=m,
+        primes=primes[kept],
+        count_vector=counts,
+        classes=res[kept],
     )
 
 

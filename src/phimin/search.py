@@ -24,7 +24,6 @@ from .intervals import (
     build_interval,
     first_index,
     interval_sieve_limit,
-    smallest_per_class,
 )
 from .sieve import SieveTables, build_sieve
 
@@ -199,7 +198,7 @@ def least_witnesses(
             # phi-witnesses even when they satisfy the formal congruence.
             for j, iv in enumerate(triple):
                 if iv.size and iv.primes[0] == 2:
-                    smallest[j] = smallest_per_class(iv.primes[1:], m)
+                    smallest[j] = iv.least_per_class(skip=1)
         sx, sy, sz = (smallest[j] for j in grid.axes)
         px, py = sx[grid.x], sy[grid.y]
         top = 4**delta * int(px.max()) * int(py.max())

@@ -1,18 +1,17 @@
-"""Prime sieves: the sorted list of primes up to a limit.
+"""Prime sieves: the primes in a window (lo, hi] below a limit.
 
-The primes list feeds interval enumeration and the base primes of the
-streamed totients.  A smallest-prime-factor (SPF) array up to
-isqrt(limit) gives the base primes as its fixed points, and one
-odd-only segmented Eratosthenes pass (Bays and Hudson, BIT 17, 1977)
-over [2, limit] gives every prime, so memory stays at one segment of
-flags, one per odd number, plus the list itself.  No query reads the
-SPF array (factorization is trial division): it is stored only because
-the traced benchmark reports its size, until the benchmark reads
-counters the package reports itself.
+A smallest-prime-factor (SPF) array up to isqrt(limit) is built eagerly;
+its fixed points are the base primes of every window.  One odd-only
+segmented Eratosthenes pass (Bays and Hudson, BIT 17, 1977) over a window
+(lo, hi] gives the primes there, so memory stays at one segment of flags,
+one per odd number, plus the window's list.  The list of every prime up
+to the limit is that same pass over (1, limit], built on first use: the
+interval builds read only their own windows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,26 +27,35 @@ SEGMENT_SIZE = 1 << 22
 class SieveTables:
     """Immutable sieve data up to `limit`.
 
-    `primes` holds every prime <= limit, from the odd-only segmented
-    pass.  spf[n] is the smallest prime factor of n for
-    2 <= n <= isqrt(limit) (spf[0] = spf[1] = 0); it is the base-prime
-    table of that pass, nothing in the package reads it, and it stays
-    only for the traced benchmark's byte count.
+    spf[n] is the smallest prime factor of n for 2 <= n <= isqrt(limit)
+    (spf[0] = spf[1] = 0); its fixed points are the base primes that
+    primes_in strikes with.  `primes` holds every prime <= limit and is
+    built on first read.
     """
 
     limit: int
     spf: np.ndarray = field(repr=False)
-    primes: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def _odd_base(self) -> list[int]:
+        """The odd primes up to isqrt(limit): the fixed points of spf past 2."""
+        return np.flatnonzero(self.spf == np.arange(self.spf.size))[2:].tolist()
+
+    @functools.cached_property
+    def primes(self) -> np.ndarray:
+        """Every prime <= limit: primes_in over (1, limit]."""
+        return self.primes_in(1, self.limit)
 
     def primes_in(self, lo: float, hi: float) -> np.ndarray:
-        """Primes p with lo < p <= hi, from the stored list."""
+        """Primes p with lo < p <= hi, ascending, sieved over that window."""
         if hi > self.limit:
             raise BoundsError(
                 f"range (..., {hi}] exceeds sieve limit {self.limit}"
             )
-        i = np.searchsorted(self.primes, lo, side="right")
-        j = np.searchsorted(self.primes, hi, side="right")
-        return self.primes[i:j]
+        lo, hi = max(math.floor(lo), 1), math.floor(hi)
+        if hi <= lo:
+            return np.empty(0, dtype=np.int64)
+        return _segmented_primes(lo, hi, self._odd_base)
 
 
 def _spf_array(limit: int) -> np.ndarray:
@@ -69,27 +77,40 @@ def prime_count_bound(x: int) -> int:
     return int(x / log * (1 + 1.2762 / log)) + 1
 
 
-def _segmented_primes(hi: int, base: list[int]) -> np.ndarray:
-    """Primes in [2, hi] from the odd primes up to sqrt(hi).  The list is
-    allocated once from prime_count_bound, filled segment by segment and
-    shrunk in place, so the peak is the list plus one segment's flags and
-    indices."""
-    primes = np.empty(prime_count_bound(hi), dtype=np.int64)
-    primes[0] = 2
-    count = 1
+def window_prime_bound(lo: int, hi: int) -> int:
+    """An integer at least pi(hi) - pi(lo), the number of primes in the
+    window (lo, hi], for 1 <= lo < hi: prime_count_bound(hi) less Rosser
+    and Schoenfeld's pi(x) >= x / ln x for x >= 17, and never more than
+    the window's odd numbers plus one for 2."""
+    bound = prime_count_bound(hi)
+    if lo >= 17:
+        bound -= int(lo / math.log(lo))
+    return min(bound, (hi + 1) // 2 - (lo + 1) // 2 + 1)
+
+
+def _segmented_primes(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """Primes in (lo, hi], 1 <= lo < hi, from the odd primes up to
+    sqrt(hi).  The list is allocated once from window_prime_bound, filled
+    segment by segment and shrunk in place, so the peak is the list plus
+    one segment's flags and indices."""
+    primes = np.empty(window_prime_bound(lo, hi), dtype=np.int64)
+    count = 0
+    if lo < 2:
+        primes[0] = 2
+        count = 1
     n = (hi + 1) // 2  # the odd numbers 1, 3, ..., <= hi
-    for s in range(0, n, SEGMENT_SIZE):
+    for s in range((lo + 1) // 2, n, SEGMENT_SIZE):  # from the first odd > lo
         count += _odd_segment(s, min(s + SEGMENT_SIZE, n), base, primes[count:])
     primes.resize(count, refcheck=False)
     return primes
 
 
 def _odd_segment(s: int, e: int, base: list[int], out: np.ndarray) -> int:
-    """Write the odd primes among flags s..e-1 to the front of `out` and
-    return how many there are.  Flag i of the odd-only array stands for
-    2i + 1, and the odd base primes strike their multiples from p^2 on."""
+    """Write the odd primes among flags s..e-1, s >= 1, to the front of
+    `out` and return how many there are.  Flag i of the odd-only array
+    stands for 2i + 1, and the odd base primes strike their multiples
+    from p^2 on."""
     is_prime = np.ones(e - s, dtype=bool)
-    is_prime[0] = s > 0  # flag 0 of the first segment is 1
     for p in base:
         if p * p // 2 >= e:
             break
@@ -97,19 +118,16 @@ def _odd_segment(s: int, e: int, base: list[int], out: np.ndarray) -> int:
         is_prime[first - s :: p] = False
     idx = np.flatnonzero(is_prime)
     out = out[: idx.size]
-    out[:] = idx
-    out += s  # flag indices become odd primes in place, with no temporaries
-    out *= 2
-    out += 1
+    np.multiply(idx, 2, out=out)  # flag s + i is the odd number 2(s + i) + 1
+    out += 2 * s + 1
     return idx.size
 
 
 def build_sieve(limit: int) -> SieveTables:
-    """Build sieve tables covering 2..limit."""
+    """Build sieve tables covering 2..limit: the SPF base table now, the
+    primes of each window when it is read."""
     if limit < 2:
         raise BoundsError(f"sieve limit must be >= 2, got {limit}")
     if limit > HARD_LIMIT_CAP:
         raise BoundsError(f"sieve limit {limit} exceeds cap {HARD_LIMIT_CAP}")
-    spf = _spf_array(math.isqrt(limit))
-    base = np.nonzero(spf == np.arange(spf.size))[0][2:].tolist()  # drop 0 and 2
-    return SieveTables(limit=limit, spf=spf, primes=_segmented_primes(limit, base))
+    return SieveTables(limit=limit, spf=_spf_array(math.isqrt(limit)))

@@ -79,6 +79,11 @@ def least_witness(a: int, triple: IntervalTriple):
     return best
 
 
+def primes_upto(limit):
+    """The primes <= limit, found by primality tests."""
+    return [n for n in range(2, limit + 1) if is_prime(n)]
+
+
 def shifted_prime_interval(lo, hi, m):
     """Interval set over (lo, hi] by its definition: the primes p found by
     primality tests, so the set can sit far above any sieve limit, kept
@@ -88,8 +93,18 @@ def shifted_prime_interval(lo, hi, m):
         dtype=np.int64,
     )
     primes = primes[np.gcd(primes - 1, m) == 1]
-    counts = np.bincount((primes - 1) % m, minlength=m).astype(np.int64)
-    return PrimeIntervalSet(None, lo, hi, m, primes, counts)
+    classes = (primes - 1) % m
+    counts = np.bincount(classes, minlength=m).astype(np.int64)
+    return PrimeIntervalSet(None, lo, hi, m, primes, counts, classes)
+
+
+def least_prime_per_class(primes, m):
+    """[min of the primes p with p - 1 = b (mod m), or 0 when there is
+    none, for b in 0..m-1], each minimum taken with Python's min."""
+    by_class = {}
+    for p in primes:
+        by_class.setdefault((p - 1) % m, []).append(p)
+    return [min(by_class[b]) if b in by_class else 0 for b in range(m)]
 
 
 def prime_window(lo, width, m):
@@ -97,23 +112,33 @@ def prime_window(lo, width, m):
     return shifted_prime_interval(lo, lo + width, m)
 
 
+def discrete_logs(ctx):
+    """len(components) x m table: row j holds the discrete log of each unit
+    x on component j, found by listing the powers of its generator with
+    pow, and 0 where gcd(x, m) > 1."""
+    m = ctx.modulus
+    logs = np.zeros((len(ctx.components), m), dtype=np.int64)
+    for j, c in enumerate(ctx.components):
+        log = {pow(c.generator, k, c.prime_power): k for k in range(c.order)}
+        for x in range(m):
+            if math.gcd(x, m) == 1:
+                logs[j, x] = log[x % c.prime_power]
+    return logs
+
+
 def dense_characters(ctx):
     """phi(m) x m table of chi_e(x), rows in itertools.product order of the
     exponent vectors e (the C order of the grid of shape ctx.orders).
 
     Only the component generators and orders are read from ctx, as they
-    fix which character each row is.  The discrete log of x on each
-    component is found by listing the powers of its generator with pow,
-    and each value is exp(2 pi i sum_j ((e_j l_j) mod o_j) / o_j), zero
-    where gcd(x, m) > 1.
+    fix which character each row is.  The discrete logs l_j come from
+    discrete_logs, and each value is
+    exp(2 pi i sum_j ((e_j l_j) mod o_j) / o_j), zero where gcd(x, m) > 1.
     """
     m = ctx.modulus
     comps = ctx.components
     units = [x for x in range(m) if math.gcd(x, m) == 1]
-    logs = np.zeros((len(units), len(comps)), dtype=np.int64)
-    for j, c in enumerate(comps):
-        log = {pow(c.generator, k, c.prime_power): k for k in range(c.order)}
-        logs[:, j] = [log[x % c.prime_power] for x in units]
+    logs = discrete_logs(ctx)[:, units].T
     exps = list(itertools.product(*(range(c.order) for c in comps)))
     exps = np.array(exps, dtype=np.int64).reshape(len(exps), len(comps))
     turns = np.zeros((len(exps), len(units)))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phimin import cli
@@ -13,6 +13,7 @@ from phimin.arith import (
     log_integral_between,
     primitive_root,
     trial_factorize,
+    unit_inverses,
     unit_mask,
 )
 from phimin.characters import build_unit_group
@@ -83,6 +84,29 @@ class TestUnitMask:
     @given(m=unit_moduli)
     def test_matches_gcd(self, m):
         assert unit_mask(m).tolist() == [math.gcd(b, m) == 1 for b in range(m)]
+
+
+class TestUnitInverses:
+    @settings(deadline=None)
+    @given(m=unit_moduli)
+    @example(m=1)
+    @example(m=3**7)
+    @example(m=3003)
+    def test_every_unit(self, m):
+        units = np.flatnonzero(unit_mask(m))
+        got = unit_inverses(units, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(int(b), -1, m) for b in units]
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_exact_at_the_int64_edge(self, seed):
+        # the largest odd m with m^2 < 2^63: products of residues reach
+        # (m - 1)^2, just below 2^63
+        m = 3_037_000_499
+        b = np.random.default_rng(seed).integers(1, m, size=200)
+        b = b[np.gcd(b, m) == 1]
+        assert unit_inverses(b, m).tolist() == [pow(int(x), -1, m) for x in b]
 
 
 class TestTrialFactorize:

@@ -1,15 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phimin.arith import unit_mask
 from phimin.characters import build_unit_group
-from phimin.errors import EvenModulusError
+from phimin.errors import BoundsError, EvenModulusError
 from phimin.intervals import character_sums_all
-from reference import dense_characters, kernel_conductors
+from reference import dense_characters, discrete_logs, kernel_conductors
 
 
 def units_of(m):
@@ -62,6 +63,31 @@ class TestUnitGroup:
                 for comp, dlog in zip(ctx.components, ctx.dlogs):
                     e = int(dlog[u % m])
                     assert pow(comp.generator, e, comp.prime_power) == u % comp.prime_power
+
+    @settings(deadline=None)
+    @given(m=st.integers(0, 499).map(lambda i: 2 * i + 1))
+    @example(m=1)
+    @example(m=3**7)
+    @example(m=5**5)
+    @example(m=3003)
+    def test_dlogs_match_brute_force(self, m):
+        ctx = build_unit_group(m)
+        assert ctx.dlogs.tolist() == discrete_logs(ctx).tolist()
+
+    @pytest.mark.parametrize(
+        # 3037000507 is the least prime q with q^2 > 2^63 - 1, 3^20 the least
+        # power of 3; one table mod q would take about 24 GB
+        "m", [3_037_000_507, 3 * 3_037_000_507, 3**20],
+    )
+    def test_power_table_guard_allocates_nothing(self, m):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundsError):
+                build_unit_group(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_orders_multiply_to_phi(self):
         for m in (1, 9, 15, 105, 225):

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from phimin import cli, search
+from phimin.sieve import SieveTables
 
 
 def run_cli(*args, env=None):
@@ -410,6 +411,16 @@ def test_bad_input_exits_2_before_sieving(argv, monkeypatch, capsys):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith("phimin: ") and out == ""
+
+
+@pytest.mark.parametrize("command", ["search", "count"])
+def test_search_and_count_sieve_only_their_intervals(command, monkeypatch, capsys):
+    def unbuilt(tables):
+        raise AssertionError(f"every prime up to {tables.limit} listed")
+
+    monkeypatch.setattr(SieveTables, "primes", property(unbuilt))
+    assert cli.main([command, "--m", "1031", "--a", "2", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == command
 
 
 class TestEnvConfig:

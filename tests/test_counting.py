@@ -171,7 +171,8 @@ class TestDirectCount:
         n = 2**21
         ivs = IntervalTriple(
             *(PrimeIntervalSet(None, p - 1, p, 9, np.broadcast_to(np.int64(p), (n,)),
-                               np.zeros(9, dtype=np.int64))
+                               np.zeros(9, dtype=np.int64),
+                               np.broadcast_to(np.int64((p - 1) % 9), (n,)))
               for p in (2, 5, 11))
         )
         with pytest.raises(BoundsError):
@@ -316,6 +317,7 @@ class TestStructuralInvariances:
             modulus=m,
             primes=ivs.i1.primes[::-1].copy(),
             count_vector=ivs.i1.count_vector,
+            classes=ivs.i1.classes[::-1].copy(),
         )
         for a in units_of(m):
             assert count_solutions_direct(a, IntervalTriple(shuffled, ivs.i2, ivs.i3)) == \
@@ -338,6 +340,7 @@ class TestStructuralInvariances:
                 modulus=m,
                 primes=ivs.i1.primes,
                 count_vector=shifted,
+                classes=ivs.i1.classes,
             )
             shifted_triple = IntervalTriple(iv_shift, ivs.i2, ivs.i3)
             for a in units_of(m)[:8]:

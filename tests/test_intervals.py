@@ -22,7 +22,7 @@ from phimin.intervals import (
     rho_closed_form,
     rho_definition,
 )
-from reference import dense_characters, shifted_prime_interval
+from reference import dense_characters, least_prime_per_class, shifted_prime_interval
 
 
 def canonical(m, k, tables):
@@ -40,6 +40,7 @@ def interval_from_primes(primes, m):
         modulus=m,
         primes=arr,
         count_vector=counts,
+        classes=(arr - 1) % m,
     )
 
 
@@ -120,6 +121,12 @@ class TestBuildInterval:
         assert got.count_vector.dtype == np.int64
         np.testing.assert_array_equal(got.primes, want.primes)
         np.testing.assert_array_equal(got.count_vector, want.count_vector)
+        np.testing.assert_array_equal(got.classes, want.classes)
+        primes = want.primes.tolist()
+        for skip in (0, 1):
+            assert got.least_per_class(skip).tolist() == least_prime_per_class(
+                primes[skip:], m
+            )
 
 
 def sorted_interval(values, m=7):
@@ -132,6 +139,7 @@ def sorted_interval(values, m=7):
         modulus=m,
         primes=arr,
         count_vector=np.bincount((arr - 1) % m, minlength=m).astype(np.int64),
+        classes=(arr - 1) % m,
     )
 
 
@@ -305,7 +313,8 @@ class TestParseval:
 
 def count_vector_interval(counts, m):
     """Interval set that carries only a count vector, for Parseval."""
-    return PrimeIntervalSet(None, 0.0, 0.0, m, np.empty(0, dtype=np.int64), counts)
+    empty = np.empty(0, dtype=np.int64)
+    return PrimeIntervalSet(None, 0.0, 0.0, m, empty, counts, empty)
 
 
 odd_moduli = st.integers(0, 199).map(lambda i: 2 * i + 1)

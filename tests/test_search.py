@@ -26,6 +26,7 @@ from phimin.search import (
 from reference import (
     count_solutions_enumerate,
     euler_phi,
+    least_prime_per_class,
     least_witness,
     phi_table,
     prime_window,
@@ -434,6 +435,8 @@ CANONICAL_PRODUCT_CAP = 30_000
 def check_batch(units, triple):
     """least_witnesses and direct_counts of `units` at once against the
     literal references, unit by unit."""
+    for iv, least in zip(triple, triple.least_primes):
+        assert least.tolist() == least_prime_per_class(iv.primes.tolist(), iv.modulus)
     witnesses = least_witnesses(units, triple)
     counts = direct_counts(units, triple)
     assert len(witnesses) == len(counts) == len(units)

@@ -7,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phimin import sieve
-from phimin.arith import is_prime
 from phimin.errors import BoundsError
 from phimin.sieve import build_sieve
+from reference import primes_upto
 
 MAX_LIMIT = 5000
 # Miller-Rabin, independent of the sieve.
-MR_PRIMES = [n for n in range(MAX_LIMIT + 1) if is_prime(n)]
+MR_PRIMES = primes_upto(MAX_LIMIT)
 
 
 def test_small_limit_exhaustive():
@@ -88,12 +88,72 @@ def test_segmented_primes_match_direct(limit, segment):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sieve, "SEGMENT_SIZE", segment)
         t = build_sieve(limit)
+        primes = t.primes  # built on first read, so inside the patch
     assert t.limit == limit
-    assert t.primes.dtype == np.int64
+    assert primes.dtype == np.int64
     want = [p for p in MR_PRIMES if p <= limit]
-    assert t.primes.tolist() == want
+    assert primes.tolist() == want
     assert t.spf.size == math.isqrt(limit) + 1
     assert_spf_invariants(t.spf, want)
+
+
+# A window (lo, hi] is sieved from its first odd number above lo, so its
+# segments start at flag (floor(lo) + 1) // 2 and step by SEGMENT_SIZE.
+bounds = st.one_of(st.integers(-3, MAX_LIMIT), st.floats(-3, MAX_LIMIT))
+
+
+@settings(deadline=None)
+@given(
+    limit=st.integers(2, MAX_LIMIT),
+    lo=bounds,
+    hi=bounds,
+    segment=st.sampled_from([7, 64, sieve.SEGMENT_SIZE]),
+)
+@example(limit=100, lo=-1, hi=100, segment=7)  # lo < 2 and hi == limit
+@example(limit=100, lo=1.5, hi=2.5, segment=7)  # 2 alone
+@example(limit=100, lo=2, hi=3, segment=7)  # 3 alone, no 2
+@example(limit=100, lo=13, hi=13, segment=7)  # lo == hi
+@example(limit=100, lo=12.5, hi=13.5, segment=7)  # straddling 13
+@example(limit=100, lo=13.5, hi=12.5, segment=7)  # hi < lo
+@example(limit=100, lo=33, hi=100, segment=7)  # 49 = 7^2 opens the 2nd segment
+@example(limit=200, lo=8.5, hi=199.5, segment=7)  # 121 = 11^2 opens the 9th
+@example(limit=5000, lo=4000, hi=4999, segment=64)  # many segments
+def test_primes_in_window_match_direct(limit, lo, hi, segment):
+    hi = min(hi, limit)
+    t = build_sieve(limit)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "SEGMENT_SIZE", segment)
+        got = t.primes_in(lo, hi)
+    assert "primes" not in vars(t)  # a window leaves the full list unbuilt
+    assert got.dtype == np.int64
+    assert got.tolist() == [p for p in MR_PRIMES if lo < p <= hi]
+
+
+def test_window_bound_is_on_the_window():
+    # at least pi(hi) - pi(lo) for every hi up to MAX_LIMIT and lo = 1, 62,
+    # 123, ..., on both sides of the switch to the lower bound at lo = 17
+    count = np.searchsorted(MR_PRIMES, np.arange(MAX_LIMIT + 1), side="right")
+    for lo in range(1, MAX_LIMIT, 61):
+        his = np.arange(lo + 1, MAX_LIMIT + 1)
+        got = [sieve.window_prime_bound(lo, int(hi)) for hi in his]
+        assert (np.array(got) >= count[his] - count[lo]).all()
+
+
+def test_window_peak_is_its_list_plus_one_segment():
+    # (1.5e6, 3e6] holds 102,661 primes; a list sized from pi(3e6) alone
+    # would take 216,816 slots
+    t = build_sieve(3_000_000)
+    segment = 1 << 16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "SEGMENT_SIZE", segment)
+        tracemalloc.start()
+        try:
+            got = t.primes_in(1_500_000, 3_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got.size == 216_816 - 114_155
+    assert peak < 1.15 * got.nbytes + 9 * segment
 
 
 def test_primes_in_range(tables):
@@ -113,10 +173,11 @@ def test_peak_is_the_list_plus_one_segment():
         tracemalloc.start()
         try:
             t = build_sieve(3_000_000)
+            primes = t.primes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert t.primes.size == 216_816
-    assert sieve.prime_count_bound(3_000_000) - t.primes.size < 0.01 * t.primes.size
+    assert primes.size == 216_816
+    assert sieve.prime_count_bound(3_000_000) - primes.size < 0.01 * primes.size
     # one flag byte and at most one int64 index per flag of the segment
-    assert peak < t.primes.nbytes + 9 * segment
+    assert peak < primes.nbytes + 9 * segment
