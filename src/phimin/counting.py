@@ -50,8 +50,9 @@ def direct_counts(a_values: Sequence[int], triple: IntervalTriple) -> list[int]:
         # J <= |I1||I2||I3| bounds every partial sum below
         raise BoundsError(f"int64 convolution would overflow at m={m}")
     grid = triple.class_grid
-    cx, cy, cz = (tuple(triple)[j].count_vector for j in grid.axes)
-    cx, cy = cx[grid.x], cy[grid.y]
+    cx = triple.i3.count_vector[grid.x]
+    cy = triple.i2.count_vector[grid.y]
+    cz = triple.i1.count_vector
     counts: list[int] = []
     for s in grid.blocks(len(deltas)):
         counts += (cz[grid.forced(a_values[s], deltas[s])] @ cy @ cx).tolist()

@@ -3,8 +3,9 @@
 An interval set holds the primes p in (lo, hi] with gcd(p-1, m) = 1
 together with the residue count vector c[b] = #{p : p-1 = b (mod m)},
 so the sums S(chi) = sum_p chi(p-1) over every character are one FFT of
-the count vector.  The canonical triple uses bounds m^(1+1/k), m,
-m^(1/k).
+the count vector.  A set over a sieve is listed when first read, and
+can be read in ascending windows instead.  The canonical triple uses
+bounds m^(1+1/k), m, m^(1/k).
 """
 
 from __future__ import annotations
@@ -33,29 +34,107 @@ PARSEVAL_REL_TOL = 1e-6
 GRID_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
 class PrimeIntervalSet:
-    """Primes p in (lo, hi] with gcd(p-1, m) = 1, ascending, their classes
-    (p - 1) mod m, and residue counts."""
+    """Primes p in (lo, hi] with gcd(p - 1, m) = 1, ascending, and their
+    residue counts c[b] = #{p : p - 1 = b (mod m)}.
 
-    index: int | None
-    lo: float
-    hi: float
-    modulus: int
-    primes: np.ndarray = field(repr=False)
-    count_vector: np.ndarray = field(repr=False)
-    classes: np.ndarray = field(repr=False)
+    A set built over a sieve (`tables`, with `unit`, the unit mask of m)
+    is listed when `primes` or `count_vector` is first read; it then
+    keeps the list and lets go of the sieve and the mask.  Before that,
+    `prefix` and `windows` read it in ascending pieces without listing
+    it.  A set built from its primes is listed from the start, its count
+    vector by default the counts of those primes.  The classes (p - 1)
+    mod m are computed where they are read, never kept.
+    """
+
+    def __init__(
+        self,
+        index: int | None,
+        lo: float,
+        hi: float,
+        modulus: int,
+        primes: np.ndarray | None = None,
+        count_vector: np.ndarray | None = None,
+        *,
+        tables: SieveTables | None = None,
+        unit: np.ndarray | None = None,
+    ) -> None:
+        self.index, self.lo, self.hi, self.modulus = index, lo, hi, modulus
+        self._primes, self._counts = primes, count_vector
+        self._tables, self._unit = tables, unit
+
+    @property
+    def listed(self) -> bool:
+        return self._primes is not None
+
+    @property
+    def primes(self) -> np.ndarray:
+        if self._primes is None:
+            self._primes = self._sieve(self.lo, self.hi)
+            self._tables = self._unit = None  # a listed set reads neither
+        return self._primes
+
+    @property
+    def count_vector(self) -> np.ndarray:
+        if self._counts is None:
+            self._counts = np.bincount(self.classes, minlength=self.modulus)
+        return self._counts
+
+    @property
+    def classes(self) -> np.ndarray:
+        """(p - 1) mod m of every prime, in the order of `primes`."""
+        res = self.primes - 1
+        res %= self.modulus
+        return res
 
     @property
     def size(self) -> int:
         return int(self.primes.size)
 
+    def _sieve(self, lo: float, hi: float) -> np.ndarray:
+        """The primes p in (lo, hi] of the sieve with p - 1 a unit of m."""
+        primes = self._tables.primes_in(lo, hi)
+        res = primes - 1
+        res %= self.modulus
+        return primes[self._unit[res]]
+
+    def prefix(self, top: float) -> np.ndarray:
+        """The primes of the set up to `top`, read without listing the rest."""
+        if not self.listed and top < self.hi:
+            return self._sieve(self.lo, top)
+        return self.primes[: np.searchsorted(self.primes, top, "right")]
+
+    def windows(self, width: int) -> Iterator[PrimeIntervalSet]:
+        """The set as listed sets over ascending windows that cover
+        (lo, hi]: a listed set is its one window; an unlisted one is read
+        in windows of `width` integers from lo, each next one twice as
+        wide, each sieved when the iteration reaches it."""
+        if self.listed:
+            yield self
+            return
+        lo, hi = math.floor(self.lo), math.floor(self.hi)
+        while lo < hi:
+            top = min(lo + width, hi)
+            primes = self._sieve(lo, top)
+            yield PrimeIntervalSet(self.index, lo, top, self.modulus, primes)
+            lo, width = top, 2 * width
+
     def least_per_class(self, skip: int = 0) -> np.ndarray:
         """Least prime of primes[skip:] in each class of p - 1 mod m, 0 for
-        an empty class; the primes ascend, so that is the one at each
-        class's first index."""
-        first = first_index(self.classes[skip:], self.modulus)
-        return np.append(self.primes[skip:], 0)[first]
+        an empty class: one O(len + m) scatter-min."""
+        empty = np.iinfo(np.int64).max
+        least = np.full(self.modulus, empty)
+        np.minimum.at(least, self.classes[skip:], self.primes[skip:])
+        least[least == empty] = 0
+        return least
+
+
+def _largest(iv: PrimeIntervalSet) -> float:
+    """A bound on the primes of iv that lists nothing: its largest prime
+    once listed (0 when it has none), else hi."""
+    if not iv.listed:
+        return iv.hi
+    return int(iv.primes[-1]) if iv.size else 0
 
 
 def require_disjoint(*intervals: PrimeIntervalSet) -> None:
@@ -63,10 +142,14 @@ def require_disjoint(*intervals: PrimeIntervalSet) -> None:
     m they can collide, which breaks the product structure, so it is an
     explicit error rather than an assumed threshold.
 
-    Each pair is decided by looking up the smaller sorted prime array in
-    the larger one, O(s log L) with no hashing."""
+    A common prime of two sets is at most the smaller of their largest
+    primes, so each set is read only up to there: an unlisted I1 above
+    I2 and I3 is not read at all.  Each pair is then decided by looking
+    up the smaller sorted prefix in the larger one, O(s log L) with no
+    hashing."""
     for (i, x), (j, y) in itertools.combinations(enumerate(intervals, 1), 2):
-        small, large = sorted((x.primes, y.primes), key=len)
+        top = min(_largest(x), _largest(y))
+        small, large = sorted((x.prefix(top), y.prefix(top)), key=len)
         if not small.size:
             continue
         at = np.minimum(np.searchsorted(large, small), large.size - 1)
@@ -76,28 +159,21 @@ def require_disjoint(*intervals: PrimeIntervalSet) -> None:
             )
 
 
-def first_index(residues: np.ndarray, m: int) -> np.ndarray:
-    """Index of the first occurrence of each class 0..m-1 in `residues`,
-    or len(residues) for a class that does not occur: one O(len) scatter-min."""
-    first = np.full(m, residues.size)
-    np.minimum.at(first, residues, np.arange(residues.size))
-    return first
-
-
 class ClassGrid(NamedTuple):
     """The forced-class table of a triple, shared by the direct count and
-    the witness search.  I_axes[0] and I_axes[1] have the fewest occupied
-    classes x and y of p - 1, and inv_xy = (x y)^-1 mod m, so the
-    congruence forces the class z = a (1 + d)^-1 inv_xy of the third."""
+    the witness search.  x and y are the occupied classes of p - 1 in I3
+    and I2, and inv_xy = (x y)^-1 mod m, so the congruence forces the
+    class z = a (1 + d)^-1 inv_xy of p1 - 1.  I1 is the widest interval
+    of a canonical triple, so it has the most occupied classes, and the
+    grid never reads it."""
 
     modulus: int
-    axes: tuple[int, int, int]
     x: np.ndarray
     y: np.ndarray
     inv_xy: np.ndarray
 
     def forced(self, a_values: Sequence[int], deltas: Sequence[int]) -> np.ndarray:
-        """The class z[u, i, j] of I_axes[2] forced by the pair (x[i], y[j])
+        """The class z[u, i, j] of p1 - 1 forced by the pair (x[i], y[j])
         for unit a_values[u] with indicator deltas[u], shape
         (units, |x|, |y|).  Every factor is below m and m^2 < 2^63."""
         m = self.modulus
@@ -117,15 +193,15 @@ class ClassGrid(NamedTuple):
 @dataclass(frozen=True)
 class IntervalTriple:
     """I1, I2, I3 over one modulus, checked once to share it and to be
-    pairwise disjoint; `product` is |I1||I2||I3|.  The per-modulus tables
-    (class grid, least primes, unit group, character sums) are built on
-    first use and cached, so a scan never builds the character side."""
+    pairwise disjoint.  The product |I1||I2||I3| and the per-modulus
+    tables (class grid, unit group, character sums) are built on first
+    use and cached, so a scan never builds the character side and a
+    search never lists more of I1 than its witness needs."""
 
     i1: PrimeIntervalSet
     i2: PrimeIntervalSet
     i3: PrimeIntervalSet
     modulus: int = field(init=False)
-    product: int = field(init=False)
 
     def __post_init__(self) -> None:
         m = self.i1.modulus
@@ -134,10 +210,13 @@ class IntervalTriple:
                 raise DomainError(f"interval modulus {iv.modulus} differs from {m}")
         require_disjoint(self.i1, self.i2, self.i3)
         object.__setattr__(self, "modulus", m)
-        object.__setattr__(self, "product", self.i1.size * self.i2.size * self.i3.size)
 
     def __iter__(self):
         return iter((self.i1, self.i2, self.i3))
+
+    @functools.cached_property
+    def product(self) -> int:
+        return self.i1.size * self.i2.size * self.i3.size
 
     @functools.cached_property
     def class_grid(self) -> ClassGrid:
@@ -145,17 +224,9 @@ class IntervalTriple:
         m = self.modulus
         if m * m >= 2**63:
             raise BoundsError(f"int64 class products would overflow at m={m}")
-        ivs = tuple(self)
-        occupied = [np.flatnonzero(iv.count_vector) for iv in ivs]
-        axes = tuple(sorted(range(3), key=lambda j: occupied[j].size))
-        x, y = (occupied[j] for j in axes[:2])
+        x, y = (np.flatnonzero(iv.count_vector) for iv in (self.i3, self.i2))
         inv = unit_inverses(np.concatenate((x, y)), m)
-        return ClassGrid(m, axes, x, y, np.outer(inv[: x.size], inv[x.size :]) % m)
-
-    @functools.cached_property
-    def least_primes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """least_per_class of I1, I2, I3, which only the search reads."""
-        return tuple(iv.least_per_class() for iv in self)
+        return ClassGrid(m, x, y, np.outer(inv[: x.size], inv[x.size :]) % m)
 
     @functools.cached_property
     def unit_group(self) -> UnitGroupContext:
@@ -203,41 +274,40 @@ def interval_sieve_limit(m: int, k: int) -> int:
 
 
 def _make_interval(
-    index: int | None, lo: float, hi: float, m: int, tables: SieveTables
+    index: int | None,
+    lo: float,
+    hi: float,
+    m: int,
+    tables: SieveTables,
+    unit: np.ndarray | None,
 ) -> PrimeIntervalSet:
+    """The set over (lo, hi], unlisted; the modulus and the sieve limit
+    are checked now, and `unit` (arith.unit_mask(m)) is built when None."""
     check_odd_modulus(m)
-    primes = np.empty(0, dtype=np.int64) if lo >= hi else tables.primes_in(lo, hi)
-    unit = unit_mask(m)
-    res = primes - 1
-    res %= m
-    kept = unit[res]
-    counts = np.bincount(res, minlength=m).astype(np.int64)
-    counts[~unit] = 0  # the classes of the dropped primes
-    return PrimeIntervalSet(
-        index=index,
-        lo=lo,
-        hi=hi,
-        modulus=m,
-        primes=primes[kept],
-        count_vector=counts,
-        classes=res[kept],
-    )
+    if lo >= hi:
+        return PrimeIntervalSet(index, lo, hi, m, np.empty(0, dtype=np.int64))
+    tables.check_limit(hi)
+    unit = unit_mask(m) if unit is None else unit
+    return PrimeIntervalSet(index, lo, hi, m, tables=tables, unit=unit)
 
 
-def build_interval(j: int, m: int, k: int, tables: SieveTables) -> PrimeIntervalSet:
+def build_interval(
+    j: int, m: int, k: int, tables: SieveTables, unit: np.ndarray | None = None
+) -> PrimeIntervalSet:
     """Canonical interval set I_j for modulus m and parameter k >= 2; a k
     below 10 only weakens the exponent 2 + 2/k, which the CLI's search and
-    count point out, and the library does not warn."""
+    count point out, and the library does not warn.  `unit`, the unit
+    mask of m, lets the intervals of one triple share it."""
     _check_k(k)
     lo, hi = interval_bounds(j, m, k)
-    return _make_interval(j, lo, hi, m, tables)
+    return _make_interval(j, lo, hi, m, tables, unit)
 
 
 def build_custom_interval(
     lo: float, hi: float, m: int, tables: SieveTables
 ) -> PrimeIntervalSet:
     """Interval set over explicit bounds (lo, hi]."""
-    return _make_interval(None, lo, hi, m, tables)
+    return _make_interval(None, lo, hi, m, tables, None)
 
 
 def cardinality_prediction(j: int, m: int, k: int) -> float:

@@ -21,13 +21,14 @@ from .counting import count_solutions_direct, direct_counts, indicator_1am  # no
 from .errors import BoundsError, DomainError
 from .intervals import (
     IntervalTriple,
+    PrimeIntervalSet,
     build_interval,
-    first_index,
     interval_sieve_limit,
 )
 from .sieve import SieveTables, build_sieve
 
 FIRST_SEGMENT = 1 << 12
+FIRST_WINDOW = 1 << 13
 DEFAULT_SEGMENT = 1 << 20
 INT64_MAX = 2**63 - 1
 
@@ -96,7 +97,7 @@ def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
         )
     rem = np.arange(lo, hi, dtype=np.int64)
     phi = np.ones(hi - lo, dtype=np.int64)
-    for p in tables.primes[: np.searchsorted(tables.primes, top, "right")].tolist():
+    for p in tables.primes_in(1, top).tolist():
         s = -lo % p
         phi[s::p] *= p - 1
         rem[s::p] //= p
@@ -118,6 +119,14 @@ def check_cap(cap: int) -> None:
         raise DomainError(f"cap must be >= 1, got {cap}")
     if cap >= 2**63:
         raise BoundsError(f"cap {cap} does not fit the int64 totient stream")
+
+
+def first_index(residues: np.ndarray, m: int) -> np.ndarray:
+    """Index of the first occurrence of each class 0..m-1 in `residues`,
+    or len(residues) for a class that does not occur: one O(len) scatter-min."""
+    first = np.full(m, residues.size)
+    np.minimum.at(first, residues, np.arange(residues.size))
+    return first
 
 
 def oracle_N(a: int, m: int, cap: int, tables: SieveTables) -> OracleResult:
@@ -158,9 +167,12 @@ def oracle_N_multi(
 
 
 def canonical_triple(m: int, k: int, tables: SieveTables) -> IntervalTriple:
-    """The checked canonical triple I1, I2, I3 for modulus m and k; a k
-    below 10 is valid and only weakens the exponent 2 + 2/k."""
-    return IntervalTriple(*(build_interval(j, m, k, tables) for j in (1, 2, 3)))
+    """The checked canonical triple I1, I2, I3 for modulus m and k, over
+    one unit mask of m; a k below 10 is valid and only weakens the
+    exponent 2 + 2/k.  The intervals are listed when first read."""
+    check_odd_modulus(m)
+    unit = unit_mask(m)
+    return IntervalTriple(*(build_interval(j, m, k, tables, unit) for j in (1, 2, 3)))
 
 
 def constructive_search(a: int, triple: IntervalTriple) -> SearchWitness | None:
@@ -178,53 +190,81 @@ def least_witnesses(
     Each p_j of a solution can be swapped for the least prime of its
     class of p_j - 1, so the least n is the least product of class
     minima over the triple's forced-class grid; n fixes (p1, p2, p3)
-    because the three sets are pairwise disjoint.  One masked argmin per
-    block of GRID_BLOCK entries of one d finds every unit's first least
-    product in the C order of the (x, y) grid.
+    because the three sets are pairwise disjoint.  The grid's axes are
+    I3 and I2, and the least p1 of each forced class comes from I1 one
+    window at a time (I1.windows: all of I1 at once when it is listed).
+    One masked argmin per block of GRID_BLOCK entries of one d finds
+    every unit's least product in the window.  A solution with p1 past
+    a window's top B has n >= 4^d (B + 1) p2 p3 with p2, p3 the least
+    usable primes of I2 and I3, so once every unit of the block has a
+    witness no larger, the rest of I1 is never sieved.
     """
     m = triple.modulus
     deltas = [indicator_1am(a, m) for a in a_values]
     grid = triple.class_grid
     found: list[SearchWitness | None] = [None] * len(deltas)
-    if not (grid.x.size and grid.y.size):
-        return found
     for delta in (0, 1):
         units = [u for u, d in enumerate(deltas) if d == delta]
         if not units:
             continue
-        smallest = list(triple.least_primes)
-        if delta:
-            # 4^1 shares the factor 2 with p_j = 2, so such triples are not
-            # phi-witnesses even when they satisfy the formal congruence.
-            for j, iv in enumerate(triple):
-                if iv.size and iv.primes[0] == 2:
-                    smallest[j] = iv.least_per_class(skip=1)
-        sx, sy, sz = (smallest[j] for j in grid.axes)
-        px, py = sx[grid.x], sy[grid.y]
-        top = 4**delta * int(px.max()) * int(py.max())
+        px, py = (
+            _least_usable(iv, delta)[axis]
+            for iv, axis in ((triple.i3, grid.x), (triple.i2, grid.y))
+        )
+        if not (px.any() and py.any()):
+            continue
+        scale = 4**delta
+        top = scale * int(px.max()) * int(py.max())
+        least_pair = scale * int(px[px > 0].min()) * int(py[py > 0].min())
         for s in grid.blocks(len(units)):
             block = units[s]
-            pz = sz[grid.forced([a_values[u] for u in block], [delta] * len(block))]
-            # exact products: int64 while every n fits below the empty-class
-            # mark 2^63 - 1, Python ints one unit at a time beyond
-            bound = top * int(pz.max())
-            if bound < INT64_MAX:
-                hits = _least_products(px, py, pz, np.int64, INT64_MAX)
-            else:
-                hits = [
-                    _least_products(px, py, pz[b : b + 1], object, bound + 1)[0]
-                    for b in range(len(block))
-                ]
-            for b, (u, hit) in enumerate(zip(block, hits)):
-                if hit is None:
-                    continue
-                i, j = divmod(hit, py.size)
-                at = dict(zip(grid.axes, (px[i], py[j], pz[b, i, j])))
-                p1, p2, p3 = (int(at[axis]) for axis in range(3))
-                found[u] = SearchWitness(
-                    m=m, a=a_values[u], delta=delta, p1=p1, p2=p2, p3=p3
-                )
+            z = grid.forced([a_values[u] for u in block], [delta] * len(block))
+            best: list[SearchWitness | None] = [None] * len(block)
+            for window in triple.i1.windows(FIRST_WINDOW):
+                pz = _least_usable(window, delta)[z]
+                for b, hit in enumerate(_least_hits(px, py, pz, top)):
+                    if hit is None:
+                        continue
+                    i, j = divmod(hit, py.size)
+                    w = SearchWitness(
+                        m=m,
+                        a=a_values[block[b]],
+                        delta=delta,
+                        p1=int(pz[b, i, j]),
+                        p2=int(py[j]),
+                        p3=int(px[i]),
+                    )
+                    if best[b] is None or w.n < best[b].n:
+                        best[b] = w
+                reach = least_pair * (math.floor(window.hi) + 1)
+                if all(w is not None and w.n <= reach for w in best):
+                    break
+            for u, w in zip(block, best):
+                found[u] = w
     return found
+
+
+def _least_usable(iv: PrimeIntervalSet, delta: int) -> np.ndarray:
+    """least_per_class of iv, without p = 2 when d = 1: 4^1 shares the
+    factor 2 with it, so such triples are not phi-witnesses even when
+    they satisfy the formal congruence."""
+    skip = int(bool(delta) and iv.size > 0 and iv.primes[0] == 2)
+    return iv.least_per_class(skip)
+
+
+def _least_hits(
+    px: np.ndarray, py: np.ndarray, pz: np.ndarray, top: int
+) -> list[int | None]:
+    """_least_products of every unit's pz, with exact products: int64
+    while every n fits below the empty-class mark 2^63 - 1, Python ints
+    one unit at a time beyond.  top bounds px py."""
+    bound = top * int(pz.max())
+    if bound < INT64_MAX:
+        return _least_products(px, py, pz, np.int64, INT64_MAX)
+    return [
+        _least_products(px, py, pz[b : b + 1], object, bound + 1)[0]
+        for b in range(len(pz))
+    ]
 
 
 def _least_products(
@@ -301,8 +341,9 @@ def _scan_one_m(
     deltas = [indicator_1am(a, m) for a in a_values]
     witnesses = counts = [None] * len(a_values)
     if triple is not None:
-        witnesses = least_witnesses(a_values, triple)
+        # the count lists I1, so the search reads it as one window
         counts = direct_counts(a_values, triple)
+        witnesses = least_witnesses(a_values, triple)
     for a, delta, witness, j_direct in zip(a_values, deltas, witnesses, counts):
         n_val = oracle[a % m]
         row: dict = {

@@ -46,12 +46,16 @@ class SieveTables:
         """Every prime <= limit: primes_in over (1, limit]."""
         return self.primes_in(1, self.limit)
 
-    def primes_in(self, lo: float, hi: float) -> np.ndarray:
-        """Primes p with lo < p <= hi, ascending, sieved over that window."""
+    def check_limit(self, hi: float) -> None:
+        """Raise BoundsError when a window (..., hi] passes the limit."""
         if hi > self.limit:
             raise BoundsError(
                 f"range (..., {hi}] exceeds sieve limit {self.limit}"
             )
+
+    def primes_in(self, lo: float, hi: float) -> np.ndarray:
+        """Primes p with lo < p <= hi, ascending, sieved over that window."""
+        self.check_limit(hi)
         lo, hi = max(math.floor(lo), 1), math.floor(hi)
         if hi <= lo:
             return np.empty(0, dtype=np.int64)

@@ -79,6 +79,38 @@ def least_witness(a: int, triple: IntervalTriple):
     return best
 
 
+def full_least_witnesses(a_values, triple):
+    """[(n, (p1, p2, p3)) of each unit's least solution, or None], by the
+    grid route that reads all of I1: the least prime of every class of
+    each set (without 2 when d = 1) over the grid of the two sets with
+    the fewest occupied classes, which forces the class of the third,
+    with the inverses from pow and exact products as Python ints."""
+    m = triple.modulus
+    ivs = list(triple)
+    occupied = [np.flatnonzero(iv.count_vector).tolist() for iv in ivs]
+    ax, ay, az = sorted(range(3), key=lambda j: len(occupied[j]))
+    out = []
+    for a in a_values:
+        delta = indicator_1am(a, m)
+        least = [
+            least_prime_per_class(
+                [p for p in iv.primes.tolist() if not (delta and p == 2)], m
+            )
+            for iv in ivs
+        ]
+        best = None
+        for x in occupied[ax]:
+            for y in occupied[ay]:
+                z = a * pow((1 + delta) * x * y, -1, m) % m
+                p = {ax: least[ax][x], ay: least[ay][y], az: least[az][z]}
+                if 0 in p.values():
+                    continue
+                key = (4**delta * p[0] * p[1] * p[2], (p[0], p[1], p[2]))
+                best = key if best is None else min(best, key)
+        out.append(best)
+    return out
+
+
 def primes_upto(limit):
     """The primes <= limit, found by primality tests."""
     return [n for n in range(2, limit + 1) if is_prime(n)]
@@ -93,9 +125,8 @@ def shifted_prime_interval(lo, hi, m):
         dtype=np.int64,
     )
     primes = primes[np.gcd(primes - 1, m) == 1]
-    classes = (primes - 1) % m
-    counts = np.bincount(classes, minlength=m).astype(np.int64)
-    return PrimeIntervalSet(None, lo, hi, m, primes, counts, classes)
+    counts = np.bincount((primes - 1) % m, minlength=m).astype(np.int64)
+    return PrimeIntervalSet(None, lo, hi, m, primes, counts)
 
 
 def least_prime_per_class(primes, m):

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from phimin import cli, search
+from phimin import cli, intervals, search
 from phimin.sieve import SieveTables
 
 
@@ -411,6 +411,46 @@ def test_bad_input_exits_2_before_sieving(argv, monkeypatch, capsys):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith("phimin: ") and out == ""
+
+
+# `phimin search` stdout, stderr and exit code, frozen while the search
+# still listed all of I1: the ten benchmark moduli 10001 + 1000 i with the
+# units 2, the first unit from m // 3 and m - 2 at k = 2, 3 and 10 (a = 2
+# has d = 1 at 11001, 14001 and 17001; k = 10 puts 2 alone in I3), m = 1001
+# at k = 10, where I3 is empty, m = 3, whose I1 and I2 collide, and m = 5
+# at k = 9.
+GOLDEN_SEARCH = json.loads(
+    (pathlib.Path(__file__).parent / "golden_search.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_SEARCH, ids=[" ".join(c["argv"][1:]) for c in GOLDEN_SEARCH]
+)
+def test_golden_search(case, capsys):
+    rc = cli.main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (case["rc"], case["stdout"], case["stderr"])
+
+
+def test_search_sieves_a_prefix_of_i1(monkeypatch, capsys):
+    # at m = 19001 the least witness is proven from the bottom of I1
+    m = 19001
+    lo, hi = intervals.interval_bounds(1, m, 2)
+    windows = []
+    real = SieveTables.primes_in
+
+    def spy(tables, a, b):
+        windows.append((a, b))
+        return real(tables, a, b)
+
+    monkeypatch.setattr(SieveTables, "primes_in", spy)
+    for a in (2, 9500, 18999):
+        windows.clear()
+        assert cli.main(["search", "--m", str(m), "--a", str(a), "--k", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["found"]
+        sieved = sum(max(0, min(b, hi) - max(a, lo)) for a, b in windows)
+        assert 0 < sieved < 0.25 * (hi - lo)
 
 
 @pytest.mark.parametrize("command", ["search", "count"])

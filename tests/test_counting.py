@@ -171,8 +171,7 @@ class TestDirectCount:
         n = 2**21
         ivs = IntervalTriple(
             *(PrimeIntervalSet(None, p - 1, p, 9, np.broadcast_to(np.int64(p), (n,)),
-                               np.zeros(9, dtype=np.int64),
-                               np.broadcast_to(np.int64((p - 1) % 9), (n,)))
+                               np.zeros(9, dtype=np.int64))
               for p in (2, 5, 11))
         )
         with pytest.raises(BoundsError):
@@ -317,7 +316,6 @@ class TestStructuralInvariances:
             modulus=m,
             primes=ivs.i1.primes[::-1].copy(),
             count_vector=ivs.i1.count_vector,
-            classes=ivs.i1.classes[::-1].copy(),
         )
         for a in units_of(m):
             assert count_solutions_direct(a, IntervalTriple(shuffled, ivs.i2, ivs.i3)) == \
@@ -340,7 +338,6 @@ class TestStructuralInvariances:
                 modulus=m,
                 primes=ivs.i1.primes,
                 count_vector=shifted,
-                classes=ivs.i1.classes,
             )
             shifted_triple = IntervalTriple(iv_shift, ivs.i2, ivs.i3)
             for a in units_of(m)[:8]:

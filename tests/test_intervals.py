@@ -40,7 +40,6 @@ def interval_from_primes(primes, m):
         modulus=m,
         primes=arr,
         count_vector=counts,
-        classes=(arr - 1) % m,
     )
 
 
@@ -129,6 +128,47 @@ class TestBuildInterval:
             )
 
 
+class TestReadingInPieces:
+    """windows and prefix of a set over the sieve, against the set listed
+    by primality tests, with the set left unlisted."""
+
+    @settings(deadline=None)
+    @given(
+        m=st.one_of(
+            st.integers(0, 1500).map(lambda i: 2 * i + 1),
+            st.sampled_from([1, 3, 2187, 1155]),
+        ),
+        lo=st.one_of(st.integers(-1, 3000).map(float), st.floats(-1.0, 3000.0)),
+        span=st.floats(0.0, 3000.0),
+        width=st.integers(1, 300),
+        top=st.one_of(st.integers(-1, 3000), st.floats(-1.0, 3000.0)),
+    )
+    @example(m=9, lo=1.0, span=30.0, width=1, top=2)  # 2 alone in the first window
+    @example(m=7, lo=5.5, span=0.25, width=4, top=10)  # no integer in (lo, hi]
+    def test_match_listing(self, tables, m, lo, span, width, top):
+        hi = min(lo + span, 3000.0)
+        iv = build_custom_interval(lo, hi, m, tables)
+        want = shifted_prime_interval(lo, hi, m).primes
+        windows = list(iv.windows(width))
+        np.testing.assert_array_equal(
+            np.concatenate([w.primes for w in windows] + [want[:0]]), want
+        )
+        if lo < hi:
+            assert not iv.listed
+            # contiguous from floor(lo) to floor(hi), each twice as wide
+            edges = [math.floor(lo)] + [w.hi for w in windows]
+            assert [w.lo for w in windows] == edges[:-1]
+            assert edges[-1] == max(math.floor(hi), math.floor(lo))
+            for i, w in enumerate(windows[:-1]):
+                assert w.hi - w.lo == width * 2**i
+        np.testing.assert_array_equal(iv.prefix(top), want[want <= top])
+        # a prefix short of hi lists nothing; one that reaches it is the set
+        assert iv.listed == (lo >= hi or top >= hi)
+        np.testing.assert_array_equal(iv.primes, want)
+        assert iv.listed and list(iv.windows(width)) == [iv]
+        np.testing.assert_array_equal(iv.prefix(top), want[want <= top])
+
+
 def sorted_interval(values, m=7):
     """Interval set over an explicit sorted array, possibly empty."""
     arr = np.array(values, dtype=np.int64)
@@ -139,7 +179,6 @@ def sorted_interval(values, m=7):
         modulus=m,
         primes=arr,
         count_vector=np.bincount((arr - 1) % m, minlength=m).astype(np.int64),
-        classes=(arr - 1) % m,
     )
 
 
@@ -314,7 +353,7 @@ class TestParseval:
 def count_vector_interval(counts, m):
     """Interval set that carries only a count vector, for Parseval."""
     empty = np.empty(0, dtype=np.int64)
-    return PrimeIntervalSet(None, 0.0, 0.0, m, empty, counts, empty)
+    return PrimeIntervalSet(None, 0.0, 0.0, m, empty, counts)
 
 
 odd_moduli = st.integers(0, 199).map(lambda i: 2 * i + 1)

@@ -10,9 +10,11 @@ from phimin.arith import trial_factorize
 from phimin.counting import count_solutions_direct, direct_counts, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
 from phimin.intervals import IntervalTriple, build_custom_interval, build_interval
+from phimin.sieve import SieveTables, build_sieve
 from phimin.search import (
     DEFAULT_SEGMENT,
     FIRST_SEGMENT,
+    FIRST_WINDOW,
     canonical_triple,
     constructive_search,
     default_cap,
@@ -26,10 +28,12 @@ from phimin.search import (
 from reference import (
     count_solutions_enumerate,
     euler_phi,
+    full_least_witnesses,
     least_prime_per_class,
     least_witness,
     phi_table,
     prime_window,
+    shifted_prime_interval,
 )
 
 NAIVE_LIMIT = 1 << 18
@@ -105,13 +109,19 @@ class TestSegmentPhi:
         hi = min(lo + width, NAIVE_LIMIT)
         assert segment_phi(lo, hi, tables200k).tolist() == naive_phi[lo:hi].tolist()
 
+    def test_reads_only_its_base_primes(self, tables200k, naive_phi, monkeypatch):
+        def unbuilt(tables):
+            raise AssertionError(f"every prime up to {tables.limit} listed")
+
+        monkeypatch.setattr(SieveTables, "primes", property(unbuilt))
+        seg = segment_phi(1, 10_001, tables200k)
+        assert seg.tolist() == naive_phi[1:10_001].tolist()
+
     def test_bad_segment(self, tables):
         with pytest.raises(DomainError):
             segment_phi(10, 10, tables)
 
     def test_needs_base_primes(self):
-        from phimin.sieve import build_sieve
-
         t = build_sieve(10)
         with pytest.raises(BoundsError):
             segment_phi(1, 1000, t)
@@ -417,6 +427,132 @@ class TestConstructiveSearch:
             constructive_search(2, IntervalTriple(i1, i2, i3))
 
 
+@pytest.fixture(scope="module")
+def tables2m():
+    """A sieve past 2^21, where products of three primes pass 2^63."""
+    return build_sieve(2_200_000)
+
+
+def witness_key(w):
+    return None if w is None else (w.n, (w.p1, w.p2, w.p3))
+
+
+# I2 = {2095007} and I3 = {2090003} put (2^63 - 1) / (p2 p3) at 2106479,
+# inside I1: the windows of I1 below it take int64 products and those above
+# Python ints.  a = 1 (mod 7) forces the class of p1 - 1 = 0, which holds
+# no prime of I1, so J = 0 and its search reads every window.
+STRADDLE_M = 7
+STRADDLE = ((2_106_419, 2_109_479), (2_095_006, 2_095_007), (2_090_002, 2_090_003))
+
+
+@st.composite
+def witness_cases(draw):
+    """(m, units, bounds): an odd m below 200 (multiples of 3 and prime
+    powers among them), up to six units, and three disjoint intervals in a
+    drawn order, near 2^21 when `far`, from 0 (holding 2) otherwise."""
+    m = draw(
+        st.one_of(
+            st.integers(0, 99).map(lambda i: 2 * i + 1),
+            st.integers(0, 32).map(lambda i: 6 * i + 3),
+            st.sampled_from([q for q in ODD_PRIME_POWERS if q < 200]),
+        ),
+        label="m",
+    )
+    units = draw(st.lists(st.sampled_from(units_of(m)), min_size=1, max_size=6))
+    far = draw(st.booleans())
+    lo = draw(st.integers(0, 2000)) + (2_096_000 if far else 0)
+    bounds = []
+    for _ in range(3):
+        width = draw(st.integers(1, 300 if far else 150))
+        bounds.append((lo, lo + width))
+        lo += width + draw(st.integers(0, 100))
+    return m, tuple(units), tuple(draw(st.permutations(bounds)))
+
+
+class TestWindowedWitness:
+    """least_witnesses over an unlisted I1, read in windows, against the
+    grid route over all of I1 (reference.full_least_witnesses)."""
+
+    @settings(deadline=None)
+    @given(case=witness_cases(), width=st.sampled_from([1, 2, 7, 64, FIRST_WINDOW]))
+    # 2 opens I1 and sits alone in its first window; a = 2 (mod 3) skips it
+    @example(case=(45, (2, 1, 4, 11), ((1, 40), (40, 120), (120, 300))), width=1)
+    # J = 0 for a = 1, and the products cross 2^63 between windows
+    @example(case=(STRADDLE_M, (1, 2, 5, 3), STRADDLE), width=8)
+    # I3 is empty, so the grid is too and no window is read
+    @example(case=(9, (2, 4), ((40, 80), (20, 30), (24, 28))), width=1)
+    def test_matches_full_reference(self, tables2m, case, width):
+        m, units, bounds = case
+        lazy = IntervalTriple(
+            *(build_custom_interval(lo, hi, m, tables2m) for lo, hi in bounds)
+        )
+        listed = IntervalTriple(
+            *(shifted_prime_interval(lo, hi, m) for lo, hi in bounds)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "FIRST_WINDOW", width)
+            got = least_witnesses(list(units), lazy)
+        assert [witness_key(w) for w in got] == full_least_witnesses(units, listed)
+        assert [w.delta for w in got if w] == [
+            indicator_1am(w.a, m) for w in got if w
+        ]
+
+    def test_windows_cross_int64_and_no_witness_reads_all(self, tables2m, monkeypatch):
+        paths, sieved = [], []
+        products, primes_in = search._least_products, SieveTables.primes_in
+
+        def spy_products(px, py, pz, dtype, empty):
+            paths.append(np.dtype(dtype).name)
+            return products(px, py, pz, dtype, empty)
+
+        def spy_primes_in(tables, lo, hi):
+            sieved.append((lo, hi))
+            return primes_in(tables, lo, hi)
+
+        monkeypatch.setattr(search, "_least_products", spy_products)
+        monkeypatch.setattr(SieveTables, "primes_in", spy_primes_in)
+        monkeypatch.setattr(search, "FIRST_WINDOW", 8)
+        m = STRADDLE_M
+        listed = IntervalTriple(
+            *(shifted_prime_interval(lo, hi, m) for lo, hi in STRADDLE)
+        )
+
+        def unlisted():
+            return IntervalTriple(
+                *(build_custom_interval(lo, hi, m, tables2m) for lo, hi in STRADDLE)
+            )
+
+        for a in (2, 5):
+            triple = unlisted()
+            paths.clear()
+            w = constructive_search(a, triple)
+            assert witness_key(w) == full_least_witnesses([a], listed)[0]
+            assert paths[0] == "int64" and paths[-1] == "object"
+            assert not triple.i1.listed
+        assert count_solutions_direct(1, listed) == 0
+        triple = unlisted()
+        sieved.clear()
+        assert constructive_search(1, triple) is None
+        (i1_lo, i1_hi), *_ = STRADDLE
+        covered = sum(max(0, min(b, i1_hi) - max(a, i1_lo)) for a, b in sieved)
+        assert covered == i1_hi - i1_lo
+
+    def test_one_unit_mask_per_triple(self, tables, monkeypatch):
+        built = []
+        real = intervals.unit_mask
+
+        def counted(m):
+            built.append(m)
+            return real(m)
+
+        monkeypatch.setattr(intervals, "unit_mask", counted)
+        monkeypatch.setattr(search, "unit_mask", counted)
+        triple = canonical_triple(45, 2, tables)
+        constructive_search(2, triple)
+        count_solutions_direct(2, triple)
+        assert built == [45]
+
+
 # odd moduli up to 1500: any odd m, the multiples of 3 (where d = 1 occurs)
 # and the odd prime powers
 ODD_PRIME_POWERS = [
@@ -435,8 +571,10 @@ CANONICAL_PRODUCT_CAP = 30_000
 def check_batch(units, triple):
     """least_witnesses and direct_counts of `units` at once against the
     literal references, unit by unit."""
-    for iv, least in zip(triple, triple.least_primes):
-        assert least.tolist() == least_prime_per_class(iv.primes.tolist(), iv.modulus)
+    for iv in triple:
+        assert iv.least_per_class().tolist() == least_prime_per_class(
+            iv.primes.tolist(), iv.modulus
+        )
     witnesses = least_witnesses(units, triple)
     counts = direct_counts(units, triple)
     assert len(witnesses) == len(counts) == len(units)
@@ -508,7 +646,7 @@ class TestBatchedCore:
             assert triple.i1.primes[0] == 2
             assert any(witnesses)
         else:
-            assert triple.class_grid.x.size == 0
+            assert not triple.i1.count_vector.any()
             assert witnesses == [None] * len(units)
             assert counts == [0] * len(units)
 
