@@ -7,9 +7,10 @@ adds the oracle cap rule and the scan's m >= 3.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -83,8 +84,9 @@ def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
     """phi(n) for lo <= n < hi, vectorized over a segment.
 
     Needs hi <= 2^63, so that every n fits int64, and base primes up to
-    sqrt(hi - 1); memory is O(hi - lo).  Each prime p and each power
-    p^e < hi is one strided slice of the segment.
+    sqrt(hi - 1); memory is O(hi - lo).  Past the same checks, a segment
+    in 1..FIRST_SEGMENT copies a per-process constant (_first_phi), which
+    a process serving many moduli computes once.
     """
     if lo < 1 or hi <= lo:
         raise DomainError(f"bad segment [{lo}, {hi})")
@@ -95,9 +97,26 @@ def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
         raise BoundsError(
             f"sieve limit {tables.limit} below sqrt({hi - 1}) = {top}"
         )
+    first = _first_phi()
+    if hi - 1 <= first.size:
+        return first[lo - 1 : hi - 1].copy()
+    return _strike(lo, hi, tables.primes_in(1, top))
+
+
+@functools.cache
+def _first_phi(size: int = FIRST_SEGMENT) -> np.ndarray:
+    """phi(1..size), read-only, built on first use; size is fixed at import."""
+    phi = _strike(1, size + 1, build_sieve(size).primes_in(1, math.isqrt(size)))
+    phi.flags.writeable = False
+    return phi
+
+
+def _strike(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """phi(n), lo <= n < hi, from the primes up to sqrt(hi - 1): each
+    prime p and each power p^e < hi is one strided slice of the segment."""
     rem = np.arange(lo, hi, dtype=np.int64)
     phi = np.ones(hi - lo, dtype=np.int64)
-    for p in tables.primes_in(1, top).tolist():
+    for p in base.tolist():
         s = -lo % p
         phi[s::p] *= p - 1
         rem[s::p] //= p
@@ -145,6 +164,7 @@ def oracle_N_multi(
     ends before 2 * max N + FIRST_SEGMENT integers, and memory stays
     O(DEFAULT_SEGMENT) at any cap.  One scatter-min pass per segment
     (first_index) finds the first hit of every class without sorting.
+    The first segment is segment_phi's per-process constant.
     """
     check_cap(cap)
     targets = set()
@@ -197,12 +217,14 @@ def least_witnesses(
     every unit's least product in the window.  A solution with p1 past
     a window's top B has n >= 4^d (B + 1) p2 p3 with p2, p3 the least
     usable primes of I2 and I3, so once every unit of the block has a
-    witness no larger, the rest of I1 is never sieved.
+    witness no larger, the rest of I1 is never sieved.  Every block reads
+    a tee of one window iterator, so a call sieves each window once.
     """
     m = triple.modulus
     deltas = [indicator_1am(a, m) for a in a_values]
     grid = triple.class_grid
     found: list[SearchWitness | None] = [None] * len(deltas)
+    windows = triple.i1.windows(FIRST_WINDOW)
     for delta in (0, 1):
         units = [u for u, d in enumerate(deltas) if d == delta]
         if not units:
@@ -220,7 +242,8 @@ def least_witnesses(
             block = units[s]
             z = grid.forced([a_values[u] for u in block], [delta] * len(block))
             best: list[SearchWitness | None] = [None] * len(block)
-            for window in triple.i1.windows(FIRST_WINDOW):
+            windows, replay = itertools.tee(windows)
+            for window in replay:
                 pz = _least_usable(window, delta)[z]
                 for b, hit in enumerate(_least_hits(px, py, pz, top)):
                     if hit is None:
@@ -405,6 +428,7 @@ def exponent_scan(
     # fork starts every worker at the first submit, each sieving to `limit`
     jobs = min(jobs, len(m_values), _usable_cpus())
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(limit,)
         ) as pool:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -108,6 +109,37 @@ class TestSegmentPhi:
     def test_random_segments_match_naive_phi(self, tables200k, naive_phi, lo, width):
         hi = min(lo + width, NAIVE_LIMIT)
         assert segment_phi(lo, hi, tables200k).tolist() == naive_phi[lo:hi].tolist()
+
+    @settings(deadline=None)
+    @example(lo=1, hi=FIRST_SEGMENT + 1)  # the whole table
+    @example(lo=1, hi=FIRST_SEGMENT + 2)  # one integer past it
+    @example(lo=FIRST_SEGMENT, hi=FIRST_SEGMENT + 2)
+    @given(
+        lo=st.integers(1, 2 * FIRST_SEGMENT - 1),
+        hi=st.integers(2, 2 * FIRST_SEGMENT),
+    )
+    def test_first_segments_match_naive_phi(self, tables, naive_phi, lo, hi):
+        # inside the per-process table, across its end and past it
+        lo, hi = min(lo, hi - 1), max(lo + 1, hi)
+        assert segment_phi(lo, hi, tables).tolist() == naive_phi[lo:hi].tolist()
+
+    def test_first_table_is_read_only(self, tables, naive_phi):
+        table = search._first_phi()
+        assert table.size == FIRST_SEGMENT and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 7
+        seg = segment_phi(1, 101, tables)
+        seg[:] = 0
+        assert segment_phi(1, 101, tables).tolist() == naive_phi[1:101].tolist()
+        assert table.tolist() == naive_phi[1 : FIRST_SEGMENT + 1].tolist()
+
+    def test_checks_run_inside_the_table(self, tables):
+        search._first_phi()  # built, so only the checks can raise
+        for lo, hi in ((10, 10), (20, 10), (0, 5), (-3, 5)):
+            with pytest.raises(DomainError):
+                segment_phi(lo, hi, tables)
+        with pytest.raises(BoundsError, match="sieve limit 10 below"):
+            segment_phi(1, 200, build_sieve(10))  # isqrt(199) = 14 > 10
 
     def test_reads_only_its_base_primes(self, tables200k, naive_phi, monkeypatch):
         def unbuilt(tables):
@@ -242,9 +274,16 @@ class TestOracle:
         monkeypatch.setattr(search, "FIRST_SEGMENT", 256)
         monkeypatch.setattr(search, "DEFAULT_SEGMENT", 1024)
         m = 301  # largest N over all units: 3657
-        found = oracle_N_multi(units_of(m), m, default_cap(m), tables200k)
-        assert found == naive_first_hits(found, m, default_cap(m), naive_phi)
-        assert sizes == [256, 512, 1024, 1024, 1024]
+        # first with the per-process table unbuilt, as when run on its own,
+        # which builds it at its own size under the patched FIRST_SEGMENT;
+        # then with it built, so that it serves the first segments
+        search._first_phi.cache_clear()
+        for _ in range(2):
+            sizes.clear()
+            found = oracle_N_multi(units_of(m), m, default_cap(m), tables200k)
+            assert found == naive_first_hits(found, m, default_cap(m), naive_phi)
+            assert sizes == [256, 512, 1024, 1024, 1024]
+            assert search._first_phi().size == 4096
 
 
 class TestConstructiveSearch:
@@ -537,6 +576,28 @@ class TestWindowedWitness:
         covered = sum(max(0, min(b, i1_hi) - max(a, i1_lo)) for a, b in sieved)
         assert covered == i1_hi - i1_lo
 
+    def test_each_window_sieved_once_per_call(self, tables10k, monkeypatch):
+        # d = 0 for a = 1, 4 and d = 1 for a = 2, 8 at m = 45: two groups
+        # over the same windows of I1 = (300, 900]
+        m, units, bounds = 45, [1, 2, 4, 8], ((300, 900), (120, 300), (40, 120))
+        triple = IntervalTriple(
+            *(build_custom_interval(lo, hi, m, tables10k) for lo, hi in bounds)
+        )
+        triple.class_grid  # lists I2 and I3
+        sieved, primes_in = [], SieveTables.primes_in
+
+        def spy(tables, lo, hi):
+            sieved.append((lo, hi))
+            return primes_in(tables, lo, hi)
+
+        monkeypatch.setattr(SieveTables, "primes_in", spy)
+        monkeypatch.setattr(search, "FIRST_WINDOW", 8)
+        got = least_witnesses(units, triple)
+        assert sorted({indicator_1am(a, m) for a in units}) == [0, 1]
+        assert sieved == [(300, 308), (308, 324), (324, 356), (356, 420), (420, 548)]
+        listed = IntervalTriple(*(shifted_prime_interval(lo, hi, m) for lo, hi in bounds))
+        assert [witness_key(w) for w in got] == full_least_witnesses(units, listed)
+
     def test_one_unit_mask_per_triple(self, tables, monkeypatch):
         built = []
         real = intervals.unit_mask
@@ -766,7 +827,8 @@ class TestExponentScan:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+        # exponent_scan imports the pool only when it starts workers
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(search, "_WORKER_TABLES", None)
         monkeypatch.setattr(search, "_usable_cpus", lambda: 4)
         serial, _ = exponent_scan([9, 11, 13], a_sample=2, k=3)
