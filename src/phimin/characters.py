@@ -1,13 +1,13 @@
 """The unit group (Z/mZ)* of an odd modulus m and its Dirichlet characters.
 
-(Z/mZ)* is the product of its prime-power components p^a || m, each
+(Z/mZ)* is the product of its prime-power components q = p^a || m, each
 cyclic with a least primitive root (m odd), and a unit's discrete logs on
-those generators place it on a grid of shape `orders`.  A character is a
-point of the same grid, so every character-valued quantity is an array
-over the grid: values at one residue, conductors, and (in `intervals`)
-the character sums of a count vector, which are one FFT over it.  Angle
-numerators are exact integers; only the final root-of-unity lookup is
-floating point.
+those generators, read from one table of length q per component, place
+it on a grid of shape `orders`.  A character is a point of the same grid,
+so every character-valued quantity is an array over the grid: values at
+one residue, conductors, and (in `intervals`) the character sums of a
+count vector, which are one FFT over it.  Angle numerators are exact
+integers; only the final exp is floating point.
 """
 
 from __future__ import annotations
@@ -45,7 +45,10 @@ class UnitGroupContext:
     shape `orders` flattened in C order, so index 0 is the principal
     character and index i has exponents np.unravel_index(i, orders).
 
-    Immutable after construction; safe to share across workers.
+    dlogs[j] is the log table of component j, of length q_j and 0 off its
+    units; logs() alone reads that layout.  The tables are fixed at
+    construction; conductors() and value_matrix() keep their arrays in the
+    instance on first call, always the same values.
     """
 
     def __init__(self, modulus: int, components: Sequence[Component]):
@@ -53,25 +56,20 @@ class UnitGroupContext:
         self.components = tuple(components)
         self.orders = tuple(c.order for c in self.components)
         self.phi = math.prod(self.orders)
-        self.value_order = math.lcm(*self.orders) if self.orders else 1
-        self._build_tables()
-        self._value_matrix: np.ndarray | None = None
-        self._conductors: np.ndarray | None = None
-
-    def _build_tables(self) -> None:
-        m = self.modulus
+        self.value_order = math.lcm(*self.orders)
         for comp in self.components:
             if comp.prime_power**2 > 2**63 - 1:
                 raise BoundsError(
                     f"int64 power table products would overflow mod {comp.prime_power}"
                 )
-        self.unit_mask = unit_mask(m)
-        self.dlogs = np.zeros((len(self.components), m), dtype=np.int64)
-        for i, comp in enumerate(self.components):
-            self.dlogs[i] = np.tile(_dlog_table(comp), m // comp.prime_power)
-        self.dlogs[:, ~self.unit_mask] = 0
-        T = self.value_order
-        self.roots = np.exp(2j * np.pi * np.arange(T) / T)
+        self.unit_mask = unit_mask(modulus)
+        self.dlogs = tuple(_dlog_table(comp) for comp in self.components)
+        self._value_matrix: np.ndarray | None = None
+        self._conductors: np.ndarray | None = None
+
+    def logs(self, x: int | np.ndarray) -> tuple[np.ndarray, ...]:
+        """dlog_j(x) = dlogs[j][x mod q_j] of unit residues x, per component."""
+        return tuple(t[x % c.prime_power] for c, t in zip(self.components, self.dlogs))
 
     def units(self) -> np.ndarray:
         """Ascending unit residues (for m = 1 this is [0])."""
@@ -92,18 +90,17 @@ class UnitGroupContext:
         """chi(x) for every character, in the character order.
 
         The angle numerators sum_i e_i * dlog_i(x) * (T / o_i) mod T are
-        exact integers over the exponent grid; only the root lookup is
-        floating point.
+        exact integers over the exponent grid; only exp is floating point.
         """
         r = x % self.modulus
         if not self.unit_mask[r]:
             return np.zeros(self.phi, dtype=complex)
         T = self.value_order
         t = np.zeros(1, dtype=np.int64)
-        for o, dlog in zip(self.orders, self.dlogs):
-            step = int(dlog[r]) * (T // o) % T
+        for o, log in zip(self.orders, self.logs(r)):
+            step = int(log) * (T // o) % T
             t = np.add.outer(t, np.arange(o, dtype=np.int64) * step % T).ravel() % T
-        return self.roots[t]
+        return np.exp(2j * np.pi * t / T)
 
     def conductors(self) -> np.ndarray:
         """Conductor of each character, in the character order: the least

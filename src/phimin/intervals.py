@@ -335,8 +335,9 @@ def character_sums_all(ctx: UnitGroupContext, counts: np.ndarray) -> np.ndarray:
 
     S(chi_e) = sum_u c[u] exp(2 pi i sum_j e_j dlog_j(u) / o_j) is an
     unnormalised inverse DFT of the counts placed on the discrete-log
-    grid of shape ctx.orders (the abelian-group FFT).  O(phi log phi)
-    time and O(m) memory; classes off the units contribute nothing.
+    grid of shape ctx.orders (the abelian-group FFT), each unit at its
+    logs on the per-component tables (ctx.logs).  O(phi log phi) time and
+    O(m) memory; classes off the units contribute nothing.
     """
     if len(counts) != ctx.modulus:
         raise DomainError(f"{len(counts)} counts for modulus {ctx.modulus}")
@@ -344,7 +345,7 @@ def character_sums_all(ctx: UnitGroupContext, counts: np.ndarray) -> np.ndarray:
         return np.array([counts.sum()], dtype=complex)
     units = ctx.units()
     grid = np.zeros(ctx.orders)
-    grid[tuple(ctx.dlogs[:, units])] = counts[units]
+    grid[ctx.logs(units)] = counts[units]
     return np.fft.ifftn(grid, norm="forward").ravel()
 
 

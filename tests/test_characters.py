@@ -22,6 +22,14 @@ def grid_table(ctx):
     return np.stack([ctx.values_at(x) for x in range(ctx.modulus)], axis=1)
 
 
+def assert_tables_zero_off_units(ctx):
+    """dlogs[j] has length q_j and is 0 off the units of q_j."""
+    for comp, table in zip(ctx.components, ctx.dlogs):
+        q = comp.prime_power
+        assert table.shape == (q,)
+        assert not table[np.gcd(np.arange(q), q) > 1].any()
+
+
 def index_of(ctx, exponents):
     """Position of the character with this exponent vector in the
     character order."""
@@ -60,8 +68,8 @@ class TestUnitGroup:
         for m in (9, 15, 21, 45):
             ctx = build_unit_group(m)
             for u in units_of(m):
-                for comp, dlog in zip(ctx.components, ctx.dlogs):
-                    e = int(dlog[u % m])
+                for comp, log in zip(ctx.components, ctx.logs(u % m)):
+                    e = int(log)
                     assert pow(comp.generator, e, comp.prime_power) == u % comp.prime_power
 
     @settings(deadline=None)
@@ -71,8 +79,23 @@ class TestUnitGroup:
     @example(m=5**5)
     @example(m=3003)
     def test_dlogs_match_brute_force(self, m):
+        # every unit of q_j lifts to a unit of m, so the logs at the units
+        # and the zeros off the units of q_j pin each whole table
         ctx = build_unit_group(m)
-        assert ctx.dlogs.tolist() == discrete_logs(ctx).tolist()
+        units = ctx.units()
+        assert np.array(ctx.logs(units)).tolist() == discrete_logs(ctx)[:, units].tolist()
+        assert_tables_zero_off_units(ctx)
+
+    def test_build_holds_no_m_wide_logs(self):
+        # 255255 = 3*5*7*11*13*17: six log tables of 3 to 17 entries beside
+        # the m-byte unit mask; logs tiled to (6, m) int64 would take 12 MiB
+        tracemalloc.start()
+        try:
+            build_unit_group(255_255)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         # 3037000507 is the least prime q with q^2 > 2^63 - 1, 3^20 the least
@@ -287,4 +310,37 @@ class TestGridAgainstReference:
             assert np.max(np.abs(ctx.values_at(y) - table[:, y % m])) < 1e-12
         assert ctx.conductors().tolist() == kernel_conductors(ctx, table).tolist()
         assert ctx.unit_mask.tolist() == unit_mask(m).tolist()
-        assert not ctx.dlogs[:, ~ctx.unit_mask].any()  # dlogs are 0 off the units
+        assert_tables_zero_off_units(ctx)
+
+
+# odd m, multiples of 3, powers of 3, and products of several prime powers
+# with a square or higher among them, where each component's table is read
+# at x mod q_j
+layout_moduli = st.one_of(
+    st.integers(0, 599).map(lambda i: 2 * i + 1),
+    st.integers(0, 133).map(lambda i: 3 * (2 * i + 1)),
+    st.integers(1, 8).map(lambda j: 3**j),
+    st.sampled_from([45, 225, 675, 1575, 2475, 3375, 11025, 15435, 45045]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=layout_moduli, seed=st.integers(0, 2**32 - 1))
+@example(m=45045, seed=0)
+@example(m=11025, seed=0)
+def test_factorized_logs_match_reference(m, seed):
+    """The per-component logs against brute-force discrete logs at the
+    units, and the character sums against an FFT over the grid placed
+    from those logs, bit for bit."""
+    ctx = build_unit_group(m)
+    units = ctx.units()
+    want_logs = discrete_logs(ctx)[:, units]
+    assert np.array(ctx.logs(units)).tolist() == want_logs.tolist()
+    counts = np.random.default_rng(seed).integers(0, 10**6, size=m)
+    got = character_sums_all(ctx, counts)
+    if m == 1:
+        assert got.tolist() == [counts.sum()]
+        return
+    grid = np.zeros(ctx.orders)
+    grid[tuple(want_logs)] = counts[units]
+    assert np.array_equal(got, np.fft.ifftn(grid, norm="forward").ravel())

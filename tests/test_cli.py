@@ -205,6 +205,25 @@ GOLDEN_COUNT = [
         '"S_small": 34689.43925956425, "S_large": 546693.1850514667, '
         '"threshold": 7.0, "certified": false}',
     ),
+    # a squared prime next to first powers (3^2*5*7*11*13) and three squared
+    # primes (3^2*5^2*7^2), where a unit's log on each component is read
+    # from that component's table; frozen before the tables were factorized
+    (
+        "--m 45045 --a 2 --k 2",
+        '{"schema_version": 1, "command": "count", "m": 45045, "a": 2, "k": 2, '
+        '"delta": 1, "J_direct": 35430, "J_characters": 35430.0, '
+        '"main_term": 30540.404166666667, "psi_term": 15270.202083333334, '
+        '"S_small": 309573572.8422808, "S_large": 0.0, "threshold": 45045.0, '
+        '"certified": false}',
+    ),
+    (
+        "--m 11025 --a 2 --k 2",
+        '{"schema_version": 1, "command": "count", "m": 11025, "a": 2, "k": 2, '
+        '"delta": 1, "J_direct": 3367, "J_characters": 3367.000000000001, '
+        '"main_term": 3968.1, "psi_term": 1984.05, '
+        '"S_small": 11943155.762326714, "S_large": 0.0, "threshold": 11025.0, '
+        '"certified": false}',
+    ),
     (
         "--m 100003 --a 2 --k 2",
         '{"schema_version": 1, "command": "count", "m": 100003, "a": 2, "k": 2, '

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,6 +219,40 @@ class TestRequireDisjoint:
                 i, j = clash
                 with pytest.raises(DomainError, match=f"interval sets {i} and {j} share"):
                     route()
+
+
+def one_prime_triple(m, short_counts=False):
+    """I1, I2, I3 listed as the single primes 11, 7 and 3 mod m;
+    `short_counts` gives each set a count vector that ends at its one
+    class, not m long."""
+    sets = []
+    for p in (11, 7, 3):
+        vector = np.bincount([p - 1]) if short_counts else None
+        sets.append(PrimeIntervalSet(None, p - 1, p, m, np.array([p]), vector))
+    return IntervalTriple(*sets)
+
+
+class TestClassGridGuard:
+    """class_grid multiplies residues below m in int64, so it needs
+    m^2 < 2^63 and raises before any m-long count vector is read."""
+
+    def test_raises_before_allocating(self):
+        triple = one_prime_triple(3_037_000_501)  # the least odd m with m^2 >= 2^63
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundsError):
+                triple.class_grid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_builds_just_inside(self):
+        m = 3_037_000_499  # 13 * 233615423, the largest odd m with m^2 < 2^63
+        assert m * m < 2**63 <= (m + 2) ** 2
+        grid = one_prime_triple(m, short_counts=True).class_grid
+        assert grid.x.tolist() == [2] and grid.y.tolist() == [6]
+        assert grid.inv_xy.tolist() == [[pow(2 * 6, -1, m)]] == [[253_083_375]]
 
 
 class TestCardinalityPrediction:
