@@ -161,10 +161,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
     )
     if args.out == "-":
         _write_scan_csv(rows, sys.stdout)
-    else:
+        return EXIT_OK
+    # opened only after the scan, so a scan that fails its checks leaves no file
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_scan_csv(rows, fh)
-        _emit({"command": "scan", "out": args.out, **summary})
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.out}: {exc.strerror or exc}")
+    _emit({"command": "scan", "out": args.out, **summary})
     return EXIT_OK
 
 

@@ -81,11 +81,12 @@ def count_solutions_characters(a: int, triple: IntervalTriple) -> float:
 
 
 def _character_terms(a: int, triple: IntervalTriple) -> np.ndarray:
-    """S1 S2 S3 * conj(chi(a)) * chi(1 + d) for every character."""
-    delta = indicator_1am(a, triple.modulus)
-    ctx = triple.unit_group
+    """S1 S2 S3 * conj(chi(a)) * chi(1 + d) for every character, the
+    last two factors read as one value chi((1 + d) a^-1)."""
+    m = triple.modulus
+    delta = indicator_1am(a, m)
     s1, s2, s3 = triple.character_sums
-    return s1 * s2 * s3 * np.conj(ctx.values_at(a)) * ctx.values_at(1 + delta)
+    return s1 * s2 * s3 * triple.unit_group.values_at((1 + delta) * pow(a, -1, m))
 
 
 def _beyond_chi0_psi(triple: IntervalTriple) -> np.ndarray:

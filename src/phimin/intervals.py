@@ -4,8 +4,9 @@ An interval set holds the primes p in (lo, hi] with gcd(p-1, m) = 1
 together with the residue count vector c[b] = #{p : p-1 = b (mod m)},
 so the sums S(chi) = sum_p chi(p-1) over every character are one FFT of
 the count vector.  A set over a sieve is listed when first read, and
-can be read in ascending windows instead.  The canonical triple uses
-bounds m^(1+1/k), m, m^(1/k).
+can be read over any part of its bounds, or in ascending windows,
+instead.  The canonical triple uses bounds m^(1+1/k), m, m^(1/k), and
+its sets are disjoint because those bounds barely meet.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ class PrimeIntervalSet:
     A set built over a sieve (`tables`, with `unit`, the unit mask of m)
     is listed when `primes` or `count_vector` is first read; it then
     keeps the list and lets go of the sieve and the mask.  Before that,
-    `prefix` and `windows` read it in ascending pieces without listing
-    it.  A set built from its primes is listed from the start, its count
-    vector by default the counts of those primes.  The classes (p - 1)
-    mod m are computed where they are read, never kept.
+    `between` and `windows` read parts of it without listing it.  A set
+    built from its primes is listed from the start, its count vector by
+    default the counts of those primes; those primes too must lie in
+    (lo, hi], which the disjointness check relies on.  The classes
+    (p - 1) mod m are computed where they are read, never kept.
     """
 
     def __init__(
         self,
-        index: int | None,
         lo: float,
         hi: float,
         modulus: int,
@@ -59,7 +60,7 @@ class PrimeIntervalSet:
         tables: SieveTables | None = None,
         unit: np.ndarray | None = None,
     ) -> None:
-        self.index, self.lo, self.hi, self.modulus = index, lo, hi, modulus
+        self.lo, self.hi, self.modulus = lo, hi, modulus
         self._primes, self._counts = primes, count_vector
         self._tables, self._unit = tables, unit
 
@@ -98,11 +99,13 @@ class PrimeIntervalSet:
         res %= self.modulus
         return primes[self._unit[res]]
 
-    def prefix(self, top: float) -> np.ndarray:
-        """The primes of the set up to `top`, read without listing the rest."""
-        if not self.listed and top < self.hi:
-            return self._sieve(self.lo, top)
-        return self.primes[: np.searchsorted(self.primes, top, "right")]
+    def between(self, lo: float, hi: float) -> np.ndarray:
+        """The primes of the set in (lo, hi], read without listing it."""
+        lo, hi = max(lo, self.lo), min(hi, self.hi)
+        if not self.listed:
+            return self._sieve(lo, hi)
+        start, stop = np.searchsorted(self.primes, (lo, hi), "right")
+        return self.primes[start:stop]
 
     def windows(self, width: int) -> Iterator[PrimeIntervalSet]:
         """The set as listed sets over ascending windows that cover
@@ -116,7 +119,7 @@ class PrimeIntervalSet:
         while lo < hi:
             top = min(lo + width, hi)
             primes = self._sieve(lo, top)
-            yield PrimeIntervalSet(self.index, lo, top, self.modulus, primes)
+            yield PrimeIntervalSet(lo, top, self.modulus, primes)
             lo, width = top, 2 * width
 
     def least_per_class(self, skip: int = 0) -> np.ndarray:
@@ -129,27 +132,21 @@ class PrimeIntervalSet:
         return least
 
 
-def _largest(iv: PrimeIntervalSet) -> float:
-    """A bound on the primes of iv that lists nothing: its largest prime
-    once listed (0 when it has none), else hi."""
-    if not iv.listed:
-        return iv.hi
-    return int(iv.primes[-1]) if iv.size else 0
-
-
 def require_disjoint(*intervals: PrimeIntervalSet) -> None:
     """The canonical intervals separate once m is large enough; at small
     m they can collide, which breaks the product structure, so it is an
     explicit error rather than an assumed threshold.
 
-    A common prime of two sets is at most the smaller of their largest
-    primes, so each set is read only up to there: an unlisted I1 above
-    I2 and I3 is not read at all.  Each pair is then decided by looking
-    up the smaller sorted prefix in the larger one, O(s log L) with no
-    hashing."""
+    Each set holds only primes in its bounds (lo, hi], so two sets can
+    share a prime only where their bounds overlap: a pair whose bounds
+    do not overlap is not read at all, and any other pair is read over
+    the overlap only.  The smaller piece is then looked up in the larger
+    one, O(s log L) with no hashing."""
     for (i, x), (j, y) in itertools.combinations(enumerate(intervals, 1), 2):
-        top = min(_largest(x), _largest(y))
-        small, large = sorted((x.prefix(top), y.prefix(top)), key=len)
+        lo, hi = max(x.lo, y.lo), min(x.hi, y.hi)
+        if lo >= hi:
+            continue
+        small, large = sorted((x.between(lo, hi), y.between(lo, hi)), key=len)
         if not small.size:
             continue
         at = np.minimum(np.searchsorted(large, small), large.size - 1)
@@ -274,7 +271,6 @@ def interval_sieve_limit(m: int, k: int) -> int:
 
 
 def _make_interval(
-    index: int | None,
     lo: float,
     hi: float,
     m: int,
@@ -285,10 +281,10 @@ def _make_interval(
     are checked now, and `unit` (arith.unit_mask(m)) is built when None."""
     check_odd_modulus(m)
     if lo >= hi:
-        return PrimeIntervalSet(index, lo, hi, m, np.empty(0, dtype=np.int64))
+        return PrimeIntervalSet(lo, hi, m, np.empty(0, dtype=np.int64))
     tables.check_limit(hi)
     unit = unit_mask(m) if unit is None else unit
-    return PrimeIntervalSet(index, lo, hi, m, tables=tables, unit=unit)
+    return PrimeIntervalSet(lo, hi, m, tables=tables, unit=unit)
 
 
 def build_interval(
@@ -300,14 +296,14 @@ def build_interval(
     mask of m, lets the intervals of one triple share it."""
     _check_k(k)
     lo, hi = interval_bounds(j, m, k)
-    return _make_interval(j, lo, hi, m, tables, unit)
+    return _make_interval(lo, hi, m, tables, unit)
 
 
 def build_custom_interval(
     lo: float, hi: float, m: int, tables: SieveTables
 ) -> PrimeIntervalSet:
     """Interval set over explicit bounds (lo, hi]."""
-    return _make_interval(None, lo, hi, m, tables, None)
+    return _make_interval(lo, hi, m, tables, None)
 
 
 def cardinality_prediction(j: int, m: int, k: int) -> float:

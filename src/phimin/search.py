@@ -386,24 +386,10 @@ def _scan_one_m(
     return rows
 
 
-_WORKER_TABLES: SieveTables | None = None
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _init_worker(limit: int) -> None:
-    global _WORKER_TABLES
-    _WORKER_TABLES = build_sieve(limit)
-
-
-def _worker_task(args: tuple[int, tuple[int, ...], int]) -> list[dict]:
-    m, a_values, k = args
-    assert _WORKER_TABLES is not None
-    return _scan_one_m(m, list(a_values), k, _WORKER_TABLES)
 
 
 def exponent_scan(
@@ -414,8 +400,9 @@ def exponent_scan(
 ) -> tuple[list[dict], dict]:
     """Oracle N, witness n, and their exponents for every (m, a) row.
 
-    Rows keep input order regardless of `jobs` (at most one worker per
-    modulus and per CPU); per-row domain errors are recorded in the row
+    Every modulus runs the same call over one sieve, here or in a worker
+    (at most one per modulus and per CPU), and rows keep input order
+    regardless of `jobs`; per-row domain errors are recorded in the row
     instead of aborting the scan.  Returns
     (rows, summary) where the summary aggregates the exponents.
     """
@@ -423,21 +410,16 @@ def exponent_scan(
         check_odd_modulus(m)
         if m < 3:
             raise DomainError(f"scan moduli must be odd and >= 3, got {m}")
-    limit = scan_sieve_limit(m_values, k)
-    task_args = [(m, tuple(_sample_units(m, a_sample)), k) for m in m_values]
-    # fork starts every worker at the first submit, each sieving to `limit`
+    tables = build_sieve(scan_sieve_limit(m_values, k))
+    scan = functools.partial(_scan_one_m, k=k, tables=tables)
+    units = [_sample_units(m, a_sample) for m in m_values]
     jobs = min(jobs, len(m_values), _usable_cpus())
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(limit,)
-        ) as pool:
-            per_m = list(pool.map(_worker_task, task_args))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            per_m = list(pool.map(scan, m_values, units))
     else:
-        tables = build_sieve(limit)
-        per_m = [
-            _scan_one_m(m, list(a_values), k, tables) for m, a_values, k in task_args
-        ]
+        per_m = list(map(scan, m_values, units))
     rows = [row for group in per_m for row in group]
     return rows, _summarize(rows)
 

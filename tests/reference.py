@@ -126,7 +126,7 @@ def shifted_prime_interval(lo, hi, m):
     )
     primes = primes[np.gcd(primes - 1, m) == 1]
     counts = np.bincount((primes - 1) % m, minlength=m).astype(np.int64)
-    return PrimeIntervalSet(None, lo, hi, m, primes, counts)
+    return PrimeIntervalSet(lo, hi, m, primes, counts)
 
 
 def least_prime_per_class(primes, m):

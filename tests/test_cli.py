@@ -405,6 +405,19 @@ class TestScanCommand:
         assert rec["command"] == "scan" and rec["rows"] == 6
         assert out.exists()
 
+    def test_unwritable_out_exit_2(self, tmp_path):
+        out = tmp_path / "missing" / "scan.csv"
+        r = run_cli("scan", "--m-range", "9:9", "--a-sample", "all",
+                    "--k", "3", "--out", str(out))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("phimin: cannot write ")
+        assert len(r.stderr.splitlines()) == 1
+
+    def test_rejected_scan_leaves_no_file(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run_cli("scan", "--m-range", "8:8", "--out", str(out)).returncode == 2
+        assert not out.exists()
+
 
 # the sieve is sized from these inputs, so they must be rejected first
 @pytest.mark.parametrize(

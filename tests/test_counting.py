@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from phimin.counting import (
     count_report,
     count_solutions_characters,
     count_solutions_direct,
+    direct_counts,
     indicator_1am,
     main_term,
     positivity_certificate,
@@ -166,16 +168,33 @@ class TestDirectCount:
         assert counts == [count_solutions_enumerate(a, ivs) for a in units_of(m)]
         assert sum(counts) > 0
 
+    @staticmethod
+    def broadcast_triple(sizes):
+        """I1, I2, I3 as the primes 2, 5 and 11 repeated sizes[j] times
+        without allocating them, with all-zero count vectors mod 9."""
+        return IntervalTriple(
+            *(PrimeIntervalSet(p - 1, p, 9, np.broadcast_to(np.int64(p), (n,)),
+                               np.zeros(9, dtype=np.int64))
+              for p, n in zip((2, 5, 11), sizes))
+        )
+
     def test_overflow_guard(self):
         # |I1||I2||I3| = 2^63 would overflow the int64 contraction
-        n = 2**21
-        ivs = IntervalTriple(
-            *(PrimeIntervalSet(None, p - 1, p, 9, np.broadcast_to(np.int64(p), (n,)),
-                               np.zeros(9, dtype=np.int64))
-              for p in (2, 5, 11))
-        )
+        ivs = self.broadcast_triple([2**21] * 3)
         with pytest.raises(BoundsError):
             count_solutions_direct(1, ivs)
+
+    def test_overflow_guard_just_inside(self):
+        # |I1||I2||I3| = 2^63 - 2^42 still fits int64, so the contraction runs
+        ivs = self.broadcast_triple([2**21, 2**21, 2**21 - 1])
+        assert ivs.product == 2**63 - 2**42
+        tracemalloc.start()
+        try:
+            assert direct_counts([1], ivs) == [0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_cli_count_beyond_dense_table(self, capsys):
         # the phi(m) x m table would take about 4.2 GB at this modulus
@@ -220,7 +239,7 @@ class TestDirectCount:
     def interval_indices(sums, triple):
         """Sorted interval index of each summed count vector, None for a
         vector of no interval."""
-        vectors = {id(iv.count_vector): iv.index for iv in triple}
+        vectors = {id(iv.count_vector): j for j, iv in enumerate(triple, 1)}
         return sorted(vectors.get(id(c)) for c in sums)
 
     def test_character_side_built_once_per_triple(self, tables, monkeypatch):
@@ -310,7 +329,6 @@ class TestStructuralInvariances:
         m = 15
         ivs = canonical_triple(m, 3, tables)
         shuffled = PrimeIntervalSet(
-            index=ivs.i1.index,
             lo=ivs.i1.lo,
             hi=ivs.i1.hi,
             modulus=m,
@@ -332,7 +350,6 @@ class TestStructuralInvariances:
                 if c1[b]:
                     shifted[b * u % m] = c1[b]
             iv_shift = PrimeIntervalSet(
-                index=None,
                 lo=ivs.i1.lo,
                 hi=ivs.i1.hi,
                 modulus=m,

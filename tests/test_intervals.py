@@ -35,7 +35,6 @@ def interval_from_primes(primes, m):
     arr = np.array(sorted(primes), dtype=np.int64)
     counts = np.bincount((arr - 1) % m, minlength=m).astype(np.int64)
     return PrimeIntervalSet(
-        index=None,
         lo=float(arr.min() - 1),
         hi=float(arr.max()),
         modulus=m,
@@ -130,7 +129,7 @@ class TestBuildInterval:
 
 
 class TestReadingInPieces:
-    """windows and prefix of a set over the sieve, against the set listed
+    """windows and between of a set over the sieve, against the set listed
     by primality tests, with the set left unlisted."""
 
     @settings(deadline=None)
@@ -142,11 +141,13 @@ class TestReadingInPieces:
         lo=st.one_of(st.integers(-1, 3000).map(float), st.floats(-1.0, 3000.0)),
         span=st.floats(0.0, 3000.0),
         width=st.integers(1, 300),
+        low=st.one_of(st.integers(-1, 3000), st.floats(-1.0, 3000.0)),
         top=st.one_of(st.integers(-1, 3000), st.floats(-1.0, 3000.0)),
     )
-    @example(m=9, lo=1.0, span=30.0, width=1, top=2)  # 2 alone in the first window
-    @example(m=7, lo=5.5, span=0.25, width=4, top=10)  # no integer in (lo, hi]
-    def test_match_listing(self, tables, m, lo, span, width, top):
+    @example(m=9, lo=1.0, span=30.0, width=1, low=-1, top=2)  # 2 alone in the first window
+    @example(m=7, lo=5.5, span=0.25, width=4, low=0, top=10)  # no integer in (lo, hi]
+    @example(m=7, lo=1.0, span=100.0, width=4, low=50, top=20)  # low above top
+    def test_match_listing(self, tables, m, lo, span, width, low, top):
         hi = min(lo + span, 3000.0)
         iv = build_custom_interval(lo, hi, m, tables)
         want = shifted_prime_interval(lo, hi, m).primes
@@ -162,21 +163,22 @@ class TestReadingInPieces:
             assert edges[-1] == max(math.floor(hi), math.floor(lo))
             for i, w in enumerate(windows[:-1]):
                 assert w.hi - w.lo == width * 2**i
-        np.testing.assert_array_equal(iv.prefix(top), want[want <= top])
-        # a prefix short of hi lists nothing; one that reaches it is the set
-        assert iv.listed == (lo >= hi or top >= hi)
+        inside = want[(want > low) & (want <= top)]
+        np.testing.assert_array_equal(iv.between(low, top), inside)
+        # reading a part of the set lists nothing
+        assert iv.listed == (lo >= hi)
         np.testing.assert_array_equal(iv.primes, want)
         assert iv.listed and list(iv.windows(width)) == [iv]
-        np.testing.assert_array_equal(iv.prefix(top), want[want <= top])
+        np.testing.assert_array_equal(iv.between(low, top), inside)
 
 
 def sorted_interval(values, m=7):
-    """Interval set over an explicit sorted array, possibly empty."""
+    """Interval set over an explicit sorted array of values in 0..41,
+    possibly empty, with bounds (-1, 41] that hold every value."""
     arr = np.array(values, dtype=np.int64)
     return PrimeIntervalSet(
-        index=None,
-        lo=0.0,
-        hi=0.0,
+        lo=-1.0,
+        hi=41.0,
         modulus=m,
         primes=arr,
         count_vector=np.bincount((arr - 1) % m, minlength=m).astype(np.int64),
@@ -220,6 +222,41 @@ class TestRequireDisjoint:
                 with pytest.raises(DomainError, match=f"interval sets {i} and {j} share"):
                     route()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(0, 60).map(lambda i: 2 * i + 1),
+        bounds=st.lists(
+            st.tuples(
+                st.one_of(st.integers(-1, 600).map(float), st.floats(-1.0, 600.0)),
+                st.floats(0.0, 600.0),
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+    )
+    @example(m=1, bounds=[(1.0, 2.0), (1.5, 3.0)])  # 2 read from the overlap (1.5, 2]
+    @example(m=3, bounds=[(10.0, 20.0), (20.0, 30.0)])  # bounds meet at 20 only
+    @example(m=5, bounds=[(100.0, 50.0), (120.0, 10.0), (125.0, 30.0)])
+    def test_unlisted_sets_match_set_intersection(self, tables, m, bounds):
+        ivs = [build_custom_interval(lo, lo + span, m, tables) for lo, span in bounds]
+        unlisted = [iv for iv in ivs if not iv.listed]
+        clash = None
+        try:
+            require_disjoint(*ivs)
+        except DomainError as exc:
+            clash = str(exc)
+        # the check reads pieces of the sets and lists none of them
+        assert not any(iv.listed for iv in unlisted)
+        want = next(
+            (
+                f"interval sets {i} and {j} share primes at m={m}"
+                for (i, x), (j, y) in itertools.combinations(enumerate(ivs, 1), 2)
+                if set(x.primes.tolist()) & set(y.primes.tolist())
+            ),
+            None,
+        )
+        assert clash == want
+
 
 def one_prime_triple(m, short_counts=False):
     """I1, I2, I3 listed as the single primes 11, 7 and 3 mod m;
@@ -228,7 +265,7 @@ def one_prime_triple(m, short_counts=False):
     sets = []
     for p in (11, 7, 3):
         vector = np.bincount([p - 1]) if short_counts else None
-        sets.append(PrimeIntervalSet(None, p - 1, p, m, np.array([p]), vector))
+        sets.append(PrimeIntervalSet(p - 1, p, m, np.array([p]), vector))
     return IntervalTriple(*sets)
 
 
@@ -388,7 +425,7 @@ class TestParseval:
 def count_vector_interval(counts, m):
     """Interval set that carries only a count vector, for Parseval."""
     empty = np.empty(0, dtype=np.int64)
-    return PrimeIntervalSet(None, 0.0, 0.0, m, empty, counts)
+    return PrimeIntervalSet(0.0, 0.0, m, empty, counts)
 
 
 odd_moduli = st.integers(0, 199).map(lambda i: 2 * i + 1)

@@ -17,6 +17,7 @@ from phimin.search import (
     FIRST_SEGMENT,
     FIRST_WINDOW,
     canonical_triple,
+    check_cap,
     constructive_search,
     default_cap,
     exponent_scan,
@@ -153,10 +154,15 @@ class TestSegmentPhi:
         with pytest.raises(DomainError):
             segment_phi(10, 10, tables)
 
-    def test_needs_base_primes(self):
+    def test_needs_base_primes(self, tables):
         t = build_sieve(10)
         with pytest.raises(BoundsError):
             segment_phi(1, 1000, t)
+        # past the first segment: isqrt(5041) = 71 is the least limit
+        with pytest.raises(BoundsError):
+            segment_phi(5000, 5042, build_sieve(70))
+        want = segment_phi(5000, 5042, tables)
+        assert segment_phi(5000, 5042, build_sieve(71)).tolist() == want.tolist()
 
     def test_end_past_int64_rejected(self, tables):
         # checked before the base primes, which this sieve lacks
@@ -196,6 +202,11 @@ class TestOracle:
     def test_bad_cap(self, tables):
         with pytest.raises(DomainError):
             oracle_N(1, 5, 0, tables)
+
+    def test_cap_guard_both_sides(self):
+        check_cap(2**63 - 1)  # the largest n the int64 stream holds
+        with pytest.raises(BoundsError):
+            check_cap(2**63)
 
     def test_multi_matches_single(self, tables):
         m = 45
@@ -613,6 +624,22 @@ class TestWindowedWitness:
         count_solutions_direct(2, triple)
         assert built == [45]
 
+    @pytest.mark.parametrize("m", [301, 19001])
+    def test_canonical_triple_checked_without_sieving(self, m, monkeypatch):
+        # at k = 2 the bounds of I1, I2 and I3 do not overlap once m >= 4,
+        # so the disjointness check reads none of the three sets
+        tables = build_sieve(intervals.interval_sieve_limit(m, 2))
+        sieved, primes_in = [], SieveTables.primes_in
+
+        def spy(tables, lo, hi):
+            sieved.append((lo, hi))
+            return primes_in(tables, lo, hi)
+
+        monkeypatch.setattr(SieveTables, "primes_in", spy)
+        triple = canonical_triple(m, 2, tables)
+        assert sieved == []
+        assert not any(iv.listed for iv in triple)
+
 
 # odd moduli up to 1500: any odd m, the multiples of 3 (where d = 1 occurs)
 # and the odd prime powers
@@ -810,13 +837,17 @@ class TestExponentScan:
         )
 
     def test_workers_capped(self, monkeypatch):
-        # a recording stand-in for the pool, which runs the tasks in-process
-        seen = []
+        # a recording stand-in for the pool, which runs the tasks in-process;
+        # both paths map the same per-modulus call, bound to the scan's sieve
+        seen, mapped = [], []
+
+        def recording_map(fn, *iterables):
+            mapped.append((fn.func, fn.keywords["k"], fn.keywords["tables"].limit))
+            return map(fn, *iterables)
 
         class Pool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 seen.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -824,15 +855,16 @@ class TestExponentScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            map = staticmethod(recording_map)
 
         # exponent_scan imports the pool only when it starts workers
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(search, "_WORKER_TABLES", None)
+        monkeypatch.setattr(search, "map", recording_map, raising=False)
         monkeypatch.setattr(search, "_usable_cpus", lambda: 4)
         serial, _ = exponent_scan([9, 11, 13], a_sample=2, k=3)
         assert exponent_scan([9, 11, 13], a_sample=2, k=3, jobs=1000)[0] == serial
+        bound = (search._scan_one_m, 3, scan_sieve_limit([9, 11, 13], 3))
+        assert mapped == [bound, bound]
         exponent_scan(list(range(9, 30, 2)), a_sample=1, k=3, jobs=1000)
         assert seen == [3, 4]
         monkeypatch.setattr(search, "_usable_cpus", lambda: 1)

@@ -27,11 +27,16 @@ def test_prime_count_to_100():
 
 
 def test_limit_below_two_rejected():
+    assert build_sieve(2).primes.tolist() == [2]
     with pytest.raises(BoundsError):
         build_sieve(1)
 
 
 def test_limit_above_cap_rejected():
+    # the cap itself builds: only its base table, up to isqrt(cap)
+    assert build_sieve(sieve.HARD_LIMIT_CAP).limit == sieve.HARD_LIMIT_CAP
+    with pytest.raises(BoundsError):
+        build_sieve(sieve.HARD_LIMIT_CAP + 1)
     with pytest.raises(BoundsError):
         build_sieve(10**12)
 
@@ -160,6 +165,7 @@ def test_primes_in_range(tables):
     assert tables.primes_in(10, 20).tolist() == [11, 13, 17, 19]
     assert tables.primes_in(13, 13).tolist() == []
     assert tables.primes_in(12.5, 13).tolist() == [13]
+    assert tables.primes_in(2990, tables.limit).tolist() == [2999]
     with pytest.raises(BoundsError):
         tables.primes_in(0, tables.limit + 1)
 
