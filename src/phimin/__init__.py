@@ -9,7 +9,6 @@ bounds the counting argument rests on.
 
 from .arith import (
     Factorization,
-    is_prime,
     log_integral_between,
     primitive_root,
     trial_factorize,
@@ -52,13 +51,12 @@ from .intervals import (
     rho_definition,
 )
 from .search import (
-    OracleResult,
     SearchWitness,
     canonical_triple,
     constructive_search,
     exponent_scan,
     least_witnesses,
-    oracle_N,
+    oracle_N_multi,
 )
 from .sieve import SieveTables, build_sieve
 

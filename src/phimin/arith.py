@@ -34,33 +34,6 @@ def check_reduced_odd(a: int, m: int) -> None:
         )
 
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Canonical factorization: (prime, exponent) pairs, primes increasing."""
@@ -123,7 +96,7 @@ def divisor_count(f: Factorization) -> int:
 
 def primitive_root(p: int, alpha: int = 1) -> int:
     """Least primitive root modulo p^alpha, for odd prime p."""
-    if p % 2 == 0 or not is_prime(p):
+    if p < 3 or trial_factorize(p).factors != ((p, 1),):
         raise DomainError(f"{p} is not an odd prime")
     if alpha < 1:
         raise DomainError("alpha must be >= 1")

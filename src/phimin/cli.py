@@ -16,7 +16,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -40,16 +39,6 @@ def _emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record) + "\n")
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"environment variable {name}={raw!r} is not an integer")
-
-
 # -- subcommands ----------------------------------------------------------
 
 
@@ -59,24 +48,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else search.default_cap(m)
     search.check_cap(cap)
     tables = build_sieve(math.isqrt(cap) + 1)
-    result = search.oracle_N(a, m, cap, tables)
-    record = {
-        "command": "oracle",
-        "m": m,
-        "a": a,
-        "cap": cap,
-        "found": result.found,
-        "N": result.N,
-        "exponent": result.exponent,
-    }
-    if args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["m", "a", "cap", "found", "N", "exponent"])
-        found = str(result.found).lower()
-        w.writerow([m, a, cap, found, result.N, _fixed(result.exponent)])
-    else:
-        _emit(record)
-    return EXIT_OK if result.found else EXIT_NOT_FOUND
+    n = search.oracle_N_multi([a], m, cap, tables)[a % m]
+    record = {"command": "oracle", "m": m, "a": a, "cap": cap, "found": n is not None}
+    _emit({**record, "N": n, "exponent": search.exponent(n, m)})
+    return EXIT_OK if n is not None else EXIT_NOT_FOUND
 
 
 def _canonical_triple(a: int, m: int, k: int) -> intervals.IntervalTriple:
@@ -155,9 +130,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
             raise DomainError(
                 f"--a-sample must be positive or 'all', got {args.a_sample!r}"
             )
-    jobs = args.jobs if args.jobs is not None else (_env_int("TL_JOBS", 1) or 1)
     rows, summary = search.exponent_scan(
-        m_values, a_sample=a_sample, k=args.k, jobs=jobs
+        m_values, a_sample=a_sample, k=args.k, jobs=args.jobs
     )
     if args.out == "-":
         _write_scan_csv(rows, sys.stdout)
@@ -326,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--cap", type=int, default=None, help="default m^3")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("search", help="three-prime witness n = 4^d p1 p2 p3")
     p.add_argument("--m", type=int, required=True)
@@ -346,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range", required=True, help="lo:hi[:step], hi inclusive")
     p.add_argument("--a-sample", default="all", help="'all' or a count per m")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=None, help="default TL_JOBS or 1")
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="-", help="CSV path or - for stdout")
 
     return parser

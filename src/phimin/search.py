@@ -34,28 +34,12 @@ DEFAULT_SEGMENT = 1 << 20
 INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Outcome of the brute-force scan for N(a, m) up to `cap`.
-
-    N is None when no n <= cap satisfies the congruence; that is a
-    statement about the cap, never about nonexistence.
-    """
-
-    m: int
-    a: int
-    cap: int
-    N: int | None
-
-    @property
-    def found(self) -> bool:
-        return self.N is not None
-
-    @property
-    def exponent(self) -> float | None:
-        if self.N is None or self.m < 2:
-            return None
-        return math.log(self.N) / math.log(self.m)
+def exponent(n: int | None, m: int) -> float | None:
+    """log n / log m, the exponent the paper bounds by 2 + o(1); None
+    when there is no n or when m < 2."""
+    if n is None or m < 2:
+        return None
+    return math.log(n) / math.log(m)
 
 
 @dataclass(frozen=True)
@@ -75,9 +59,7 @@ class SearchWitness:
 
     @property
     def exponent(self) -> float | None:
-        if self.m < 2:
-            return None
-        return math.log(self.n) / math.log(self.m)
+        return exponent(self.n, self.m)
 
 
 def segment_phi(lo: int, hi: int, tables: SieveTables) -> np.ndarray:
@@ -148,16 +130,12 @@ def first_index(residues: np.ndarray, m: int) -> np.ndarray:
     return first
 
 
-def oracle_N(a: int, m: int, cap: int, tables: SieveTables) -> OracleResult:
-    """Least n <= cap with phi(n) = a (mod m), by streaming scan."""
-    found = oracle_N_multi([a], m, cap, tables)
-    return OracleResult(m=m, a=a, cap=cap, N=found[a % m])
-
-
 def oracle_N_multi(
     a_values: Sequence[int], m: int, cap: int, tables: SieveTables
 ) -> dict[int, int | None]:
-    """One streaming pass serving several targets a for the same m.
+    """Least n <= cap with phi(n) = a (mod m) for every target a, keyed by
+    a % m, in one streaming pass.  None means no n <= cap: a statement
+    about the cap, never about nonexistence.
 
     The first segment holds FIRST_SEGMENT integers and each next one
     twice as many, up to DEFAULT_SEGMENT: until that ceiling the stream
@@ -374,7 +352,7 @@ def _scan_one_m(
             "a": a,
             "delta": delta,
             "N": n_val,
-            "N_exponent": math.log(n_val) / math.log(m) if n_val is not None else None,
+            "N_exponent": exponent(n_val, m),
         }
         if triple is None:
             row["error"] = error

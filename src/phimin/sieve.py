@@ -114,13 +114,13 @@ def _odd_segment(s: int, e: int, base: list[int], out: np.ndarray) -> int:
     `out` and return how many there are.  Flag i of the odd-only array
     stands for 2i + 1, and the odd base primes strike their multiples
     from p^2 on."""
-    is_prime = np.ones(e - s, dtype=bool)
+    flags = np.ones(e - s, dtype=bool)
     for p in base:
         if p * p // 2 >= e:
             break
         first = max(p * p // 2, s + ((p - 1) // 2 - s) % p)
-        is_prime[first - s :: p] = False
-    idx = np.flatnonzero(is_prime)
+        flags[first - s :: p] = False
+    idx = np.flatnonzero(flags)
     out = out[: idx.size]
     np.multiply(idx, 2, out=out)  # flag s + i is the odd number 2(s + i) + 1
     out += 2 * s + 1

@@ -9,7 +9,6 @@ from phimin import cli
 from phimin.arith import (
     check_reduced_odd,
     divisor_count,
-    is_prime,
     log_integral_between,
     primitive_root,
     trial_factorize,
@@ -20,7 +19,7 @@ from phimin.characters import build_unit_group
 from phimin.errors import DomainError, EvenModulusError
 from phimin.intervals import build_custom_interval
 from phimin.search import canonical_triple, constructive_search
-from reference import euler_phi, phi_table
+from reference import euler_phi, is_prime, phi_table
 
 
 class TestInputRules:
@@ -168,8 +167,12 @@ class TestPrimitiveRoot:
     def test_rejects_even_or_composite(self):
         with pytest.raises(DomainError):
             primitive_root(2, 3)
-        with pytest.raises(DomainError):
-            primitive_root(15, 1)
+        for p in (15, 9, 4, 1, 0, -3, 3 * 1_000_003):
+            with pytest.raises(DomainError, match=f"^{p} is not an odd prime$"):
+                primitive_root(p, 1)
+
+    def test_large_prime(self):
+        assert primitive_root(1_000_003) == 2
 
 class TestIsPrime:
     def test_matches_sieve(self, tables10k):

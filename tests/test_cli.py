@@ -11,17 +11,9 @@ from phimin import cli, intervals, search
 from phimin.sieve import SieveTables
 
 
-def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "phimin", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
+        [sys.executable, "-m", "phimin", *args], capture_output=True, text=True
     )
 
 
@@ -48,12 +40,6 @@ class TestOracleCommand:
         assert r.returncode == 3
         rec = json.loads(r.stdout)
         assert rec["N"] is None and not rec["found"]
-
-    def test_csv_format(self):
-        r = run_cli("oracle", "--m", "5", "--a", "3", "--format", "csv")
-        lines = r.stdout.strip().splitlines()
-        assert lines[0] == "m,a,cap,found,N,exponent"
-        assert lines[1].startswith("5,3,125,true,15,")
 
     def test_missing_flag_exit_2(self):
         r = run_cli("oracle", "--m", "3")
@@ -397,6 +383,14 @@ class TestScanCommand:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "603f455b599c6a4c626842c427ca0cc82967aba3e5ffdd62cd72724cf2f98717"
 
+    def test_pooled_scan(self, tmp_path):
+        out = tmp_path / "s.csv"
+        r = run_cli(
+            "scan", "--m-range", "9:11:2", "--a-sample", "2", "--k", "3",
+            "--jobs", "2", "--out", str(out),
+        )
+        assert r.returncode == 0
+
     def test_summary_written(self, tmp_path):
         out = tmp_path / "scan.csv"
         r = run_cli("scan", "--m-range", "9:9:2", "--a-sample", "all",
@@ -432,6 +426,8 @@ class TestScanCommand:
         ["scan", "--m-range", "51:53", "--k", "0"],
         # int64 cannot stream to this cap; sizing its sieve would take GBs
         ["oracle", "--m", "3", "--a", "2", "--cap", str(2**63)],
+        # oracle prints JSON only: argparse rejects the flag itself
+        ["oracle", "--m", "5", "--a", "3", "--format", "csv"],
     ],
 )
 def test_bad_input_exits_2_before_sieving(argv, monkeypatch, capsys):
@@ -440,9 +436,32 @@ def test_bad_input_exits_2_before_sieving(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_sieve", no_sieve)
     monkeypatch.setattr(search, "build_sieve", no_sieve)
-    assert cli.main(argv) == 2
+    try:
+        code, prefix = cli.main(argv), "phimin: "
+    except SystemExit as exc:
+        code, prefix = exc.code, "usage: phimin "
+    assert code == 2
     out, err = capsys.readouterr()
-    assert err.startswith("phimin: ") and out == ""
+    assert err.startswith(prefix) and out == ""
+
+
+# `phimin oracle` stdout, stderr and exit code, frozen while the command
+# still had its own one-target oracle: several units of each m in {1, 3, 5,
+# 9, 15, 45, 99, 105, 1001, 3003} at the default cap m^3, caps at N and at
+# N - 1 (exit 3), even m, gcd(a, m) > 1, m < 1, caps 0, -5 and 2^63 (exit
+# 2), and 2^63 - 1.
+GOLDEN_ORACLE = json.loads(
+    (pathlib.Path(__file__).parent / "golden_oracle.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_ORACLE, ids=[" ".join(c["argv"][1:]) for c in GOLDEN_ORACLE]
+)
+def test_golden_oracle(case, capsys):
+    rc = cli.main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (case["rc"], case["stdout"], case["stderr"])
 
 
 # `phimin search` stdout, stderr and exit code, frozen while the search
@@ -494,12 +513,3 @@ def test_search_and_count_sieve_only_their_intervals(command, monkeypatch, capsy
     assert cli.main([command, "--m", "1031", "--a", "2", "--k", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["command"] == command
 
-
-class TestEnvConfig:
-    def test_tl_jobs_env(self, tmp_path):
-        out = tmp_path / "s.csv"
-        r = run_cli(
-            "scan", "--m-range", "9:11:2", "--a-sample", "2", "--k", "3",
-            "--out", str(out), env={"TL_JOBS": "2"},
-        )
-        assert r.returncode == 0

@@ -20,9 +20,9 @@ from phimin.search import (
     check_cap,
     constructive_search,
     default_cap,
+    exponent,
     exponent_scan,
     least_witnesses,
-    oracle_N,
     oracle_N_multi,
     scan_sieve_limit,
     segment_phi,
@@ -172,36 +172,39 @@ class TestSegmentPhi:
 
 class TestOracle:
     def test_golden_values(self, tables):
-        assert oracle_N(2, 3, 27, tables).N == 3
-        assert oracle_N(3, 5, 125, tables).N == 15
-        assert oracle_N(2, 5, 125, tables).N == 3
-        assert oracle_N(4, 5, 125, tables).N == 5
+        assert oracle_N_multi([2], 3, 27, tables) == {2: 3}
+        assert oracle_N_multi([3, 2, 4], 5, 125, tables) == {3: 15, 2: 3, 4: 5}
 
     def test_a_equal_one_is_immediate(self, tables):
         for m in range(3, 100, 2):
-            assert oracle_N(1, m, 5, tables).N == 1
+            assert oracle_N_multi([1], m, 5, tables) == {1: 1}
+
+    def test_keyed_by_class(self, tables):
+        assert oracle_N_multi([-1, 8, 17], 9, 729, tables) == {8: 15}
 
     def test_not_found_reports_cap(self, tables):
-        res = oracle_N(3, 5, 10, tables)  # N(3,5) = 15 > 10
-        assert res.N is None and not res.found
-        assert res.exponent is None
-        assert res.cap == 10
+        assert oracle_N_multi([3], 5, 10, tables) == {3: None}  # N(3,5) = 15 > 10
+        assert oracle_N_multi([3], 5, 15, tables) == {3: 15}
 
-    def test_exponent(self, tables):
-        res = oracle_N(2, 3, 27, tables)
-        assert abs(res.exponent - 1.0) < 1e-12
+    def test_exponent(self):
+        assert abs(exponent(3, 3) - 1.0) < 1e-12
+        assert exponent(9, 3) == 2.0
+        assert exponent(None, 5) is None  # not found at the cap
+        assert exponent(1, 1) is None  # m < 2 has no exponent
+        w = search.SearchWitness(m=1, a=5, delta=0, p1=7, p2=3, p3=2)
+        assert (w.n, w.exponent) == (42, None)
 
     def test_even_modulus_rejected(self, tables):
         with pytest.raises(EvenModulusError):
-            oracle_N(3, 4, 100, tables)
+            oracle_N_multi([3], 4, 100, tables)
 
     def test_reduced_class_required(self, tables):
         with pytest.raises(DomainError):
-            oracle_N(3, 9, 100, tables)
+            oracle_N_multi([3], 9, 100, tables)
 
     def test_bad_cap(self, tables):
         with pytest.raises(DomainError):
-            oracle_N(1, 5, 0, tables)
+            oracle_N_multi([1], 5, 0, tables)
 
     def test_cap_guard_both_sides(self):
         check_cap(2**63 - 1)  # the largest n the int64 stream holds
@@ -212,7 +215,7 @@ class TestOracle:
         m = 45
         found = oracle_N_multi(units_of(m), m, default_cap(m), tables)
         for a in units_of(m):
-            assert found[a] == oracle_N(a, m, default_cap(m), tables).N
+            assert oracle_N_multi([a], m, default_cap(m), tables) == {a: found[a]}
 
     def test_minimality_rescan(self, tables200k, naive_phi):
         # independent route: phi(n) from factorizations over the prefix
@@ -224,20 +227,30 @@ class TestOracle:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_naive_first_hits(self, tables200k, naive_phi, data):
-        m = data.draw(st.integers(0, 199).map(lambda i: 2 * i + 1), label="m")
+        m = data.draw(
+            st.one_of(
+                st.integers(0, 199).map(lambda i: 2 * i + 1),
+                st.integers(1, 7).map(lambda j: 3**j),
+            ),
+            label="m",
+        )
         a_values = data.draw(
             st.lists(st.sampled_from(units_of(m)), min_size=1, unique=True),
             label="a_values",
         )
         start = st.sampled_from(SEGMENT_STARTS)
-        cap = data.draw(
-            st.one_of(
-                start,  # the first integer of a segment
-                start.map(lambda c: c - 1),  # the last of the one before
-                st.integers(1, NAIVE_LIMIT - 1),
-            ),
-            label="cap",
-        )
+        caps = [
+            start,  # the first integer of a segment
+            start.map(lambda c: c - 1),  # the last of the one before
+            st.integers(1, NAIVE_LIMIT - 1),
+            st.integers(0, 17).map(lambda e: 2**e),
+        ]
+        hits = naive_first_hits(a_values, m, NAIVE_LIMIT - 1, naive_phi)
+        least = sorted(n for n in hits.values() if n is not None and n > 1)
+        if least:  # at a target's least hit N, and at N - 1, which misses it
+            n = st.sampled_from(least)
+            caps += [n, n.map(lambda c: c - 1)]
+        cap = data.draw(st.one_of(*caps), label="cap")
         found = oracle_N_multi(a_values, m, cap, tables200k)
         assert found == naive_first_hits(a_values, m, cap, naive_phi)
 
