@@ -90,6 +90,14 @@ def unit_inverses(b: np.ndarray, m: int) -> np.ndarray:
     return inv
 
 
+def first_index(residues: np.ndarray, m: int) -> np.ndarray:
+    """Index of the first occurrence of each class 0..m-1 in `residues`,
+    or len(residues) for a class that does not occur: one O(len) scatter-min."""
+    first = np.full(m, residues.size)
+    np.minimum.at(first, residues, np.arange(residues.size))
+    return first
+
+
 def divisor_count(f: Factorization) -> int:
     return math.prod(e + 1 for _, e in f.factors)
 

@@ -19,6 +19,8 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import bounds, counting, intervals, search
 from .arith import check_reduced_odd
 from .characters import build_unit_group
@@ -120,19 +122,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if step < 1 or hi < lo:
         raise DomainError(f"empty or descending --m-range {args.m_range!r}")
     m_values = list(range(lo, hi + 1, step))
-    a_sample: int | str = args.a_sample
-    if a_sample != "all":
-        try:
-            a_sample = int(a_sample)
-        except ValueError:
-            a_sample = 0
-        if a_sample < 1:
-            raise DomainError(
-                f"--a-sample must be positive or 'all', got {args.a_sample!r}"
-            )
-    rows, summary = search.exponent_scan(
-        m_values, a_sample=a_sample, k=args.k, jobs=args.jobs
-    )
+    try:  # other text stays text, and exponent_scan accepts only "all"
+        a_sample: int | str = int(args.a_sample)
+    except ValueError:
+        a_sample = args.a_sample
+    rows = search.exponent_scan(m_values, a_sample=a_sample, k=args.k, jobs=args.jobs)
     if args.out == "-":
         _write_scan_csv(rows, sys.stdout)
         return EXIT_OK
@@ -142,8 +136,30 @@ def cmd_scan(args: argparse.Namespace) -> int:
             _write_scan_csv(rows, fh)
     except OSError as exc:
         raise DomainError(f"cannot write {args.out}: {exc.strerror or exc}")
-    _emit({"command": "scan", "out": args.out, **summary})
+    _emit({"command": "scan", "out": args.out, **_summarize(rows)})
     return EXIT_OK
+
+
+def _summarize(rows: list[dict]) -> dict:
+    """The scan's file-mode record: row counts and exponent statistics."""
+    n_exps = [r["N_exponent"] for r in rows if r["N_exponent"] is not None]
+    w_exps = [r["witness_exponent"] for r in rows if r["witness_exponent"] is not None]
+    summary = {
+        "rows": len(rows),
+        "oracle_found": sum(1 for r in rows if r["N"] is not None),
+        "witness_found": sum(1 for r in rows if r["found"]),
+        "errors": sum(1 for r in rows if "error" in r),
+    }
+    if n_exps:
+        arr = np.array(n_exps)
+        summary["max_N_exponent"] = float(arr.max())
+        summary["mean_N_exponent"] = float(arr.mean())
+        summary["p90_N_exponent"] = float(np.quantile(arr, 0.9))
+    if w_exps:
+        arr = np.array(w_exps)
+        summary["max_witness_exponent"] = float(arr.max())
+        summary["mean_witness_exponent"] = float(arr.mean())
+    return summary
 
 
 def _fixed(x: float | None) -> str | None:

@@ -14,13 +14,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .arith import (
     check_odd_modulus,
+    first_index,
     log_integral_between,
     trial_factorize,
     unit_inverses,
@@ -113,6 +114,7 @@ class PrimeIntervalSet:
         in windows of `width` integers from lo, each next one twice as
         wide, each sieved when the iteration reaches it."""
         if self.listed:
+            # measured: doubling windows over a listed I1 slowed scans at m >= 3001
             yield self
             return
         lo, hi = math.floor(self.lo), math.floor(self.hi)
@@ -124,12 +126,10 @@ class PrimeIntervalSet:
 
     def least_per_class(self, skip: int = 0) -> np.ndarray:
         """Least prime of primes[skip:] in each class of p - 1 mod m, 0 for
-        an empty class: one O(len + m) scatter-min."""
-        empty = np.iinfo(np.int64).max
-        least = np.full(self.modulus, empty)
-        np.minimum.at(least, self.classes[skip:], self.primes[skip:])
-        least[least == empty] = 0
-        return least
+        an empty class.  The primes ascend, so a class's least prime is
+        its first: one O(len + m) first_index."""
+        primes = np.append(self.primes[skip:], 0)
+        return primes[first_index(self.classes[skip:], self.modulus)]
 
 
 def require_disjoint(*intervals: PrimeIntervalSet) -> None:
@@ -198,15 +198,17 @@ class IntervalTriple:
     i1: PrimeIntervalSet
     i2: PrimeIntervalSet
     i3: PrimeIntervalSet
-    modulus: int = field(init=False)
 
     def __post_init__(self) -> None:
-        m = self.i1.modulus
+        m = self.modulus
         for iv in (self.i2, self.i3):
             if iv.modulus != m:
                 raise DomainError(f"interval modulus {iv.modulus} differs from {m}")
         require_disjoint(self.i1, self.i2, self.i3)
-        object.__setattr__(self, "modulus", m)
+
+    @property
+    def modulus(self) -> int:
+        return self.i1.modulus
 
     def __iter__(self):
         return iter((self.i1, self.i2, self.i3))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import check_odd_modulus, check_reduced_odd, unit_mask
+from .arith import check_odd_modulus, check_reduced_odd, first_index, unit_mask
 # count_solutions_direct stays importable here: bench/worker.py traces it by name
 from .counting import count_solutions_direct, direct_counts, indicator_1am  # noqa: F401
 from .errors import BoundsError, DomainError
@@ -120,14 +120,6 @@ def check_cap(cap: int) -> None:
         raise DomainError(f"cap must be >= 1, got {cap}")
     if cap >= 2**63:
         raise BoundsError(f"cap {cap} does not fit the int64 totient stream")
-
-
-def first_index(residues: np.ndarray, m: int) -> np.ndarray:
-    """Index of the first occurrence of each class 0..m-1 in `residues`,
-    or len(residues) for a class that does not occur: one O(len) scatter-min."""
-    first = np.full(m, residues.size)
-    np.minimum.at(first, residues, np.arange(residues.size))
-    return first
 
 
 def oracle_N_multi(
@@ -306,7 +298,7 @@ def default_cap(m: int) -> int:
 
 def _sample_units(m: int, a_sample: int | str) -> list[int]:
     units = np.flatnonzero(unit_mask(m)).tolist()
-    return units if a_sample == "all" else units[: int(a_sample)]
+    return units if a_sample == "all" else units[:a_sample]
 
 
 def scan_sieve_limit(m_values: Iterable[int], k: int) -> int:
@@ -375,15 +367,17 @@ def exponent_scan(
     a_sample: int | str = "all",
     k: int = 2,
     jobs: int = 1,
-) -> tuple[list[dict], dict]:
-    """Oracle N, witness n, and their exponents for every (m, a) row.
+) -> list[dict]:
+    """Oracle N, witness n, and their exponents for every (m, a) row, with
+    a the first `a_sample` units of m ("all" or an int >= 1).
 
     Every modulus runs the same call over one sieve, here or in a worker
     (at most one per modulus and per CPU), and rows keep input order
     regardless of `jobs`; per-row domain errors are recorded in the row
-    instead of aborting the scan.  Returns
-    (rows, summary) where the summary aggregates the exponents.
+    instead of aborting the scan.
     """
+    if a_sample != "all" and (type(a_sample) is not int or a_sample < 1):
+        raise DomainError(f"a_sample must be 'all' or an int >= 1, got {a_sample!r}")
     for m in m_values:
         check_odd_modulus(m)
         if m < 3:
@@ -398,26 +392,4 @@ def exponent_scan(
             per_m = list(pool.map(scan, m_values, units))
     else:
         per_m = list(map(scan, m_values, units))
-    rows = [row for group in per_m for row in group]
-    return rows, _summarize(rows)
-
-
-def _summarize(rows: list[dict]) -> dict:
-    n_exps = [r["N_exponent"] for r in rows if r["N_exponent"] is not None]
-    w_exps = [r["witness_exponent"] for r in rows if r["witness_exponent"] is not None]
-    summary = {
-        "rows": len(rows),
-        "oracle_found": sum(1 for r in rows if r["N"] is not None),
-        "witness_found": sum(1 for r in rows if r["found"]),
-        "errors": sum(1 for r in rows if "error" in r),
-    }
-    if n_exps:
-        arr = np.array(n_exps)
-        summary["max_N_exponent"] = float(arr.max())
-        summary["mean_N_exponent"] = float(arr.mean())
-        summary["p90_N_exponent"] = float(np.quantile(arr, 0.9))
-    if w_exps:
-        arr = np.array(w_exps)
-        summary["max_witness_exponent"] = float(arr.max())
-        summary["mean_witness_exponent"] = float(arr.mean())
-    return summary
+    return [row for group in per_m for row in group]

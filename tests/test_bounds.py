@@ -12,6 +12,7 @@ from phimin.bounds import (
     rakhmonov_inequality_check,
 )
 from phimin.characters import build_unit_group
+from phimin.cli import _summarize
 from phimin.errors import DomainError
 from phimin.intervals import build_custom_interval
 from phimin.search import exponent_scan
@@ -121,5 +122,5 @@ class TestRakhmonov:
 
 def test_scan_exponent_regression():
     # small slice of the scan grid; the acceptance suite runs the full one
-    rows, summary = exponent_scan([51, 53, 55], a_sample=10, k=2)
+    summary = _summarize(exponent_scan([51, 53, 55], a_sample=10, k=2))
     assert summary["max_N_exponent"] <= 2.6

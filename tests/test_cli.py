@@ -399,6 +399,31 @@ class TestScanCommand:
         assert rec["command"] == "scan" and rec["rows"] == 6
         assert out.exists()
 
+    def test_summary_built_only_for_a_file(self, tmp_path, monkeypatch, capsys):
+        built, summarize = [], cli._summarize
+
+        def spy(rows):
+            built.append(len(rows))
+            return summarize(rows)
+
+        monkeypatch.setattr(cli, "_summarize", spy)
+        argv = ["scan", "--m-range", "51:53", "--a-sample", "2"]
+        assert cli.main([*argv, "--out", "-"]) == 0
+        assert built == []
+        assert cli.main([*argv, "--out", str(tmp_path / "scan.csv")]) == 0
+        assert built == [4]
+
+    def test_file_matches_stdout_with_jobs(self, tmp_path, monkeypatch, capsys):
+        # two CPUs whatever the host has, so the pool runs
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--m-range", "51:61", "--a-sample", "3", "--jobs", "2"]
+        assert cli.main([*argv, "--out", "-"]) == 0
+        stdout = capsys.readouterr().out
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == stdout.encode()
+        assert json.loads(capsys.readouterr().out)["rows"] == 6 * 3
+
     def test_unwritable_out_exit_2(self, tmp_path):
         out = tmp_path / "missing" / "scan.csv"
         r = run_cli("scan", "--m-range", "9:9", "--a-sample", "all",
@@ -423,6 +448,8 @@ class TestScanCommand:
         ["count", "--m", "9", "--a", "2", "--k", "0"],
         ["count", "--m", "-3", "--a", "1"],
         ["scan", "--m-range", "51:53", "--a-sample", "abc"],
+        ["scan", "--m-range", "51:53", "--a-sample", "0"],
+        ["scan", "--m-range", "51:53", "--a-sample", "-2"],
         ["scan", "--m-range", "51:53", "--k", "0"],
         # int64 cannot stream to this cap; sizing its sieve would take GBs
         ["oracle", "--m", "3", "--a", "2", "--cap", str(2**63)],
@@ -440,6 +467,8 @@ def test_bad_input_exits_2_before_sieving(argv, monkeypatch, capsys):
         code, prefix = cli.main(argv), "phimin: "
     except SystemExit as exc:
         code, prefix = exc.code, "usage: phimin "
+    # argparse itself rejects only the removed flag; the rest reach phimin
+    assert prefix == "phimin: " or "--format" in argv
     assert code == 2
     out, err = capsys.readouterr()
     assert err.startswith(prefix) and out == ""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phimin import intervals, search
+from phimin import cli, intervals, search
 from phimin.arith import trial_factorize
 from phimin.counting import count_solutions_direct, direct_counts, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
@@ -754,7 +754,8 @@ class TestBatchedCore:
 
 class TestExponentScan:
     def test_rows_and_summary(self):
-        rows, summary = exponent_scan([5, 9], a_sample="all", k=3)
+        rows = exponent_scan([5, 9], a_sample="all", k=3)
+        summary = cli._summarize(rows)
         assert summary["rows"] == len(rows) == 4 + 6
         assert [r["m"] for r in rows] == [5] * 4 + [9] * 6
         for r in rows:
@@ -767,17 +768,28 @@ class TestExponentScan:
     def test_sieve_sized_to_its_moduli(self):
         # m = 3, k = 2: oracle base primes to isqrt(27) + 1 = 6, I1 to 3^1.5
         assert scan_sieve_limit([3], 2) == 7
-        assert exponent_scan([], a_sample=2, k=2) == (
-            [], {"rows": 0, "oracle_found": 0, "witness_found": 0, "errors": 0}
-        )
+        assert exponent_scan([], a_sample=2, k=2) == []
+        assert cli._summarize([]) == {
+            "rows": 0, "oracle_found": 0, "witness_found": 0, "errors": 0
+        }
 
     def test_a_sample_limit(self):
-        rows, _ = exponent_scan([45], a_sample=5, k=2)
+        rows = exponent_scan([45], a_sample=5, k=2)
         assert [r["a"] for r in rows] == units_of(45)[:5]
+        assert [r["a"] for r in exponent_scan([51], a_sample=1)] == [1]
+
+    @pytest.mark.parametrize("a_sample", [-2, 0, 2.5, "x", True])
+    def test_bad_a_sample_rejected_before_sieving(self, a_sample, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError(f"sieve of {limit} built")
+
+        monkeypatch.setattr(search, "build_sieve", no_sieve)
+        with pytest.raises(DomainError, match="a_sample must be 'all' or an int >= 1"):
+            exponent_scan([51], a_sample=a_sample)
 
     def test_row_errors_propagate(self):
         # m = 3, k = 2 has colliding intervals: the row records the error
-        rows, summary = exponent_scan([3, 5], a_sample="all", k=2)
+        rows = exponent_scan([3, 5], a_sample="all", k=2)
         bad = [r for r in rows if r["m"] == 3]
         assert all(
             r["error"] == "interval sets 1 and 2 share primes at m=3"
@@ -787,7 +799,7 @@ class TestExponentScan:
             and not r["found"]
             for r in bad
         )
-        assert summary["errors"] == len(bad)
+        assert cli._summarize(rows)["errors"] == len(bad)
         good = [r for r in rows if r["m"] == 5]
         assert all("error" not in r for r in good)
         assert any(r["found"] for r in good)
@@ -799,10 +811,10 @@ class TestExponentScan:
     def test_jobs_deterministic(self, monkeypatch):
         # three CPUs whatever the host has, so the real pool always runs
         monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
-        serial, s1 = exponent_scan(list(range(9, 30, 2)), a_sample=4, k=2, jobs=1)
-        parallel, s2 = exponent_scan(list(range(9, 30, 2)), a_sample=4, k=2, jobs=3)
+        serial = exponent_scan(list(range(9, 30, 2)), a_sample=4, k=2, jobs=1)
+        parallel = exponent_scan(list(range(9, 30, 2)), a_sample=4, k=2, jobs=3)
         assert serial == parallel
-        assert s1 == s2
+        assert cli._summarize(serial) == cli._summarize(parallel)
 
     def test_one_interval_triple_per_modulus(self, monkeypatch):
         built = []
@@ -874,8 +886,8 @@ class TestExponentScan:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(search, "map", recording_map, raising=False)
         monkeypatch.setattr(search, "_usable_cpus", lambda: 4)
-        serial, _ = exponent_scan([9, 11, 13], a_sample=2, k=3)
-        assert exponent_scan([9, 11, 13], a_sample=2, k=3, jobs=1000)[0] == serial
+        serial = exponent_scan([9, 11, 13], a_sample=2, k=3)
+        assert exponent_scan([9, 11, 13], a_sample=2, k=3, jobs=1000) == serial
         bound = (search._scan_one_m, 3, scan_sieve_limit([9, 11, 13], 3))
         assert mapped == [bound, bound]
         exponent_scan(list(range(9, 30, 2)), a_sample=1, k=3, jobs=1000)
@@ -892,7 +904,7 @@ class TestExponentScan:
         assert search._usable_cpus() == 1
 
     def test_oracle_dominated_by_witness(self):
-        rows, _ = exponent_scan([51, 53], a_sample=6, k=2)
+        rows = exponent_scan([51, 53], a_sample=6, k=2)
         for r in rows:
             if r["found"] and r["N"] is not None:
                 assert r["witness_n"] >= r["N"]
