@@ -8,7 +8,6 @@ bounds the counting argument rests on.
 """
 
 from .arith import (
-    Factorization,
     log_integral_between,
     primitive_root,
     trial_factorize,

@@ -6,7 +6,6 @@ primitive roots, and the logarithmic integral int_a^b dt/log t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +33,10 @@ def check_reduced_odd(a: int, m: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical factorization: (prime, exponent) pairs, primes increasing."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
-def trial_factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division: the package's one factorizer, for
-    the moduli, conductors and group orders, which stay small."""
+def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1, primes increasing, by trial
+    division: the package's one factorizer, for the moduli, conductors
+    and group orders, which stay small."""
     if n < 1:
         raise DomainError(f"cannot factor {n}")
     out = []
@@ -61,13 +51,13 @@ def trial_factorize(n: int) -> Factorization:
         d += 1
     if n > 1:
         out.append((n, 1))
-    return Factorization(tuple(out))
+    return tuple(out)
 
 
 def unit_mask(m: int) -> np.ndarray:
     """mask[b] is gcd(b, m) == 1 for b in 0..m-1, m >= 1: the units of m."""
     mask = np.ones(m, dtype=bool)
-    for p in trial_factorize(m).primes():
+    for p, _ in trial_factorize(m):
         mask[::p] = False
     return mask
 
@@ -79,7 +69,7 @@ def unit_inverses(b: np.ndarray, m: int) -> np.ndarray:
     Precondition: m^2 < 2^63, so that every product of two residues below
     m is exact in int64; the caller checks it.
     """
-    e = math.prod(p ** (a - 1) * (p - 1) for p, a in trial_factorize(m).factors) - 1
+    e = math.prod(p ** (a - 1) * (p - 1) for p, a in trial_factorize(m)) - 1
     inv = np.full_like(b, 1 % m)
     base = b % m
     while e:
@@ -98,18 +88,18 @@ def first_index(residues: np.ndarray, m: int) -> np.ndarray:
     return first
 
 
-def divisor_count(f: Factorization) -> int:
-    return math.prod(e + 1 for _, e in f.factors)
+def divisor_count(factors: tuple[tuple[int, int], ...]) -> int:
+    return math.prod(e + 1 for _, e in factors)
 
 
 def primitive_root(p: int, alpha: int = 1) -> int:
     """Least primitive root modulo p^alpha, for odd prime p."""
-    if p < 3 or trial_factorize(p).factors != ((p, 1),):
+    if p < 3 or trial_factorize(p) != ((p, 1),):
         raise DomainError(f"{p} is not an odd prime")
     if alpha < 1:
         raise DomainError("alpha must be >= 1")
     order = p ** (alpha - 1) * (p - 1)
-    prime_parts = trial_factorize(order).primes()
+    prime_parts = [l for l, _ in trial_factorize(order)]
     mod = p**alpha
     for g in range(2, mod):
         if g % p == 0:

@@ -92,7 +92,7 @@ def rakhmonov_inequality_check(
     if x < 2:
         return lhs, rhs, lhs <= rhs
     conductors = ctx.conductors()[1:]
-    primes = trial_factorize(m).primes()
+    primes = [p for p, _ in trial_factorize(m)]
     logx = math.log(x)
     for q in np.unique(conductors).tolist():
         q1 = math.prod(p for p in primes if q % p)

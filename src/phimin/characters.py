@@ -122,7 +122,7 @@ def build_unit_group(m: int) -> UnitGroupContext:
     """Unit-group context for odd m >= 1 (m = 1 gives the trivial group)."""
     check_odd_modulus(m)
     comps = []
-    for p, a in trial_factorize(m).factors:
+    for p, a in trial_factorize(m):
         pp = p**a
         g = primitive_root(p, a)
         comps.append(

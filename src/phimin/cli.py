@@ -278,10 +278,10 @@ def _suite_identity() -> list[dict]:
         inputs = {"m": m, "interval_product": product}
         checks.append(_check("psi_product_identity", inputs, worst, 1e-9, worst < 1e-9))
         # decomposition: J = |I|^3/phi + psi term + remainder/phi
+        base = product / ivs.unit_group.phi
+        psi_part = counting.psi_term(ivs)
         for a in (1, 2):
             j_char = counting.count_solutions_characters(a, ivs)
-            base = product / ivs.unit_group.phi
-            psi_part = counting.psi_term(a, ivs)
             rest = counting.remainder_term(a, ivs)
             err = abs(j_char - (base + psi_part + rest))
             inputs = {"m": m, "a": a}

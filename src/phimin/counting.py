@@ -2,12 +2,14 @@
 
     (1 + d) * (p1 - 1)(p2 - 1)(p3 - 1) = a  (mod m),   p_j in I_j,
 
-where d = 1 exactly when 3 | m and a = 2 (mod 3).  The count J is
-computed two independent ways: an integer convolution over residue
-classes, and the character-orthogonality average.  The character route
-splits into main term, psi term, and a remainder bounded by conductor.
-The psi term is exact class arithmetic: psi, the one character of
-conductor 3, is read off the count vectors' classes mod 3 (psi_sum).
+where d = 1 exactly when 3 | m and a = 2 (mod 3).  The count J of the
+target class t = a (1 + d)^-1 (target_class) is computed two ways: an
+integer convolution over residue classes, and the character average.
+The latter splits into main term, psi term and a remainder bounded by
+conductor; only the remainder depends on a, so main_term, psi_term and
+conductor_split take the triple alone.  The psi term is exact: psi, the
+one character of conductor 3, is read off the count vectors' classes
+mod 3 (psi_sum).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .arith import check_reduced_odd
 from .errors import BoundsError, ConsistencyError, DomainError
 # character_sums_all stays importable here: bench/worker.py traces it by name
-from .intervals import IntervalTriple, character_sums_all  # noqa: F401
+from .intervals import IntervalTriple, character_sums_all, target_class  # noqa: F401
 
 ORACLE_REL_TOL = 1e-6
 # psi, the one character of conductor 3, when 3 | m: psi(b) = PSI[b % 3]
@@ -45,7 +47,7 @@ def direct_counts(a_values: Sequence[int], triple: IntervalTriple) -> list[int]:
     units x grid tensor of forced classes, GRID_BLOCK entries at a time.
     """
     m = triple.modulus
-    deltas = [indicator_1am(a, m) for a in a_values]
+    targets = [target_class(a, indicator_1am(a, m), m) for a in a_values]
     if triple.product >= 2**63:
         # J <= |I1||I2||I3| bounds every partial sum below
         raise BoundsError(f"int64 convolution would overflow at m={m}")
@@ -54,8 +56,8 @@ def direct_counts(a_values: Sequence[int], triple: IntervalTriple) -> list[int]:
     cy = triple.i2.count_vector[grid.y]
     cz = triple.i1.count_vector
     counts: list[int] = []
-    for s in grid.blocks(len(deltas)):
-        counts += (cz[grid.forced(a_values[s], deltas[s])] @ cy @ cx).tolist()
+    for s in grid.blocks(len(targets)):
+        counts += (cz[grid.forced(targets[s])] @ cy @ cx).tolist()
     return counts
 
 
@@ -82,11 +84,11 @@ def count_solutions_characters(a: int, triple: IntervalTriple) -> float:
 
 def _character_terms(a: int, triple: IntervalTriple) -> np.ndarray:
     """S1 S2 S3 * conj(chi(a)) * chi(1 + d) for every character, the
-    last two factors read as one value chi((1 + d) a^-1)."""
+    last two factors read as one value chi(t^-1), t the target class."""
     m = triple.modulus
-    delta = indicator_1am(a, m)
+    t = target_class(a, indicator_1am(a, m), m)
     s1, s2, s3 = triple.character_sums
-    return s1 * s2 * s3 * triple.unit_group.values_at((1 + delta) * pow(a, -1, m))
+    return s1 * s2 * s3 * triple.unit_group.values_at(pow(t, -1, m))
 
 
 def _beyond_chi0_psi(triple: IntervalTriple) -> np.ndarray:
@@ -96,11 +98,9 @@ def _beyond_chi0_psi(triple: IntervalTriple) -> np.ndarray:
     return (conductors != 1) & (conductors != 3)
 
 
-def main_term(a: int, triple: IntervalTriple) -> float:
-    """(1 + [3 | m]) |I1| |I2| |I3| / phi(m)."""
-    m = triple.modulus
-    indicator_1am(a, m)
-    factor = 2 if m % 3 == 0 else 1
+def main_term(triple: IntervalTriple) -> float:
+    """(1 + [3 | m]) |I1| |I2| |I3| / phi(m), the same for every unit a."""
+    factor = 2 if triple.modulus % 3 == 0 else 1
     return factor * triple.product / triple.unit_group.phi
 
 
@@ -110,18 +110,17 @@ def psi_sum(counts: np.ndarray) -> int:
     return sum(PSI[r] * int(counts[r::3].sum()) for r in (1, 2))
 
 
-def psi_term(a: int, triple: IntervalTriple) -> float:
+def psi_term(triple: IntervalTriple) -> float:
     """Exact contribution of the conductor-3 character psi to J:
     S1(psi) S2(psi) S3(psi) conj(psi(a)) psi(1 + d) / phi(m); zero when
     3 does not divide m.
 
     S_j(psi) is psi_sum of the count vector; d = 1 exactly when
-    a = 2 (mod 3), so conj(psi(a)) psi(1 + d) = 1 for every unit a.  The
-    product is an integer, divided once with correct rounding.
+    a = 2 (mod 3), so conj(psi(a)) psi(1 + d) = 1 and the term is the
+    same for every unit a.  The product is an integer, divided once with
+    correct rounding.
     """
-    m = triple.modulus
-    indicator_1am(a, m)
-    if m % 3 != 0:
+    if triple.modulus % 3 != 0:
         return 0.0
     prod = math.prod(psi_sum(iv.count_vector) for iv in triple)
     return prod / triple.unit_group.phi
@@ -134,14 +133,12 @@ def remainder_term(a: int, triple: IntervalTriple) -> float:
     return float(terms[_beyond_chi0_psi(triple)].sum().real) / triple.unit_group.phi
 
 
-def conductor_split(
-    a: int, triple: IntervalTriple, threshold: float
-) -> tuple[float, float]:
+def conductor_split(triple: IntervalTriple, threshold: float) -> tuple[float, float]:
     """Split sum_{chi != chi0, psi} |S1 S2 S3| by conductor <= threshold
-    versus conductor > threshold."""
+    versus conductor > threshold; the sum bounds |remainder_term| for
+    every unit a at once."""
     if not (math.isfinite(threshold) and threshold >= 1):
         raise DomainError(f"threshold must be finite and >= 1, got {threshold}")
-    indicator_1am(a, triple.modulus)
     s1, s2, s3 = (np.abs(s) for s in triple.character_sums)
     prod = s1 * s2 * s3
     conductors = triple.unit_group.conductors()
@@ -168,7 +165,8 @@ def positivity_certificate(a: int, triple: IntervalTriple) -> PositivityReport:
     with no enumeration needed.
     """
     m = triple.modulus
-    small, large = conductor_split(a, triple, threshold=float(m))
+    check_reduced_odd(a, m)
+    small, large = conductor_split(triple, float(m))
     s, product = small + large, triple.product
     return PositivityReport(
         m=m,
@@ -215,17 +213,18 @@ def count_report(
     e^647, far past the sieve cap; m <= 3 gives m either way.  k is only
     echoed in the report.
 
-    The split runs first, so a bad threshold raises before either count.
-    Raises ConsistencyError when the two routes disagree beyond
-    1e-6 * (1 + J_direct): orthogonality is exact, so disagreement
-    means a bug.
+    a is checked first and the split runs next, so a non-unit a or a bad
+    threshold raises before any sum or count.  Raises ConsistencyError
+    when the two routes disagree beyond 1e-6 * (1 + J_direct):
+    orthogonality is exact, so disagreement means a bug.
     """
     m = triple.modulus
+    delta = indicator_1am(a, m)
     if threshold is None:
         threshold = float(m)
     # any threshold splits the same characters, so small + large is the
     # positivity certificate's sum
-    small, large = conductor_split(a, triple, threshold)
+    small, large = conductor_split(triple, threshold)
     j_direct = count_solutions_direct(a, triple)
     j_chars = count_solutions_characters(a, triple)
     if abs(j_chars - j_direct) > ORACLE_REL_TOL * (1 + j_direct):
@@ -236,11 +235,11 @@ def count_report(
         m=m,
         a=a,
         k=k,
-        delta=indicator_1am(a, m),
+        delta=delta,
         J_direct=j_direct,
         J_characters=j_chars,
-        main_term=main_term(a, triple),
-        psi_term=psi_term(a, triple),
+        main_term=main_term(triple),
+        psi_term=psi_term(triple),
         S_small=small,
         S_large=large,
         threshold=threshold,

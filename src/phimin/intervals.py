@@ -156,28 +156,32 @@ def require_disjoint(*intervals: PrimeIntervalSet) -> None:
             )
 
 
+def target_class(a: int, d: int, m: int) -> int:
+    """t = a (1 + d)^-1 mod m: the class of (p1 - 1)(p2 - 1)(p3 - 1) that
+    solves (1 + d)(p1 - 1)(p2 - 1)(p3 - 1) = a (mod m), so J(a) counts
+    the triples of product class t."""
+    return a * pow(1 + d, -1, m) % m
+
+
 class ClassGrid(NamedTuple):
     """The forced-class table of a triple, shared by the direct count and
     the witness search.  x and y are the occupied classes of p - 1 in I3
-    and I2, and inv_xy = (x y)^-1 mod m, so the congruence forces the
-    class z = a (1 + d)^-1 inv_xy of p1 - 1.  I1 is the widest interval
-    of a canonical triple, so it has the most occupied classes, and the
-    grid never reads it."""
+    and I2, and inv_xy = (x y)^-1 mod m, so a target class t (see
+    target_class) forces the class z = t inv_xy of p1 - 1.  I1 is the
+    widest interval of a canonical triple, so it has the most occupied
+    classes, and the grid never reads it."""
 
     modulus: int
     x: np.ndarray
     y: np.ndarray
     inv_xy: np.ndarray
 
-    def forced(self, a_values: Sequence[int], deltas: Sequence[int]) -> np.ndarray:
+    def forced(self, targets: Sequence[int]) -> np.ndarray:
         """The class z[u, i, j] of p1 - 1 forced by the pair (x[i], y[j])
-        for unit a_values[u] with indicator deltas[u], shape
-        (units, |x|, |y|).  Every factor is below m and m^2 < 2^63."""
-        m = self.modulus
-        half = (m + 1) // 2  # (1 + 1)^-1 mod odd m
-        coef = [a * half % m if d else a % m for a, d in zip(a_values, deltas)]
-        z = np.array(coef, dtype=np.int64).reshape(-1, 1, 1) * self.inv_xy
-        z %= m
+        for target class targets[u], shape (units, |x|, |y|).  Every
+        factor is below m and m^2 < 2^63."""
+        z = np.array(targets, dtype=np.int64).reshape(-1, 1, 1) * self.inv_xy
+        z %= self.modulus
         return z
 
     def blocks(self, units: int) -> Iterator[slice]:
@@ -322,7 +326,7 @@ def cardinality_prediction(j: int, m: int, k: int) -> float:
     if hi <= lo:
         return 0.0
     prod = 1.0
-    for p in trial_factorize(m).primes():
+    for p, _ in trial_factorize(m):
         prod *= 1.0 - 1.0 / (p - 1)
     return log_integral_between(lo, hi) * prod
 

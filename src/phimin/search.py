@@ -25,6 +25,7 @@ from .intervals import (
     PrimeIntervalSet,
     build_interval,
     interval_sieve_limit,
+    target_class,
 )
 from .sieve import SieveTables, build_sieve
 
@@ -192,6 +193,7 @@ def least_witnesses(
     """
     m = triple.modulus
     deltas = [indicator_1am(a, m) for a in a_values]
+    targets = [target_class(a, d, m) for a, d in zip(a_values, deltas)]
     grid = triple.class_grid
     found: list[SearchWitness | None] = [None] * len(deltas)
     windows = triple.i1.windows(FIRST_WINDOW)
@@ -210,7 +212,7 @@ def least_witnesses(
         least_pair = scale * int(px[px > 0].min()) * int(py[py > 0].min())
         for s in grid.blocks(len(units)):
             block = units[s]
-            z = grid.forced([a_values[u] for u in block], [delta] * len(block))
+            z = grid.forced([targets[u] for u in block])
             best: list[SearchWitness | None] = [None] * len(block)
             windows, replay = itertools.tee(windows)
             for window in replay:
@@ -371,13 +373,15 @@ def exponent_scan(
     """Oracle N, witness n, and their exponents for every (m, a) row, with
     a the first `a_sample` units of m ("all" or an int >= 1).
 
-    Every modulus runs the same call over one sieve, here or in a worker
-    (at most one per modulus and per CPU), and rows keep input order
-    regardless of `jobs`; per-row domain errors are recorded in the row
-    instead of aborting the scan.
+    Every modulus runs the same call over one sieve, here or in one of up
+    to `jobs` workers (an int >= 1; at most one per modulus and per CPU),
+    and rows keep input order regardless of `jobs`; per-row domain errors
+    are recorded in the row instead of aborting the scan.
     """
     if a_sample != "all" and (type(a_sample) is not int or a_sample < 1):
         raise DomainError(f"a_sample must be 'all' or an int >= 1, got {a_sample!r}")
+    if type(jobs) is not int or jobs < 1:
+        raise DomainError(f"jobs must be an int >= 1, got {jobs!r}")
     for m in m_values:
         check_odd_modulus(m)
         if m < 3:

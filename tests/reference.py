@@ -60,9 +60,9 @@ def phi_table(limit):
 
 
 def euler_phi(f):
-    """phi(n) from the Factorization of n: prod p^(e-1) (p - 1)."""
+    """phi(n) from the trial_factorize pairs of n: prod p^(e-1) (p - 1)."""
     out = 1
-    for p, e in f.factors:
+    for p, e in f:
         out *= p ** (e - 1) * (p - 1)
     return out
 

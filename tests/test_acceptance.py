@@ -82,7 +82,7 @@ def test_criterion_1_rho_closed_form():
     # primitive characters on non-squarefree odd d up to 200 average to 0
     zero_worst = 0.0
     for d in range(9, 201, 2):
-        if all(e == 1 for _, e in trial_factorize(d).factors):
+        if all(e == 1 for _, e in trial_factorize(d)):
             continue
         zero_worst = max(zero_worst, np.abs(rho_definition(build_unit_group(d))).max())
     elapsed = time.monotonic() - t0

@@ -455,6 +455,8 @@ class TestScanCommand:
         ["oracle", "--m", "3", "--a", "2", "--cap", str(2**63)],
         # oracle prints JSON only: argparse rejects the flag itself
         ["oracle", "--m", "5", "--a", "3", "--format", "csv"],
+        ["scan", "--m-range", "51:53", "--jobs", "0"],
+        ["scan", "--m-range", "51:53", "--jobs", "-3"],
     ],
 )
 def test_bad_input_exits_2_before_sieving(argv, monkeypatch, capsys):

@@ -61,14 +61,14 @@ class TestCountsMod5:
 
     def test_main_term(self, tables):
         ivs = canonical_triple(5, 2, tables)
-        assert main_term(2, ivs) == 0.5  # 1*2*1 / 4
+        assert main_term(ivs) == 0.5  # 1*2*1 / 4
 
     def test_empty_intervals_give_zero(self, tables):
         empty = build_custom_interval(4, 3, 9, tables)
         triple = IntervalTriple(empty, empty, empty)
         assert count_solutions_direct(1, triple) == 0
         assert count_solutions_characters(1, triple) == 0
-        assert main_term(1, triple) == 0
+        assert main_term(triple) == 0
 
 
 class TestPreconditions:
@@ -251,7 +251,7 @@ class TestDirectCount:
         for a in (4, 7):
             count_report(a, triple, threshold=7.0)
             remainder_term(a, triple)
-            psi_term(a, triple)
+            psi_term(triple)
         assert self.interval_indices(sums, triple) == [1, 2, 3]
         assert groups == [m]
 
@@ -265,6 +265,19 @@ class TestDirectCount:
         assert cli.main(argv) == 2
         assert "threshold must be finite" in capsys.readouterr().err
         assert direct == [] and sums == []
+
+    @pytest.mark.parametrize("a", [0, 3, 5, 45])
+    def test_non_unit_a_raises_before_counting(self, tables, monkeypatch, a):
+        sums, groups = self.spy_character_side(monkeypatch)
+        direct = []
+        monkeypatch.setattr(
+            counting, "count_solutions_direct", lambda *args: direct.append(args)
+        )
+        triple = canonical_triple(45, 2, tables)
+        with pytest.raises(DomainError, match="reduced class"):
+            count_report(a, triple, k=2)
+        assert direct == [] and sums == [] and groups == []
+        assert "class_grid" not in vars(triple)
 
 
 class TestDecomposition:
@@ -280,7 +293,7 @@ class TestDecomposition:
             ivs = self.three_free_intervals(m, tables)
             base = ivs.product / ivs.unit_group.phi
             for a in units_of(m):
-                total = base + psi_term(a, ivs) + remainder_term(a, ivs)
+                total = base + psi_term(ivs) + remainder_term(a, ivs)
                 jc = count_solutions_characters(a, ivs)
                 assert abs(jc - total) < 1e-6
 
@@ -290,12 +303,11 @@ class TestDecomposition:
         for m in (9, 15, 21):
             ivs = self.three_free_intervals(m, tables)
             copy = ivs.product / ivs.unit_group.phi
-            for a in units_of(m):
-                assert abs(psi_term(a, ivs) - copy) < 1e-9
+            assert abs(psi_term(ivs) - copy) < 1e-9
 
     def test_psi_term_zero_without_three(self, tables):
         ivs = self.three_free_intervals(35, tables)
-        assert psi_term(2, ivs) == 0.0
+        assert psi_term(ivs) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -320,7 +332,7 @@ class TestDecomposition:
         for a in units_of(m):
             chi_a, chi_d = ctx.values_at(a)[psi], ctx.values_at(1 + indicator_1am(a, m))[psi]
             want = sums * chi_a.conjugate() * chi_d
-            assert abs(psi_term(a, ivs) * phi - want) < 1e-9
+            assert abs(psi_term(ivs) * phi - want) < 1e-9
             assert abs(want - round(want.real)) < 1e-9
 
 
@@ -365,27 +377,27 @@ class TestStructuralInvariances:
 class TestConductorSplit:
     def test_mod5_hand_values(self, tables):
         ivs = canonical_triple(5, 2, tables)
-        small, large = conductor_split(2, ivs, threshold=5.0)
+        small, large = conductor_split(ivs, threshold=5.0)
         assert abs(small - 2 * math.sqrt(2)) < 1e-9
         assert large == 0.0
 
     def test_threshold_at_least_m_empties_large(self, tables):
         for m in (9, 15, 21):
             ivs = canonical_triple(m, 2, tables)
-            _, large = conductor_split(1, ivs, threshold=float(m))
+            _, large = conductor_split(ivs, threshold=float(m))
             assert large == 0.0
 
     def test_threshold_below_one_rejected(self, tables):
         ivs = canonical_triple(5, 2, tables)
         with pytest.raises(DomainError):
-            conductor_split(2, ivs, threshold=0.5)
+            conductor_split(ivs, threshold=0.5)
 
     def test_split_partitions_total(self, tables):
         for m in (15, 21):
             ivs = canonical_triple(m, 2, tables)
-            s_all = conductor_split(1, ivs, threshold=float(m))
+            s_all = conductor_split(ivs, threshold=float(m))
             for thr in (1.0, 3.0, 7.0):
-                small, large = conductor_split(1, ivs, threshold=thr)
+                small, large = conductor_split(ivs, threshold=thr)
                 assert abs(small + large - (s_all[0] + s_all[1])) < 1e-9
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phimin.arith import log_integral_between
+from phimin.arith import log_integral_between, unit_mask
 from phimin.characters import build_unit_group
+from phimin.counting import indicator_1am
 from phimin.errors import BoundsError, DomainError
 from phimin.intervals import (
     IntervalTriple,
@@ -22,7 +23,9 @@ from phimin.intervals import (
     require_disjoint,
     rho_closed_form,
     rho_definition,
+    target_class,
 )
+from phimin.search import canonical_triple
 from reference import dense_characters, least_prime_per_class, shifted_prime_interval
 
 
@@ -290,6 +293,32 @@ class TestClassGridGuard:
         grid = one_prime_triple(m, short_counts=True).class_grid
         assert grid.x.tolist() == [2] and grid.y.tolist() == [6]
         assert grid.inv_xy.tolist() == [[pow(2 * 6, -1, m)]] == [[253_083_375]]
+
+
+class TestTargetClass:
+    # odd m up to 463, the largest whose k = 2 triple fits a 10^4 sieve:
+    # m = 1, powers of 3, multiples of 3, and any odd m
+    moduli = st.one_of(
+        st.just(1),
+        st.integers(1, 5).map(lambda j: 3**j),
+        st.integers(0, 76).map(lambda i: 6 * i + 3),
+        st.integers(0, 231).map(lambda i: 2 * i + 1),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=moduli)
+    def test_target_solves_congruence_and_grid_forces_it(self, tables10k, m):
+        grid = None
+        if m != 3:  # the canonical sets of m = 3 collide at every k
+            grid = canonical_triple(m, 2, tables10k).class_grid
+        for a in np.flatnonzero(unit_mask(m)).tolist():
+            d = indicator_1am(a, m)
+            t = target_class(a, d, m)
+            assert 0 <= t < m
+            assert ((1 + d) * t - a) % m == 0
+            if grid is not None:
+                (z,) = grid.forced([t])
+                assert (z * grid.x[:, None] * grid.y % m == t).all()
 
 
 class TestCardinalityPrediction:

@@ -787,6 +787,15 @@ class TestExponentScan:
         with pytest.raises(DomainError, match="a_sample must be 'all' or an int >= 1"):
             exponent_scan([51], a_sample=a_sample)
 
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", True, None])
+    def test_bad_jobs_rejected_before_sieving(self, jobs, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError(f"sieve of {limit} built")
+
+        monkeypatch.setattr(search, "build_sieve", no_sieve)
+        with pytest.raises(DomainError, match="jobs must be an int >= 1"):
+            exponent_scan([51], a_sample=1, jobs=jobs)
+
     def test_row_errors_propagate(self):
         # m = 3, k = 2 has colliding intervals: the row records the error
         rows = exponent_scan([3, 5], a_sample="all", k=2)
