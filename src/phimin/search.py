@@ -30,6 +30,8 @@ from .intervals import (
 from .sieve import SieveTables, build_sieve
 
 FIRST_SEGMENT = 1 << 12
+# floor of I1's first window (_first_window): a narrower window would pay
+# the sieve's loop over its base primes for too few integers
 FIRST_WINDOW = 1 << 13
 DEFAULT_SEGMENT = 1 << 20
 INT64_MAX = 2**63 - 1
@@ -184,6 +186,10 @@ def least_witnesses(
     because the three sets are pairwise disjoint.  The grid's axes are
     I3 and I2, and the least p1 of each forced class comes from I1 one
     window at a time (I1.windows: all of I1 at once when it is listed).
+    A window pays O(m) for its least primes per class and O(grid) for
+    its products, however few primes it holds, so a window narrower than
+    about m wastes both: the first is _first_window(m) integers wide and
+    each next one twice as wide.
     One masked argmin per block of GRID_BLOCK entries of one d finds
     every unit's least product in the window.  A solution with p1 past
     a window's top B has n >= 4^d (B + 1) p2 p3 with p2, p3 the least
@@ -196,7 +202,7 @@ def least_witnesses(
     targets = [target_class(a, d, m) for a, d in zip(a_values, deltas)]
     grid = triple.class_grid
     found: list[SearchWitness | None] = [None] * len(deltas)
-    windows = triple.i1.windows(FIRST_WINDOW)
+    windows = triple.i1.windows(_first_window(m))
     for delta in (0, 1):
         units = [u for u, d in enumerate(deltas) if d == delta]
         if not units:
@@ -237,6 +243,11 @@ def least_witnesses(
             for u, w in zip(block, best):
                 found[u] = w
     return found
+
+
+def _first_window(m: int) -> int:
+    """Width of I1's first window: 2m integers, at least FIRST_WINDOW."""
+    return max(FIRST_WINDOW, 2 * m)
 
 
 def _least_usable(iv: PrimeIntervalSet, delta: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -500,7 +501,9 @@ def test_golden_oracle(case, capsys):
 # units 2, the first unit from m // 3 and m - 2 at k = 2, 3 and 10 (a = 2
 # has d = 1 at 11001, 14001 and 17001; k = 10 puts 2 alone in I3), m = 1001
 # at k = 10, where I3 is empty, m = 3, whose I1 and I2 collide, and m = 5
-# at k = 9.
+# at k = 9.  Then the units 2 and m - 2 at m = 100003, 300007 and 1000003
+# (k = 2) and 1000003 (k = 4), frozen while I1's first window was 2^13
+# integers wide at every m, so these searches read 3 to 7 windows of I1.
 GOLDEN_SEARCH = json.loads(
     (pathlib.Path(__file__).parent / "golden_search.json").read_text()
 )
@@ -533,6 +536,25 @@ def test_search_sieves_a_prefix_of_i1(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["found"]
         sieved = sum(max(0, min(b, hi) - max(a, lo)) for a, b in windows)
         assert 0 < sieved < 0.25 * (hi - lo)
+
+
+@pytest.mark.parametrize("m", [1001, 19001])
+def test_search_first_i1_window_spans_2m(m, monkeypatch, capsys):
+    # a window's least primes per class cost O(m) however few primes it
+    # holds, so I1's first window spans 2m integers, and at least 2^13
+    lo = math.floor(intervals.interval_bounds(1, m, 2)[0])
+    windows = []
+    real = SieveTables.primes_in
+
+    def spy(tables, a, b):
+        windows.append((a, b))
+        return real(tables, a, b)
+
+    monkeypatch.setattr(SieveTables, "primes_in", spy)
+    assert cli.main(["search", "--m", str(m), "--a", "2", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["found"]
+    first = next(w for w in windows if w[0] >= lo)
+    assert first == (lo, lo + max(2**13, 2 * m))
 
 
 @pytest.mark.parametrize("command", ["search", "count"])

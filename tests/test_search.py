@@ -537,7 +537,11 @@ class TestWindowedWitness:
     grid route over all of I1 (reference.full_least_witnesses)."""
 
     @settings(deadline=None)
-    @given(case=witness_cases(), width=st.sampled_from([1, 2, 7, 64, FIRST_WINDOW]))
+    # width None reads I1 in the windows of the unpatched search._first_window
+    @given(
+        case=witness_cases(),
+        width=st.sampled_from([1, 2, 7, 64, FIRST_WINDOW, None]),
+    )
     # 2 opens I1 and sits alone in its first window; a = 2 (mod 3) skips it
     @example(case=(45, (2, 1, 4, 11), ((1, 40), (40, 120), (120, 300))), width=1)
     # J = 0 for a = 1, and the products cross 2^63 between windows
@@ -553,7 +557,8 @@ class TestWindowedWitness:
             *(shifted_prime_interval(lo, hi, m) for lo, hi in bounds)
         )
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "FIRST_WINDOW", width)
+            if width is not None:
+                mp.setattr(search, "_first_window", lambda m: width)
             got = least_witnesses(list(units), lazy)
         assert [witness_key(w) for w in got] == full_least_witnesses(units, listed)
         assert [w.delta for w in got if w] == [
@@ -574,7 +579,7 @@ class TestWindowedWitness:
 
         monkeypatch.setattr(search, "_least_products", spy_products)
         monkeypatch.setattr(SieveTables, "primes_in", spy_primes_in)
-        monkeypatch.setattr(search, "FIRST_WINDOW", 8)
+        monkeypatch.setattr(search, "_first_window", lambda m: 8)
         m = STRADDLE_M
         listed = IntervalTriple(
             *(shifted_prime_interval(lo, hi, m) for lo, hi in STRADDLE)
@@ -615,7 +620,7 @@ class TestWindowedWitness:
             return primes_in(tables, lo, hi)
 
         monkeypatch.setattr(SieveTables, "primes_in", spy)
-        monkeypatch.setattr(search, "FIRST_WINDOW", 8)
+        monkeypatch.setattr(search, "_first_window", lambda m: 8)
         got = least_witnesses(units, triple)
         assert sorted({indicator_1am(a, m) for a in units}) == [0, 1]
         assert sieved == [(300, 308), (308, 324), (324, 356), (356, 420), (420, 548)]
