@@ -12,7 +12,6 @@ given cap/scale, 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -162,22 +161,22 @@ def _summarize(rows: list[dict]) -> dict:
     return summary
 
 
-def _fixed(x: float | None) -> str | None:
-    """Six decimals; None stays None, which csv writes as an empty cell."""
-    return None if x is None else f"{x:.6f}"
+def _cell(x, spec: str = "") -> str:
+    """x formatted by spec; None is an empty cell."""
+    return "" if x is None else format(x, spec)
 
 
 def _write_scan_csv(rows: list[dict], out) -> None:
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(search.SCAN_FIELDS)
-    for r in rows:
-        cells = dict(
-            r,
-            N_exponent=_fixed(r["N_exponent"]),
-            witness_exponent=_fixed(r["witness_exponent"]),
-            found=str(r["found"]).lower(),
-        )
-        w.writerow([cells[f] for f in search.SCAN_FIELDS])
+    """The scan CSV in search.SCAN_FIELDS order; no cell holds a comma, a
+    quote or a newline, so none is quoted."""
+    out.write(",".join(search.SCAN_FIELDS) + "\n")
+    out.write("".join(
+        f"{r['m']},{r['a']},{r['delta']},"
+        f"{_cell(r['N'])},{_cell(r['N_exponent'], '.6f')},"
+        f"{_cell(r['witness_n'])},{_cell(r['witness_exponent'], '.6f')},"
+        f"{_cell(r['J_direct'])},{'true' if r['found'] else 'false'}\n"
+        for r in rows
+    ))
 
 
 # -- verify suites ---------------------------------------------------------

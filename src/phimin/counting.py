@@ -38,27 +38,34 @@ def indicator_1am(a: int, m: int) -> int:
 
 
 def direct_counts(a_values: Sequence[int], triple: IntervalTriple) -> list[int]:
-    """Exact solution count J of every unit, by convolving residue count
-    vectors.
+    """Exact solution count J of every unit: class_counts of their
+    target classes."""
+    m = triple.modulus
+    targets = [target_class(a, indicator_1am(a, m), m) for a in a_values]
+    return class_counts(targets, triple)
+
+
+def class_counts(targets: Sequence[int], triple: IntervalTriple) -> list[int]:
+    """Exact count J of triples of each product class t in `targets`
+    (target_class), by convolving residue count vectors.
 
     Pure integer arithmetic over the triple's class grid: each pair of
     occupied classes (x, y) forces the class z of the third interval, so
     J = sum cx[x] cy[y] cz[z], contracted by two mat-vecs over the
-    units x grid tensor of forced classes, GRID_BLOCK entries at a time.
+    units x grid tensor of forced classes, one ClassGrid.blocks chunk of
+    at most GRID_BLOCK entries at a time.
     """
-    m = triple.modulus
-    targets = [target_class(a, indicator_1am(a, m), m) for a in a_values]
     if triple.product >= 2**63:
         # J <= |I1||I2||I3| bounds every partial sum below
-        raise BoundsError(f"int64 convolution would overflow at m={m}")
+        raise BoundsError(f"int64 convolution would overflow at m={triple.modulus}")
     grid = triple.class_grid
     cx = triple.i3.count_vector[grid.x]
     cy = triple.i2.count_vector[grid.y]
     cz = triple.i1.count_vector
-    counts: list[int] = []
-    for s in grid.blocks(len(targets)):
-        counts += (cz[grid.forced(targets[s])] @ cy @ cx).tolist()
-    return counts
+    counts = np.zeros(len(targets), dtype=np.int64)
+    for units, rows in grid.blocks(len(targets)):
+        counts[units] += cz[grid.forced(targets[units], rows)] @ cy @ cx[rows]
+    return counts.tolist()
 
 
 def count_solutions_direct(a: int, triple: IntervalTriple) -> int:

@@ -176,19 +176,25 @@ class ClassGrid(NamedTuple):
     y: np.ndarray
     inv_xy: np.ndarray
 
-    def forced(self, targets: Sequence[int]) -> np.ndarray:
+    def forced(self, targets: Sequence[int], rows: slice = slice(None)) -> np.ndarray:
         """The class z[u, i, j] of p1 - 1 forced by the pair (x[i], y[j])
-        for target class targets[u], shape (units, |x|, |y|).  Every
-        factor is below m and m^2 < 2^63."""
-        z = np.array(targets, dtype=np.int64).reshape(-1, 1, 1) * self.inv_xy
+        for target class targets[u], i over `rows`, shape (units,
+        |x[rows]|, |y|).  Every factor is below m and m^2 < 2^63."""
+        z = np.array(targets, dtype=np.int64).reshape(-1, 1, 1) * self.inv_xy[rows]
         z %= self.modulus
         return z
 
-    def blocks(self, units: int) -> Iterator[slice]:
-        """Slices of 0..units-1 whose forced tensors hold at most
-        GRID_BLOCK entries, one unit at least."""
-        step = max(1, GRID_BLOCK // max(1, self.x.size * self.y.size))
-        return (slice(s, s + step) for s in range(0, units, step))
+    def blocks(self, units: int) -> Iterator[tuple[slice, slice]]:
+        """(units, rows) slices of 0..units-1 and of x whose forced tensors
+        hold at most GRID_BLOCK entries: units over every row while one
+        unit's grid fits, else one unit over chunks of rows, one at least."""
+        size = self.x.size * self.y.size
+        if size <= GRID_BLOCK:
+            step = GRID_BLOCK // max(1, size)
+            return ((slice(s, s + step), slice(None)) for s in range(0, units, step))
+        step = max(1, GRID_BLOCK // self.y.size)
+        chunks = [slice(r, r + step) for r in range(0, self.x.size, step)]
+        return ((slice(u, u + 1), rows) for u in range(units) for rows in chunks)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ adds the oracle cap rule and the scan's m >= 3.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from .arith import check_odd_modulus, check_reduced_odd, first_index, unit_mask
 # count_solutions_direct stays importable here: bench/worker.py traces it by name
-from .counting import count_solutions_direct, direct_counts, indicator_1am  # noqa: F401
+from .counting import class_counts, count_solutions_direct, indicator_1am  # noqa: F401
 from .errors import BoundsError, DomainError
 from .intervals import (
     IntervalTriple,
@@ -140,10 +139,11 @@ def oracle_N_multi(
     The first segment is segment_phi's per-process constant.
     """
     check_cap(cap)
-    targets = set()
-    for a in a_values:
-        check_reduced_odd(a, m)
-        targets.add(a % m)
+    check_odd_modulus(m)
+    bad = [a for a in a_values if math.gcd(a, m) != 1]
+    if bad:
+        check_reduced_odd(bad[0], m)  # raises the reduced-class error
+    targets = {a % m for a in a_values}
     found: dict[int, int | None] = {a: None for a in targets}
     wanted = np.zeros(m, dtype=bool)
     wanted[list(targets)] = True
@@ -152,8 +152,8 @@ def oracle_N_multi(
         hi = min(lo + size, cap + 1)
         first = first_index(segment_phi(lo, hi, tables) % m, m)
         hit = wanted & (first < hi - lo)
-        for a in np.flatnonzero(hit).tolist():
-            found[a] = lo + int(first[a])
+        at = np.flatnonzero(hit)
+        found.update(zip(at.tolist(), (first[at] + lo).tolist()))
         wanted &= ~hit
         lo, size = hi, min(2 * size, DEFAULT_SEGMENT)
     return found
@@ -178,7 +178,23 @@ def constructive_search(a: int, triple: IntervalTriple) -> SearchWitness | None:
 def least_witnesses(
     a_values: Sequence[int], triple: IntervalTriple
 ) -> list[SearchWitness | None]:
-    """constructive_search of every unit, over the units x grid tensor.
+    """constructive_search of every unit: least_solutions of their
+    checked d (indicator_1am) and target classes."""
+    m = triple.modulus
+    deltas = [indicator_1am(a, m) for a in a_values]
+    targets = [target_class(a, d, m) for a, d in zip(a_values, deltas)]
+    return [
+        None if w is None else SearchWitness(m, a, d, *w[1:])
+        for a, d, w in zip(a_values, deltas, least_solutions(deltas, targets, triple))
+    ]
+
+
+def least_solutions(
+    deltas: Sequence[int], targets: Sequence[int], triple: IntervalTriple
+) -> list[tuple[int, int, int, int] | None]:
+    """(n, p1, p2, p3) of the least solution n = 4^d p1 p2 p3 of each
+    unit, given its d and its target class, or None; over the units x
+    grid tensor.
 
     Each p_j of a solution can be swapped for the least prime of its
     class of p_j - 1, so the least n is the least product of class
@@ -190,19 +206,20 @@ def least_witnesses(
     its products, however few primes it holds, so a window narrower than
     about m wastes both: the first is _first_window(m) integers wide and
     each next one twice as wide.
-    One masked argmin per block of GRID_BLOCK entries of one d finds
-    every unit's least product in the window.  A solution with p1 past
-    a window's top B has n >= 4^d (B + 1) p2 p3 with p2, p3 the least
-    usable primes of I2 and I3, so once every unit of the block has a
-    witness no larger, the rest of I1 is never sieved.  Every block reads
-    a tee of one window iterator, so a call sieves each window once.
+    Each window is sieved once, and its least primes per class are read
+    once per d.  One masked argmin per ClassGrid.blocks chunk of one d
+    finds every unit's least product in the window, and one gather reads
+    its primes.  A solution with p1 past a window's top B has
+    n >= 4^d (B + 1) p2 p3 with p2, p3 the least usable primes of I2 and
+    I3, so a unit with a solution no larger reads no further window, and
+    once every unit has one, the rest of I1 is never sieved.
     """
     m = triple.modulus
-    deltas = [indicator_1am(a, m) for a in a_values]
-    targets = [target_class(a, d, m) for a, d in zip(a_values, deltas)]
     grid = triple.class_grid
-    found: list[SearchWitness | None] = [None] * len(deltas)
-    windows = triple.i1.windows(_first_window(m))
+    best: list[tuple[int, int, int, int] | None] = [None] * len(deltas)
+    # the units of each d still open, and that d's least usable I3 and I2
+    # primes per grid class, with the largest and the least of their products
+    open_units, usable = {}, {}
     for delta in (0, 1):
         units = [u for u, d in enumerate(deltas) if d == delta]
         if not units:
@@ -211,38 +228,36 @@ def least_witnesses(
             _least_usable(iv, delta)[axis]
             for iv, axis in ((triple.i3, grid.x), (triple.i2, grid.y))
         )
-        if not (px.any() and py.any()):
-            continue
-        scale = 4**delta
-        top = scale * int(px.max()) * int(py.max())
-        least_pair = scale * int(px[px > 0].min()) * int(py[py > 0].min())
-        for s in grid.blocks(len(units)):
-            block = units[s]
-            z = grid.forced([targets[u] for u in block])
-            best: list[SearchWitness | None] = [None] * len(block)
-            windows, replay = itertools.tee(windows)
-            for window in replay:
-                pz = _least_usable(window, delta)[z]
-                for b, hit in enumerate(_least_hits(px, py, pz, top)):
-                    if hit is None:
-                        continue
-                    i, j = divmod(hit, py.size)
-                    w = SearchWitness(
-                        m=m,
-                        a=a_values[block[b]],
-                        delta=delta,
-                        p1=int(pz[b, i, j]),
-                        p2=int(py[j]),
-                        p3=int(px[i]),
-                    )
-                    if best[b] is None or w.n < best[b].n:
-                        best[b] = w
-                reach = least_pair * (math.floor(window.hi) + 1)
-                if all(w is not None and w.n <= reach for w in best):
-                    break
-            for u, w in zip(block, best):
-                found[u] = w
-    return found
+        if px.any() and py.any():
+            top = int(px.max()) * int(py.max())
+            least_pair = int(px[px > 0].min()) * int(py[py > 0].min())
+            open_units[delta], usable[delta] = units, (px, py, top, least_pair)
+    # each d's last chunk and its forced classes, reused while it is unchanged
+    forced = {}
+    windows = triple.i1.windows(_first_window(m))
+    while open_units and (window := next(windows, None)) is not None:
+        for delta, units in list(open_units.items()):
+            px, py, top, least_pair = usable[delta]
+            scale = 4**delta
+            least = _least_usable(window, delta)
+            for s, rows in grid.blocks(len(units)):
+                block, pxr = units[s], px[rows]
+                if forced.get(delta, (None,))[0] != (block, rows):
+                    z = grid.forced([targets[u] for u in block], rows)
+                    forced[delta] = (block, rows), z
+                pz = least[forced[delta][1]]
+                at = _least_hits(pxr, py, pz, scale * top)
+                # a unit with no hit (at = -1) gathers the grid's last entry
+                i, j = np.divmod(at, py.size)
+                gathered = (at, pz[np.arange(len(at)), i, j], py[j], pxr[i])
+                for u, hit, p1, p2, p3 in zip(block, *(p.tolist() for p in gathered)):
+                    n = scale * p1 * p2 * p3
+                    if hit >= 0 and (best[u] is None or n < best[u][0]):
+                        best[u] = (n, p1, p2, p3)
+            reach = scale * least_pair * (math.floor(window.hi) + 1)
+            open_units[delta] = [u for u in units if not best[u] or best[u][0] > reach]
+        open_units = {d: units for d, units in open_units.items() if units}
+    return best
 
 
 def _first_window(m: int) -> int:
@@ -260,33 +275,31 @@ def _least_usable(iv: PrimeIntervalSet, delta: int) -> np.ndarray:
 
 def _least_hits(
     px: np.ndarray, py: np.ndarray, pz: np.ndarray, top: int
-) -> list[int | None]:
+) -> np.ndarray:
     """_least_products of every unit's pz, with exact products: int64
     while every n fits below the empty-class mark 2^63 - 1, Python ints
     one unit at a time beyond.  top bounds px py."""
     bound = top * int(pz.max())
     if bound < INT64_MAX:
         return _least_products(px, py, pz, np.int64, INT64_MAX)
-    return [
-        _least_products(px, py, pz[b : b + 1], object, bound + 1)[0]
-        for b in range(len(pz))
-    ]
+    return np.concatenate(
+        [_least_products(px, py, u[None], object, bound + 1) for u in pz]
+    )
 
 
 def _least_products(
     px: np.ndarray, py: np.ndarray, pz: np.ndarray, dtype, empty: int
-) -> list[int | None]:
+) -> np.ndarray:
     """Per unit u, the flat (x, y) index of the first least px py pz[u],
-    or None when every class is empty.  An empty class has least prime 0,
+    or -1 when every class is empty.  An empty class has least prime 0,
     so its product is 0, and `empty`, above every product, replaces it."""
     px, py, pz = (p.astype(dtype, copy=False) for p in (px, py, pz))
     n = px[:, None] * py * pz
     n[n == 0] = empty
     n = n.reshape(len(n), -1)
-    return [
-        None if low == empty else at
-        for at, low in zip(n.argmin(axis=1).tolist(), n.min(axis=1).tolist())
-    ]
+    at = n.argmin(axis=1)
+    at[n.min(axis=1) == empty] = -1
+    return at
 
 
 # -- scan ----------------------------------------------------------------
@@ -333,39 +346,32 @@ def _scan_one_m(
     tables: SieveTables,
 ) -> list[dict]:
     """One row per unit a.  One oracle stream serves every unit, and
-    least_witnesses and direct_counts answer all of them in one pass over
-    the triple's class grid.  When the canonical triple fails its check
-    (the intervals collide at small m), every row carries the error
-    instead of a witness and a count."""
-    rows = []
+    least_solutions and class_counts answer all of them in one pass over
+    the triple's class grid.  The a are units of m (_sample_units), so
+    their d and target classes are derived once here, unchecked.  When
+    the canonical triple fails its check (the intervals collide at small
+    m), every row carries the error instead of a witness and a count."""
     oracle = oracle_N_multi(a_values, m, default_cap(m), tables)
-    triple = error = None
     try:
-        triple = canonical_triple(m, k, tables)
+        triple, error = canonical_triple(m, k, tables), {}
     except DomainError as exc:
-        error = str(exc)
-    deltas = [indicator_1am(a, m) for a in a_values]
-    witnesses = counts = [None] * len(a_values)
+        triple, error = None, {"error": str(exc)}
+    # d as indicator_1am gives it: 1 exactly when 3 | m and a = 2 (mod 3)
+    deltas = [int(m % 3 == 0 and a % 3 == 2) for a in a_values]
+    solutions = counts = [None] * len(a_values)
     if triple is not None:
+        targets = [target_class(a, d, m) for a, d in zip(a_values, deltas)]
         # the count lists I1, so the search reads it as one window
-        counts = direct_counts(a_values, triple)
-        witnesses = least_witnesses(a_values, triple)
-    for a, delta, witness, j_direct in zip(a_values, deltas, witnesses, counts):
-        n_val = oracle[a % m]
-        row: dict = {
-            "m": m,
-            "a": a,
-            "delta": delta,
-            "N": n_val,
-            "N_exponent": exponent(n_val, m),
-        }
-        if triple is None:
-            row["error"] = error
-        row["witness_n"] = witness.n if witness else None
-        row["witness_exponent"] = witness.exponent if witness else None
-        row["J_direct"] = j_direct
-        row["found"] = witness is not None
-        rows.append(row)
+        counts = class_counts(targets, triple)
+        solutions = least_solutions(deltas, targets, triple)
+    rows = []
+    for a, d, solution, j in zip(a_values, deltas, solutions, counts):
+        n, w_n = oracle[a % m], solution and solution[0]
+        rows.append({
+            "m": m, "a": a, "delta": d, "N": n, "N_exponent": exponent(n, m), **error,
+            "witness_n": w_n, "witness_exponent": exponent(w_n, m), "J_direct": j,
+            "found": solution is not None,
+        })
     return rows
 
 

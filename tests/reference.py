@@ -7,6 +7,8 @@ exact rational Euler product, with no shared code path beyond the input
 checks.
 """
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -228,3 +230,23 @@ def euler_product_exact(cutoff):
         if is_prime(p):
             product *= 1 + Fraction(1, (p - 2) ** 2)
     return product
+
+
+SCAN_FIELDS = ("m", "a", "delta", "N", "N_exponent", "witness_n",
+               "witness_exponent", "J_direct", "found")
+
+
+def scan_csv(rows):
+    """The scan CSV of `rows` by csv.writer: exponents to six decimals,
+    None as an empty cell, found as true or false, and the keys outside
+    SCAN_FIELDS (an error row's error) left out."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SCAN_FIELDS)
+    for r in rows:
+        cells = dict(r, found=str(r["found"]).lower())
+        for f in ("N_exponent", "witness_exponent"):
+            if r[f] is not None:
+                cells[f] = f"{r[f]:.6f}"
+        writer.writerow([cells[f] for f in SCAN_FIELDS])
+    return out.getvalue()

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import pathlib
@@ -10,6 +11,11 @@ import pytest
 
 from phimin import cli, intervals, search
 from phimin.sieve import SieveTables
+from reference import scan_csv
+
+# SHA-256 of `phimin scan --m-range 51:201 --a-sample all --k 2`, also
+# checked by the CI acceptance scan step with --jobs 1 and 2
+ALL_UNITS_CSV_SHA256 = "636ebd2977e973cc2e017a9102a0716493b6304a666272d0317eb242418c1b46"
 
 
 def run_cli(*args):
@@ -383,6 +389,41 @@ class TestScanCommand:
         assert cli.main(argv) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "603f455b599c6a4c626842c427ca0cc82967aba3e5ffdd62cd72724cf2f98717"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_golden_all_units_past_twenty(self, jobs, monkeypatch, capsys):
+        # every unit of every odd m in [51, 201] (7,772 rows): the units past
+        # the first 20, with their larger N and extra oracle stream segments,
+        # which the acceptance scan never reaches; frozen before the scan
+        # derived d and the target classes once per modulus
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        argv = ["scan", "--m-range", "51:201", "--a-sample", "all", "--k", "2"]
+        assert cli.main([*argv, "--jobs", str(jobs)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 + 7772
+        assert hashlib.sha256(out.encode()).hexdigest() == ALL_UNITS_CSV_SHA256
+
+    def test_csv_matches_csv_writer(self):
+        # real rows, error rows of colliding triples (m = 3, 5, 7 at k = 3)
+        # and rows with a None N, witness or J_direct on both found values
+        rows = search.exponent_scan([3, 5, 7, 9, 45], a_sample="all", k=3)
+        assert any("error" in r for r in rows) and not all("error" in r for r in rows)
+        base = next(dict(r) for r in rows if r["found"])
+        assert None not in base.values()
+        for n in (None, 12):
+            for w in (None, 5040):
+                for j in (None, 0, 3):
+                    for found in (True, False):
+                        rows.append(dict(
+                            base, N=n, N_exponent=n and 0.25, witness_n=w,
+                            witness_exponent=w and 2.5, J_direct=j, found=found,
+                        ))
+        out = io.StringIO()
+        cli._write_scan_csv(rows, out)
+        assert out.getvalue() == scan_csv(rows)
+        out = io.StringIO()
+        cli._write_scan_csv([], out)
+        assert out.getvalue() == scan_csv([])
 
     def test_pooled_scan(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phimin import intervals
 from phimin.arith import log_integral_between, unit_mask
 from phimin.characters import build_unit_group
 from phimin.counting import indicator_1am
@@ -293,6 +294,34 @@ class TestClassGridGuard:
         grid = one_prime_triple(m, short_counts=True).class_grid
         assert grid.x.tolist() == [2] and grid.y.tolist() == [6]
         assert grid.inv_xy.tolist() == [[pow(2 * 6, -1, m)]] == [[253_083_375]]
+
+
+class TestClassGridBlocks:
+    """ClassGrid.blocks covers every (unit, x row) once, each chunk within
+    GRID_BLOCK entries or one unit over one row."""
+
+    @pytest.mark.parametrize(
+        "shape,block",
+        [
+            ((3, 4), 7), ((3, 4), 12), ((3, 4), 13), ((5, 2), 100), ((0, 4), 7),
+            ((9, 2), 1),
+        ],
+    )
+    @pytest.mark.parametrize("units", [0, 1, 5])
+    def test_chunks_cover_grid(self, shape, block, units, monkeypatch):
+        monkeypatch.setattr(intervals, "GRID_BLOCK", block)
+        rows, cols = shape
+        grid = intervals.ClassGrid(
+            7, np.arange(rows), np.arange(cols), np.zeros(shape, dtype=np.int64)
+        )
+        seen = []
+        for us, xs in grid.blocks(units):
+            u, x = range(units)[us], range(rows)[xs]
+            assert len(u) and (len(x) or not rows)
+            assert len(u) * len(x) * cols <= block or len(u) == len(x) == 1
+            seen += itertools.product(u, x)
+        assert sorted(seen) == list(itertools.product(range(units), range(rows)))
+        assert len(seen) == len(set(seen))
 
 
 class TestTargetClass:

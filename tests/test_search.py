@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from phimin import cli, intervals, search
 from phimin.arith import trial_factorize
 from phimin.counting import count_solutions_direct, direct_counts, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
-from phimin.intervals import IntervalTriple, build_custom_interval, build_interval
+from phimin.intervals import (
+    IntervalTriple,
+    build_custom_interval,
+    build_interval,
+    target_class,
+)
 from phimin.sieve import SieveTables, build_sieve
 from phimin.search import (
     DEFAULT_SEGMENT,
@@ -757,6 +763,27 @@ class TestBatchedCore:
             assert counts == [0] * len(units)
 
 
+    def test_one_unit_grid_read_in_row_chunks(self):
+        # one unit's class grid at m = 1000003, k = 2 is 73 x 36,961 entries,
+        # 41 GRID_BLOCKs; whole-grid tensors peaked at 83 MiB here, chunks of
+        # x rows at about 17 MiB, with the same witness
+        m = 1_000_003
+        tables = build_sieve(intervals.interval_sieve_limit(m, 2))
+        triple = canonical_triple(m, 2, tables)
+        grid = triple.class_grid
+        assert grid.x.size * grid.y.size > 40 * intervals.GRID_BLOCK
+        tracemalloc.start()
+        try:
+            (w,) = least_witnesses([2], triple)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (w.n, w.delta, w.p1, w.p2, w.p3) == (
+            125_969_675_071_175_807, 0, 500_694_211, 500_179, 503
+        )
+        assert peak < 24 << 20
+
+
 class TestExponentScan:
     def test_rows_and_summary(self):
         rows = exponent_scan([5, 9], a_sample="all", k=3)
@@ -856,23 +883,28 @@ class TestExponentScan:
         assert built == [51, 53]
 
     def test_one_batched_pass_per_modulus(self, monkeypatch):
-        # each modulus answers all its units in one call of each core
+        # each modulus answers all its units in one call of each core, which
+        # takes the target classes of the units
         calls = []
 
         def spy(name, fn):
-            def counted(a_values, triple):
-                calls.append((name, triple.modulus, list(a_values)))
-                return fn(a_values, triple)
+            def counted(*args):
+                calls.append((name, args[-1].modulus, list(args[-2])))
+                return fn(*args)
 
             monkeypatch.setattr(search, name, counted)
 
-        spy("least_witnesses", search.least_witnesses)
-        spy("direct_counts", search.direct_counts)
+        spy("least_solutions", search.least_solutions)
+        spy("class_counts", search.class_counts)
         exponent_scan([51, 53], a_sample=6, k=2)
-        assert sorted(calls) == sorted(
-            (name, m, units_of(m)[:6])
+        targets = {
+            m: [target_class(a, indicator_1am(a, m), m) for a in units_of(m)[:6]]
             for m in (51, 53)
-            for name in ("least_witnesses", "direct_counts")
+        }
+        assert sorted(calls) == sorted(
+            (name, m, targets[m])
+            for m in (51, 53)
+            for name in ("least_solutions", "class_counts")
         )
 
     def test_workers_capped(self, monkeypatch):
@@ -922,3 +954,51 @@ class TestExponentScan:
         for r in rows:
             if r["found"] and r["N"] is not None:
                 assert r["witness_n"] >= r["N"]
+
+
+# odd m up to 400: any odd m, the multiples of 3 (where d = 1 occurs) and
+# the powers of 3
+SCAN_MODULI = st.one_of(
+    st.integers(1, 199).map(lambda i: 2 * i + 1),
+    st.integers(0, 66).map(lambda i: 6 * i + 3),
+    st.integers(1, 5).map(lambda j: 3**j),
+)
+
+
+class TestScanRowsMatchCheckedRoutes:
+    """exponent_scan derives d and the target classes of its units once,
+    unchecked; each row against the checked one-unit routes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=SCAN_MODULI,
+        k=st.integers(2, 4),
+        a_sample=st.one_of(st.just("all"), st.integers(1, 30)),
+    )
+    # the canonical sets collide, so every row is an error row
+    @example(m=3, k=2, a_sample="all")
+    @example(m=13, k=4, a_sample=5)
+    @example(m=243, k=2, a_sample="all")
+    def test_rows(self, tables200k, m, k, a_sample):
+        rows = exponent_scan([m], a_sample=a_sample, k=k)
+        units = units_of(m)[: None if a_sample == "all" else a_sample]
+        assert [(r["m"], r["a"]) for r in rows] == [(m, a) for a in units]
+        try:
+            triple, error = canonical_triple(m, k, tables200k), None
+        except DomainError as exc:
+            triple, error = None, str(exc)
+        for row, a in zip(rows, units):
+            n = oracle_N_multi([a], m, default_cap(m), tables200k)[a]
+            assert (row["N"], row["N_exponent"]) == (n, exponent(n, m))
+            assert row["delta"] == indicator_1am(a, m)
+            if triple is None:
+                assert row["error"] == error
+                got = (row["witness_n"], row["witness_exponent"], row["J_direct"])
+                assert got == (None, None, None) and row["found"] is False
+                continue
+            assert "error" not in row
+            w = constructive_search(a, triple)
+            assert row["found"] is (w is not None)
+            assert row["witness_n"] == (w and w.n)
+            assert row["witness_exponent"] == (w and w.exponent)
+            assert row["J_direct"] == count_solutions_direct(a, triple)
