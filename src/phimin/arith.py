@@ -64,12 +64,14 @@ def unit_mask(m: int) -> np.ndarray:
 
 def unit_inverses(b: np.ndarray, m: int) -> np.ndarray:
     """b^-1 mod m for an int64 array of units b of m >= 1, as
-    b^(phi(m) - 1) by square-and-multiply over the whole array.
+    b^(lambda - 1) by square-and-multiply over the whole array, with
+    lambda = lcm over p^a || m of p^(a-1) (p - 1): the Carmichael exponent
+    of odd m, so b^lambda = 1 for every unit, and a divisor of phi(m).
 
     Precondition: m^2 < 2^63, so that every product of two residues below
     m is exact in int64; the caller checks it.
     """
-    e = math.prod(p ** (a - 1) * (p - 1) for p, a in trial_factorize(m)) - 1
+    e = math.lcm(*(p ** (a - 1) * (p - 1) for p, a in trial_factorize(m))) - 1
     inv = np.full_like(b, 1 % m)
     base = b % m
     while e:

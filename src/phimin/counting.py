@@ -50,21 +50,20 @@ def class_counts(targets: Sequence[int], triple: IntervalTriple) -> list[int]:
     (target_class), by convolving residue count vectors.
 
     Pure integer arithmetic over the triple's class grid: each pair of
-    occupied classes (x, y) forces the class z of the third interval, so
-    J = sum cx[x] cy[y] cz[z], contracted by two mat-vecs over the
-    units x grid tensor of forced classes, one ClassGrid.blocks chunk of
-    at most GRID_BLOCK entries at a time.
+    occupied classes (x, y) of I3 and I2 forces the class z of I1, so
+    J = sum cx cy cz[z], with cx, cy the grid's counts of the primes of
+    I3 and I2 and cz the count vector of I1, contracted by two mat-vecs
+    over the units x grid tensor of forced classes, one ClassGrid.blocks
+    chunk of at most GRID_BLOCK entries at a time.
     """
     if triple.product >= 2**63:
         # J <= |I1||I2||I3| bounds every partial sum below
         raise BoundsError(f"int64 convolution would overflow at m={triple.modulus}")
     grid = triple.class_grid
-    cx = triple.i3.count_vector[grid.x]
-    cy = triple.i2.count_vector[grid.y]
     cz = triple.i1.count_vector
     counts = np.zeros(len(targets), dtype=np.int64)
     for units, rows in grid.blocks(len(targets)):
-        counts[units] += cz[grid.forced(targets[units], rows)] @ cy @ cx[rows]
+        counts[units] += cz[grid.forced(targets[units], rows)] @ grid.cy @ grid.cx[rows]
     return counts.tolist()
 
 

@@ -131,6 +131,15 @@ class PrimeIntervalSet:
         primes = np.append(self.primes[skip:], 0)
         return primes[first_index(self.classes[skip:], self.modulus)]
 
+    def occupied(self, skip: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The occupied classes of primes[skip:], ascending, their counts and
+        least primes (the first of each class, as the primes ascend): one
+        O(len log len) sort, nothing m long."""
+        classes, first, counts = np.unique(
+            self.classes[skip:], return_index=True, return_counts=True
+        )
+        return classes, counts, self.primes[skip:][first]
+
 
 def require_disjoint(*intervals: PrimeIntervalSet) -> None:
     """The canonical intervals separate once m is large enough; at small
@@ -164,24 +173,33 @@ def target_class(a: int, d: int, m: int) -> int:
 
 
 class ClassGrid(NamedTuple):
-    """The forced-class table of a triple, shared by the direct count and
+    """The forced-class grid of a triple, shared by the direct count and
     the witness search.  x and y are the occupied classes of p - 1 in I3
-    and I2, and inv_xy = (x y)^-1 mod m, so a target class t (see
-    target_class) forces the class z = t inv_xy of p1 - 1.  I1 is the
-    widest interval of a canonical triple, so it has the most occupied
-    classes, and the grid never reads it."""
+    and I2, ascending, read from their primes (PrimeIntervalSet.occupied,
+    never the count vectors), with prime counts cx, cy, least primes px,
+    py and inverses inv_x, inv_y mod m, so a target class t (see
+    target_class) forces the class z = t inv_x inv_y of p1 - 1.  I1 is
+    the widest interval of a canonical triple, so it has the most
+    occupied classes, and the grid never reads it."""
 
     modulus: int
     x: np.ndarray
     y: np.ndarray
-    inv_xy: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    inv_x: np.ndarray
+    inv_y: np.ndarray
 
     def forced(self, targets: Sequence[int], rows: slice = slice(None)) -> np.ndarray:
         """The class z[u, i, j] of p1 - 1 forced by the pair (x[i], y[j])
         for target class targets[u], i over `rows`, shape (units,
         |x[rows]|, |y|).  Every factor is below m and m^2 < 2^63."""
-        z = np.array(targets, dtype=np.int64).reshape(-1, 1, 1) * self.inv_xy[rows]
-        z %= self.modulus
+        m = self.modulus
+        tx = np.array(targets, dtype=np.int64)[:, None] * self.inv_x[rows] % m
+        z = tx[:, :, None] * self.inv_y
+        z %= m
         return z
 
     def blocks(self, units: int) -> Iterator[tuple[slice, slice]]:
@@ -233,9 +251,9 @@ class IntervalTriple:
         m = self.modulus
         if m * m >= 2**63:
             raise BoundsError(f"int64 class products would overflow at m={m}")
-        x, y = (np.flatnonzero(iv.count_vector) for iv in (self.i3, self.i2))
+        (x, cx, px), (y, cy, py) = (iv.occupied() for iv in (self.i3, self.i2))
         inv = unit_inverses(np.concatenate((x, y)), m)
-        return ClassGrid(m, x, y, np.outer(inv[: x.size], inv[x.size :]) % m)
+        return ClassGrid(m, x, y, cx, cy, px, py, inv[: x.size], inv[x.size :])
 
     @functools.cached_property
     def unit_group(self) -> UnitGroupContext:

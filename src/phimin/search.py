@@ -200,8 +200,9 @@ def least_solutions(
     class of p_j - 1, so the least n is the least product of class
     minima over the triple's forced-class grid; n fixes (p1, p2, p3)
     because the three sets are pairwise disjoint.  The grid's axes are
-    I3 and I2, and the least p1 of each forced class comes from I1 one
-    window at a time (I1.windows: all of I1 at once when it is listed).
+    I3 and I2, whose least primes it holds (_usable_axis), and the least
+    p1 of each forced class comes from I1 one window at a time
+    (I1.windows: all of I1 at once when it is listed).
     A window pays O(m) for its least primes per class and O(grid) for
     its products, however few primes it holds, so a window narrower than
     about m wastes both: the first is _first_window(m) integers wide and
@@ -224,10 +225,8 @@ def least_solutions(
         units = [u for u, d in enumerate(deltas) if d == delta]
         if not units:
             continue
-        px, py = (
-            _least_usable(iv, delta)[axis]
-            for iv, axis in ((triple.i3, grid.x), (triple.i2, grid.y))
-        )
+        px = _usable_axis(triple.i3, delta, grid.x, grid.px)
+        py = _usable_axis(triple.i2, delta, grid.y, grid.py)
         if px.any() and py.any():
             top = int(px.max()) * int(py.max())
             least_pair = int(px[px > 0].min()) * int(py[py > 0].min())
@@ -265,12 +264,29 @@ def _first_window(m: int) -> int:
     return max(FIRST_WINDOW, 2 * m)
 
 
+def _skip_two(iv: PrimeIntervalSet, delta: int) -> int:
+    """1 when d = 1 and iv holds p = 2, else 0: 4^1 shares the factor 2
+    with it, so such triples are not phi-witnesses even when they
+    satisfy the formal congruence."""
+    return int(bool(delta) and iv.size > 0 and iv.primes[0] == 2)
+
+
 def _least_usable(iv: PrimeIntervalSet, delta: int) -> np.ndarray:
-    """least_per_class of iv, without p = 2 when d = 1: 4^1 shares the
-    factor 2 with it, so such triples are not phi-witnesses even when
-    they satisfy the formal congruence."""
-    skip = int(bool(delta) and iv.size > 0 and iv.primes[0] == 2)
-    return iv.least_per_class(skip)
+    """least_per_class of iv without the p = 2 of _skip_two."""
+    return iv.least_per_class(_skip_two(iv, delta))
+
+
+def _usable_axis(
+    iv: PrimeIntervalSet, delta: int, axis: np.ndarray, least: np.ndarray
+) -> np.ndarray:
+    """The grid's least primes `least` of iv over its classes `axis`, read
+    again without the p = 2 of _skip_two: 0 for a class left empty."""
+    if not _skip_two(iv, delta):
+        return least
+    classes, _, rest = iv.occupied(1)
+    usable = np.zeros_like(least)
+    usable[np.searchsorted(axis, classes)] = rest
+    return usable
 
 
 def _least_hits(

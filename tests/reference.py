@@ -168,6 +168,28 @@ def least_prime_per_class(primes, m):
     return [min(by_class[b]) if b in by_class else 0 for b in range(m)]
 
 
+def occupied_classes(primes, m):
+    """(classes, counts, least primes) of the occupied classes of p - 1
+    mod m over an ascending prime list: the classes ascending from a
+    bincount, and each class's least prime the one at its first index."""
+    classes = [(p - 1) % m for p in primes]
+    counts = np.bincount(classes, minlength=m).astype(np.int64)
+    occupied = np.flatnonzero(counts).tolist()
+    least = [primes[classes.index(b)] for b in occupied]
+    return occupied, counts[occupied].tolist(), least
+
+
+def class_grid_axes(triple):
+    """[(classes, counts, least primes, inverses by pow)] of I3 and I2,
+    the two axes of the triple's class grid, by occupied_classes."""
+    m = triple.modulus
+    axes = []
+    for iv in (triple.i3, triple.i2):
+        classes, counts, least = occupied_classes(iv.primes.tolist(), m)
+        axes.append((classes, counts, least, [pow(b, -1, m) for b in classes]))
+    return axes
+
+
 def prime_window(lo, width, m):
     """shifted_prime_interval over (lo, lo + width]."""
     return shifted_prime_interval(lo, lo + width, m)

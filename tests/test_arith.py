@@ -107,6 +107,27 @@ class TestUnitInverses:
         assert unit_inverses(b, m).tolist() == [pow(int(x), -1, m) for x in b]
 
 
+    @settings(deadline=None)
+    @given(
+        m=st.one_of(
+            st.integers(0, 10**6).map(lambda i: 2 * i + 1),
+            st.integers(0, 10**6).map(lambda i: 3 * (2 * i + 1)),
+            st.integers(0, 19).map(lambda j: 3**j),
+            st.sampled_from([5**13, 7**11, 11**9, 101**4, 3**5 * 5**3 * 7**2 * 11]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=1, seed=0)
+    @example(m=3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, seed=0)  # lambda = phi / 4608
+    @example(m=3_037_000_499, seed=0)  # the largest odd m with m^2 < 2^63
+    def test_carmichael_exponent(self, m, seed):
+        # b^(lambda - 1) is b^-1 for every unit, however far lambda(m)
+        # falls below phi(m)
+        b = np.random.default_rng(seed).integers(0, m, size=100)
+        b = b[np.gcd(b, m) == 1]
+        assert unit_inverses(b, m).tolist() == [pow(int(x), -1, m) for x in b]
+
+
 class TestTrialFactorize:
     def test_matches_sieve_factorization(self):
         # the numpy totient sieve of the test references shares no code

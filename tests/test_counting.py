@@ -171,7 +171,9 @@ class TestDirectCount:
     @staticmethod
     def broadcast_triple(sizes):
         """I1, I2, I3 as the primes 2, 5 and 11 repeated sizes[j] times
-        without allocating them, with all-zero count vectors mod 9."""
+        without allocating them, with all-zero count vectors mod 9.  The
+        class grid reads the primes of I2 and I3, so the long set is I1,
+        which the count reads only by its count vector."""
         return IntervalTriple(
             *(PrimeIntervalSet(p - 1, p, 9, np.broadcast_to(np.int64(p), (n,)),
                                np.zeros(9, dtype=np.int64))
@@ -180,13 +182,13 @@ class TestDirectCount:
 
     def test_overflow_guard(self):
         # |I1||I2||I3| = 2^63 would overflow the int64 contraction
-        ivs = self.broadcast_triple([2**21] * 3)
+        ivs = self.broadcast_triple([2**57, 2**3, 2**3])
         with pytest.raises(BoundsError):
             count_solutions_direct(1, ivs)
 
     def test_overflow_guard_just_inside(self):
         # |I1||I2||I3| = 2^63 - 2^42 still fits int64, so the contraction runs
-        ivs = self.broadcast_triple([2**21, 2**21, 2**21 - 1])
+        ivs = self.broadcast_triple([2**42 * 42799, 7, 7])
         assert ivs.product == 2**63 - 2**42
         tracemalloc.start()
         try:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phimin import intervals
+from phimin import intervals, search
 from phimin.arith import log_integral_between, unit_mask
 from phimin.characters import build_unit_group
 from phimin.counting import indicator_1am
@@ -27,7 +27,15 @@ from phimin.intervals import (
     target_class,
 )
 from phimin.search import canonical_triple
-from reference import dense_characters, least_prime_per_class, shifted_prime_interval
+from phimin.sieve import build_sieve
+from reference import (
+    class_grid_axes,
+    dense_characters,
+    least_prime_per_class,
+    occupied_classes,
+    primes_upto,
+    shifted_prime_interval,
+)
 
 
 def canonical(m, k, tables):
@@ -293,7 +301,83 @@ class TestClassGridGuard:
         assert m * m < 2**63 <= (m + 2) ** 2
         grid = one_prime_triple(m, short_counts=True).class_grid
         assert grid.x.tolist() == [2] and grid.y.tolist() == [6]
-        assert grid.inv_xy.tolist() == [[pow(2 * 6, -1, m)]] == [[253_083_375]]
+        inv_xy = [x * y % m for x in grid.inv_x.tolist() for y in grid.inv_y.tolist()]
+        assert inv_xy == [pow(2 * 6, -1, m)] == [253_083_375]
+
+
+PRIMES_3000 = primes_upto(3000)
+
+
+@st.composite
+def grid_sets(draw):
+    """(m, I3 primes, I2 primes): odd m and two disjoint ascending lists of
+    the primes below 3000 with p - 1 a unit of m, either possibly empty,
+    either possibly holding 2, their classes in no particular order."""
+    m = draw(st.one_of(
+        st.integers(0, 1500).map(lambda i: 2 * i + 1),
+        st.sampled_from([1, 3, 9, 15, 81, 2187, 625, 1155]),
+    ))
+    usable = [p for p in PRIMES_3000 if math.gcd(p - 1, m) == 1]
+    picked = draw(st.lists(st.sampled_from(usable), unique=True))
+    side = draw(st.lists(st.booleans(), min_size=len(picked), max_size=len(picked)))
+    i3 = sorted(p for p, s in zip(picked, side) if s)
+    i2 = sorted(p for p, s in zip(picked, side) if not s)
+    return m, i3, i2
+
+
+class TestClassGridAxes:
+    """class_grid against the plain reference: a bincount of the classes,
+    the first index of each class in the ascending primes, pow inverses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=grid_sets())
+    @example(case=(9, [2, 3, 5, 11], [17, 23, 29]))  # 2 and 11 share class 1
+    @example(case=(9, [], [2]))
+    @example(case=(1, [2, 3], []))
+    def test_matches_reference(self, case):
+        m, *sets = case
+        # both sets span the whole range: their primes, not their bounds,
+        # are disjoint
+        i3, i2 = (
+            PrimeIntervalSet(0, 3000, m, np.array(s, dtype=np.int64)) for s in sets
+        )
+        i1 = PrimeIntervalSet(3000, 3001, m, np.empty(0, dtype=np.int64))
+        triple = IntervalTriple(i1, i2, i3)
+        grid = triple.class_grid
+        got = [
+            (grid.x, grid.cx, grid.px, grid.inv_x),
+            (grid.y, grid.cy, grid.py, grid.inv_y),
+        ]
+        for axis, want in zip(got, class_grid_axes(triple)):
+            assert [a.tolist() for a in axis] == list(want)
+        # no m-long count vector was built
+        assert i2._counts is None and i3._counts is None
+        for iv, axis, least in ((i3, grid.x, grid.px), (i2, grid.y, grid.py)):
+            # d = 1 drops p = 2: the axis read again without it, 0 for a
+            # class that held only 2
+            odd = [p for p in iv.primes.tolist() if p != 2]
+            classes, _, rest = occupied_classes(odd, m)
+            usable = dict(zip(classes, rest))
+            want = [usable.get(b, 0) for b in axis.tolist()]
+            assert search._usable_axis(iv, 1, axis, least).tolist() == want
+            assert search._usable_axis(iv, 0, axis, least) is least
+
+    def test_memory_at_large_m(self):
+        # the grid holds its axes and nothing m long: one m-long int64
+        # table alone would take 7.6 MiB at this m
+        m = 1_000_003
+        tables = build_sieve(intervals.interval_sieve_limit(m, 2))
+        triple = canonical_triple(m, 2, tables)
+        for iv in (triple.i2, triple.i3):
+            iv.primes  # list both sets before measuring
+        tracemalloc.start()
+        try:
+            grid = triple.class_grid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.x.size * grid.y.size > 40 * intervals.GRID_BLOCK
+        assert peak < 4 << 20
 
 
 class TestClassGridBlocks:
@@ -311,9 +395,9 @@ class TestClassGridBlocks:
     def test_chunks_cover_grid(self, shape, block, units, monkeypatch):
         monkeypatch.setattr(intervals, "GRID_BLOCK", block)
         rows, cols = shape
-        grid = intervals.ClassGrid(
-            7, np.arange(rows), np.arange(cols), np.zeros(shape, dtype=np.int64)
-        )
+        # cx, cy, px, py, inv_x, inv_y: zeros as long as their axes
+        axes = [np.zeros(n, dtype=np.int64) for n in (rows, cols) * 3]
+        grid = intervals.ClassGrid(7, np.arange(rows), np.arange(cols), *axes)
         seen = []
         for us, xs in grid.blocks(units):
             u, x = range(units)[us], range(rows)[xs]

@@ -13,6 +13,7 @@ from phimin.counting import count_solutions_direct, direct_counts, indicator_1am
 from phimin.errors import BoundsError, DomainError, EvenModulusError
 from phimin.intervals import (
     IntervalTriple,
+    PrimeIntervalSet,
     build_custom_interval,
     build_interval,
     target_class,
@@ -384,6 +385,23 @@ class TestConstructiveSearch:
         )
         assert i1.primes.tolist() == [2]
         assert constructive_search(a, IntervalTriple(i1, i2, i3)) is None
+
+    def test_two_dropped_from_a_shared_class(self, tables):
+        # 2 and 11 share class 1 mod 9: with d = 1 the grid's least prime
+        # 2 of that class is unusable, and 11 takes its place
+        m = 9
+        triple = IntervalTriple(
+            build_custom_interval(40, 200, m, tables),
+            build_custom_interval(12, 40, m, tables),
+            PrimeIntervalSet(1, 12, m, np.array([2, 11])),
+        )
+        assert triple.class_grid.px.tolist() == [2]
+        units = units_of(m)
+        got = least_witnesses(units, triple)
+        want = [least_witness(a, triple) for a in units]
+        assert [witness_key(w) for w in got] == want
+        assert {w.p3 for w in got if w.delta} == {11}
+        assert {w.p3 for w in got if not w.delta} == {2}
 
     def test_minimizes_n(self, tables):
         # every other admissible triple gives a product at least as large
