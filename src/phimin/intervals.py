@@ -47,7 +47,8 @@ class PrimeIntervalSet:
     built from its primes is listed from the start, its count vector by
     default the counts of those primes; those primes too must lie in
     (lo, hi], which the disjointness check relies on.  The classes
-    (p - 1) mod m are computed where they are read, never kept.
+    (p - 1) mod m are computed where they are read, never kept; `odd`
+    reads the set without p = 2.
     """
 
     def __init__(
@@ -124,21 +125,33 @@ class PrimeIntervalSet:
             yield PrimeIntervalSet(lo, top, self.modulus, primes)
             lo, width = top, 2 * width
 
-    def least_per_class(self, skip: int = 0) -> np.ndarray:
-        """Least prime of primes[skip:] in each class of p - 1 mod m, 0 for
-        an empty class.  The primes ascend, so a class's least prime is
-        its first: one O(len + m) first_index."""
-        primes = np.append(self.primes[skip:], 0)
-        return primes[first_index(self.classes[skip:], self.modulus)]
-
-    def occupied(self, skip: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The occupied classes of primes[skip:], ascending, their counts and
-        least primes (the first of each class, as the primes ascend): one
-        O(len log len) sort, nothing m long."""
-        classes, first, counts = np.unique(
-            self.classes[skip:], return_index=True, return_counts=True
+    def odd(self) -> PrimeIntervalSet:
+        """The set over (max(lo, 2), hi], without the p = 2 a d = 1 witness
+        may not use (phi(4 p) = 2 (p - 1) only for odd p): itself when
+        lo >= 2, else a slice of a listed set, or an unlisted set over the
+        same sieve and unit mask, so that reading it lists nothing."""
+        if self.lo >= 2:
+            return self
+        primes = self.between(2, self.hi) if self.listed else None
+        return PrimeIntervalSet(
+            2, self.hi, self.modulus, primes, tables=self._tables, unit=self._unit
         )
-        return classes, counts, self.primes[skip:][first]
+
+    def least_per_class(self) -> np.ndarray:
+        """Least prime in each class of p - 1 mod m, 0 for an empty class.
+        The primes ascend, so a class's least prime is its first: one
+        O(len + m) first_index."""
+        primes = np.append(self.primes, 0)
+        return primes[first_index(self.classes, self.modulus)]
+
+    def occupied(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The occupied classes, ascending, their counts and least primes
+        (the first of each class, as the primes ascend): one O(len log len)
+        sort, nothing m long."""
+        classes, first, counts = np.unique(
+            self.classes, return_index=True, return_counts=True
+        )
+        return classes, counts, self.primes[first]
 
 
 def require_disjoint(*intervals: PrimeIntervalSet) -> None:
@@ -177,10 +190,11 @@ class ClassGrid(NamedTuple):
     the witness search.  x and y are the occupied classes of p - 1 in I3
     and I2, ascending, read from their primes (PrimeIntervalSet.occupied,
     never the count vectors), with prime counts cx, cy, least primes px,
-    py and inverses inv_x, inv_y mod m, so a target class t (see
-    target_class) forces the class z = t inv_x inv_y of p1 - 1.  I1 is
-    the widest interval of a canonical triple, so it has the most
-    occupied classes, and the grid never reads it."""
+    py (never 0) and inverses inv_x, inv_y mod m, so a target class t
+    (see target_class) forces the class z = t inv_x inv_y of p1 - 1.  I1
+    is the widest interval of a canonical triple, so it has the most
+    occupied classes, and the grid never reads it.  The d = 1 witnesses
+    read the grid of IntervalTriple.odd."""
 
     modulus: int
     x: np.ndarray
@@ -254,6 +268,19 @@ class IntervalTriple:
         (x, cx, px), (y, cy, py) = (iv.occupied() for iv in (self.i3, self.i2))
         inv = unit_inverses(np.concatenate((x, y)), m)
         return ClassGrid(m, x, y, cx, cy, px, py, inv[: x.size], inv[x.size :])
+
+    @property
+    def odd(self) -> IntervalTriple:
+        """The triple of the odd sets (PrimeIntervalSet.odd), read by the
+        d = 1 witnesses, with its own class grid; the triple itself when
+        no set changes, which is not cached: a triple holding itself is a
+        cycle, so each would wait for the cyclic garbage collector."""
+        return self if self._odd is None else self._odd
+
+    @functools.cached_property
+    def _odd(self) -> IntervalTriple | None:
+        sets = [iv.odd() for iv in self]
+        return None if sets == list(self) else IntervalTriple(*sets)
 
     @functools.cached_property
     def unit_group(self) -> UnitGroupContext:

@@ -21,7 +21,6 @@ from .counting import class_counts, count_solutions_direct, indicator_1am  # noq
 from .errors import BoundsError, DomainError
 from .intervals import (
     IntervalTriple,
-    PrimeIntervalSet,
     build_interval,
     interval_sieve_limit,
     target_class,
@@ -200,9 +199,11 @@ def least_solutions(
     class of p_j - 1, so the least n is the least product of class
     minima over the triple's forced-class grid; n fixes (p1, p2, p3)
     because the three sets are pairwise disjoint.  The grid's axes are
-    I3 and I2, whose least primes it holds (_usable_axis), and the least
-    p1 of each forced class comes from I1 one window at a time
-    (I1.windows: all of I1 at once when it is listed).
+    I3 and I2, whose least primes it holds, and the least p1 of each
+    forced class comes from I1 one window at a time (I1.windows: all of
+    I1 at once when it is listed).  A d = 1 witness takes odd primes
+    only, so the d = 1 units read the grid of triple.odd and the odd
+    part of each window (PrimeIntervalSet.odd).
     A window pays O(m) for its least primes per class and O(grid) for
     its products, however few primes it holds, so a window narrower than
     about m wastes both: the first is _first_window(m) integers wide and
@@ -211,82 +212,49 @@ def least_solutions(
     once per d.  One masked argmin per ClassGrid.blocks chunk of one d
     finds every unit's least product in the window, and one gather reads
     its primes.  A solution with p1 past a window's top B has
-    n >= 4^d (B + 1) p2 p3 with p2, p3 the least usable primes of I2 and
-    I3, so a unit with a solution no larger reads no further window, and
-    once every unit has one, the rest of I1 is never sieved.
+    n >= 4^d (B + 1) p2 p3 with p2, p3 the least primes on its grid's
+    axes, so a unit with a solution no larger reads no further window,
+    and once every unit has one, the rest of I1 is never sieved.
     """
     m = triple.modulus
-    grid = triple.class_grid
     best: list[tuple[int, int, int, int] | None] = [None] * len(deltas)
-    # the units of each d still open, and that d's least usable I3 and I2
-    # primes per grid class, with the largest and the least of their products
-    open_units, usable = {}, {}
+    # per d: the units still open, the d's class grid, and the largest and
+    # the least products of the grid's least I3 and I2 primes
+    groups = {}
     for delta in (0, 1):
         units = [u for u, d in enumerate(deltas) if d == delta]
         if not units:
             continue
-        px = _usable_axis(triple.i3, delta, grid.x, grid.px)
-        py = _usable_axis(triple.i2, delta, grid.y, grid.py)
-        if px.any() and py.any():
+        grid = (triple.odd if delta else triple).class_grid
+        px, py = grid.px, grid.py
+        if px.size and py.size:
             top = int(px.max()) * int(py.max())
-            least_pair = int(px[px > 0].min()) * int(py[py > 0].min())
-            open_units[delta], usable[delta] = units, (px, py, top, least_pair)
-    # each d's last chunk and its forced classes, reused while it is unchanged
-    forced = {}
+            groups[delta] = units, grid, top, int(px.min()) * int(py.min())
     windows = triple.i1.windows(_first_window(m))
-    while open_units and (window := next(windows, None)) is not None:
-        for delta, units in list(open_units.items()):
-            px, py, top, least_pair = usable[delta]
+    while groups and (window := next(windows, None)) is not None:
+        for delta, (units, grid, top, least_pair) in groups.items():
             scale = 4**delta
-            least = _least_usable(window, delta)
+            least = (window.odd() if delta else window).least_per_class()
             for s, rows in grid.blocks(len(units)):
-                block, pxr = units[s], px[rows]
-                if forced.get(delta, (None,))[0] != (block, rows):
-                    z = grid.forced([targets[u] for u in block], rows)
-                    forced[delta] = (block, rows), z
-                pz = least[forced[delta][1]]
-                at = _least_hits(pxr, py, pz, scale * top)
+                block, px, py = units[s], grid.px[rows], grid.py
+                pz = least[grid.forced([targets[u] for u in block], rows)]
+                at = _least_hits(px, py, pz, scale * top)
                 # a unit with no hit (at = -1) gathers the grid's last entry
                 i, j = np.divmod(at, py.size)
-                gathered = (at, pz[np.arange(len(at)), i, j], py[j], pxr[i])
+                gathered = (at, pz[np.arange(len(at)), i, j], py[j], px[i])
                 for u, hit, p1, p2, p3 in zip(block, *(p.tolist() for p in gathered)):
                     n = scale * p1 * p2 * p3
                     if hit >= 0 and (best[u] is None or n < best[u][0]):
                         best[u] = (n, p1, p2, p3)
             reach = scale * least_pair * (math.floor(window.hi) + 1)
-            open_units[delta] = [u for u in units if not best[u] or best[u][0] > reach]
-        open_units = {d: units for d, units in open_units.items() if units}
+            units[:] = [u for u in units if not best[u] or best[u][0] > reach]
+        groups = {d: group for d, group in groups.items() if group[0]}
     return best
 
 
 def _first_window(m: int) -> int:
     """Width of I1's first window: 2m integers, at least FIRST_WINDOW."""
     return max(FIRST_WINDOW, 2 * m)
-
-
-def _skip_two(iv: PrimeIntervalSet, delta: int) -> int:
-    """1 when d = 1 and iv holds p = 2, else 0: 4^1 shares the factor 2
-    with it, so such triples are not phi-witnesses even when they
-    satisfy the formal congruence."""
-    return int(bool(delta) and iv.size > 0 and iv.primes[0] == 2)
-
-
-def _least_usable(iv: PrimeIntervalSet, delta: int) -> np.ndarray:
-    """least_per_class of iv without the p = 2 of _skip_two."""
-    return iv.least_per_class(_skip_two(iv, delta))
-
-
-def _usable_axis(
-    iv: PrimeIntervalSet, delta: int, axis: np.ndarray, least: np.ndarray
-) -> np.ndarray:
-    """The grid's least primes `least` of iv over its classes `axis`, read
-    again without the p = 2 of _skip_two: 0 for a class left empty."""
-    if not _skip_two(iv, delta):
-        return least
-    classes, _, rest = iv.occupied(1)
-    usable = np.zeros_like(least)
-    usable[np.searchsorted(axis, classes)] = rest
-    return usable
 
 
 def _least_hits(
@@ -363,8 +331,9 @@ def _scan_one_m(
 ) -> list[dict]:
     """One row per unit a.  One oracle stream serves every unit, and
     least_solutions and class_counts answer all of them in one pass over
-    the triple's class grid.  The a are units of m (_sample_units), so
-    their d and target classes are derived once here, unchecked.  When
+    the triple's class grid.  Each unit's d (indicator_1am) and target
+    class are derived once here for both; the a are units of m
+    (_sample_units), so indicator_1am's check never fires.  When
     the canonical triple fails its check (the intervals collide at small
     m), every row carries the error instead of a witness and a count."""
     oracle = oracle_N_multi(a_values, m, default_cap(m), tables)
@@ -372,8 +341,7 @@ def _scan_one_m(
         triple, error = canonical_triple(m, k, tables), {}
     except DomainError as exc:
         triple, error = None, {"error": str(exc)}
-    # d as indicator_1am gives it: 1 exactly when 3 | m and a = 2 (mod 3)
-    deltas = [int(m % 3 == 0 and a % 3 == 2) for a in a_values]
+    deltas = [indicator_1am(a, m) for a in a_values]
     solutions = counts = [None] * len(a_values)
     if triple is not None:
         targets = [target_class(a, d, m) for a, d in zip(a_values, deltas)]

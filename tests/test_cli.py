@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -16,6 +17,9 @@ from reference import scan_csv
 # SHA-256 of `phimin scan --m-range 51:201 --a-sample all --k 2`, also
 # checked by the CI acceptance scan step with --jobs 1 and 2
 ALL_UNITS_CSV_SHA256 = "636ebd2977e973cc2e017a9102a0716493b6304a666272d0317eb242418c1b46"
+# SHA-256 of `phimin scan --m-range 9:63 --a-sample all --k 3`, where I3
+# holds p = 2, also checked by the CI acceptance scan step with --jobs 1 and 2
+ALL_UNITS_K3_CSV_SHA256 = "97649a54742af87bfb927b6628b090bdc50c57d1db3b49c364a06fa26ecf4ffb"
 
 
 def run_cli(*args):
@@ -402,6 +406,24 @@ class TestScanCommand:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 + 7772
         assert hashlib.sha256(out.encode()).hexdigest() == ALL_UNITS_CSV_SHA256
+
+    def test_golden_two_in_i3(self, capsys):
+        # every unit of every odd m in [9, 63] at k = 3, where I3 holds
+        # p = 2: the d = 0 witnesses with p3 = 2 are the even ones, and the
+        # d = 1 rows, which may not use 2, find none (see
+        # test_two_in_i3_leaves_d1_without_witness) though most count some
+        argv = ["scan", "--m-range", "9:63", "--a-sample", "all", "--k", "3"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == ALL_UNITS_K3_CSV_SHA256
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 812 and len({r["m"] for r in rows}) == 28
+        even = [r for r in rows if r["witness_n"] and int(r["witness_n"]) % 2 == 0]
+        assert len(even) == 565 and {r["delta"] for r in even} == {"0"}
+        odd_rows = [r for r in rows if r["delta"] == "1"]
+        assert len(odd_rows) == 108
+        assert {r["found"] for r in odd_rows} == {"false"}
+        assert sum(r["J_direct"] != "0" for r in odd_rows) == 88
 
     def test_csv_matches_csv_writer(self):
         # real rows, error rows of colliding triples (m = 3, 5, 7 at k = 3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phimin import intervals, search
+from phimin import intervals
 from phimin.arith import log_integral_between, unit_mask
 from phimin.characters import build_unit_group
 from phimin.counting import indicator_1am
@@ -32,7 +32,6 @@ from reference import (
     class_grid_axes,
     dense_characters,
     least_prime_per_class,
-    occupied_classes,
     primes_upto,
     shifted_prime_interval,
 )
@@ -134,10 +133,10 @@ class TestBuildInterval:
         np.testing.assert_array_equal(got.count_vector, want.count_vector)
         np.testing.assert_array_equal(got.classes, want.classes)
         primes = want.primes.tolist()
-        for skip in (0, 1):
-            assert got.least_per_class(skip).tolist() == least_prime_per_class(
-                primes[skip:], m
-            )
+        assert got.least_per_class().tolist() == least_prime_per_class(primes, m)
+        # the odd set drops p = 2 alone
+        odd = [p for p in primes if p != 2]
+        assert got.odd().least_per_class().tolist() == least_prime_per_class(odd, m)
 
 
 class TestReadingInPieces:
@@ -182,6 +181,43 @@ class TestReadingInPieces:
         np.testing.assert_array_equal(iv.primes, want)
         assert iv.listed and list(iv.windows(width)) == [iv]
         np.testing.assert_array_equal(iv.between(low, top), inside)
+
+
+class TestOddSet:
+    """odd() against the set over (max(lo, 2), hi] listed by primality
+    tests, on a listed set and on an unlisted one, which it leaves
+    unlisted."""
+
+    @settings(deadline=None)
+    @given(
+        m=st.one_of(
+            st.integers(0, 1500).map(lambda i: 2 * i + 1),
+            st.sampled_from([1, 3, 9, 1155]),
+        ),
+        lo=st.sampled_from([-1.0, 0.0, 1.0, 1.5, 2.0, 2.5]),
+        span=st.one_of(st.integers(0, 3000).map(float), st.floats(0.0, 3000.0)),
+        listed=st.booleans(),
+    )
+    @example(m=3, lo=1.0, span=1.0, listed=False)  # only 2, which odd() drops
+    @example(m=9, lo=1.5, span=0.25, listed=True)  # hi below 2
+    @example(m=1, lo=2.0, span=3000.0, listed=False)  # lo = 2: the set itself
+    def test_matches_definition(self, tables, m, lo, span, listed):
+        hi = min(lo + span, 3000.0)
+        iv = build_custom_interval(lo, hi, m, tables)
+        if listed:
+            iv.primes
+        odd = iv.odd()
+        assert (odd is iv) == (lo >= 2)
+        assert (odd.lo, odd.hi, odd.modulus) == (max(lo, 2), hi, m)
+        # odd() lists nothing
+        assert odd.listed == iv.listed == (listed or lo >= hi)
+        want = shifted_prime_interval(max(lo, 2), hi, m)
+        np.testing.assert_array_equal(odd.primes, want.primes)
+        np.testing.assert_array_equal(odd.count_vector, want.count_vector)
+        assert 2 not in odd.primes
+        # listing the odd set leaves the set as it was
+        assert iv.listed == (listed or lo >= hi or odd is iv)
+        np.testing.assert_array_equal(iv.primes[iv.primes != 2], want.primes)
 
 
 def sorted_interval(values, m=7):
@@ -336,31 +372,33 @@ class TestClassGridAxes:
     @example(case=(1, [2, 3], []))
     def test_matches_reference(self, case):
         m, *sets = case
-        # both sets span the whole range: their primes, not their bounds,
-        # are disjoint
-        i3, i2 = (
-            PrimeIntervalSet(0, 3000, m, np.array(s, dtype=np.int64)) for s in sets
-        )
-        i1 = PrimeIntervalSet(3000, 3001, m, np.empty(0, dtype=np.int64))
-        triple = IntervalTriple(i1, i2, i3)
-        grid = triple.class_grid
-        got = [
-            (grid.x, grid.cx, grid.px, grid.inv_x),
-            (grid.y, grid.cy, grid.py, grid.inv_y),
-        ]
-        for axis, want in zip(got, class_grid_axes(triple)):
-            assert [a.tolist() for a in axis] == list(want)
+
+        def triple_of(i3, i2):
+            # both sets span the whole range: their primes, not their
+            # bounds, are disjoint
+            i3, i2 = (
+                PrimeIntervalSet(0, 3000, m, np.array(s, dtype=np.int64))
+                for s in (i3, i2)
+            )
+            i1 = PrimeIntervalSet(3000, 3001, m, np.empty(0, dtype=np.int64))
+            return IntervalTriple(i1, i2, i3)
+
+        def axes(grid):
+            return [
+                [a.tolist() for a in (grid.x, grid.cx, grid.px, grid.inv_x)],
+                [a.tolist() for a in (grid.y, grid.cy, grid.py, grid.inv_y)],
+            ]
+
+        triple = triple_of(*sets)
+        assert axes(triple.class_grid) == [list(a) for a in class_grid_axes(triple)]
         # no m-long count vector was built
-        assert i2._counts is None and i3._counts is None
-        for iv, axis, least in ((i3, grid.x, grid.px), (i2, grid.y, grid.py)):
-            # d = 1 drops p = 2: the axis read again without it, 0 for a
-            # class that held only 2
-            odd = [p for p in iv.primes.tolist() if p != 2]
-            classes, _, rest = occupied_classes(odd, m)
-            usable = dict(zip(classes, rest))
-            want = [usable.get(b, 0) for b in axis.tolist()]
-            assert search._usable_axis(iv, 1, axis, least).tolist() == want
-            assert search._usable_axis(iv, 0, axis, least) is least
+        assert triple.i2._counts is None and triple.i3._counts is None
+        # d = 1 drops p = 2: the odd triple's own grid, over the sets
+        # without it, and never 0 as a least prime
+        odd = triple_of(*([p for p in s if p != 2] for s in sets))
+        assert axes(triple.odd.class_grid) == [list(a) for a in class_grid_axes(odd)]
+        assert triple.odd is not triple  # both sets open at 0
+        assert triple.odd.class_grid.px.all() and triple.odd.class_grid.py.all()
 
     def test_memory_at_large_m(self):
         # the grid holds its axes and nothing m long: one m-long int64

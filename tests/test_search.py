@@ -1,6 +1,8 @@
 import concurrent.futures
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -402,6 +404,65 @@ class TestConstructiveSearch:
         assert [witness_key(w) for w in got] == want
         assert {w.p3 for w in got if w.delta} == {11}
         assert {w.p3 for w in got if not w.delta} == {2}
+
+    @pytest.mark.parametrize("m", [45, 63, 99, 201])
+    def test_one_grid_for_both_d_past_sixteen(self, tables, m, monkeypatch):
+        # at k = 2 and m >= 17 every set opens above 2 (sqrt(17) / 2 > 2), so
+        # the odd triple is the triple and both d read its one class grid
+        built = []
+        cached = IntervalTriple.class_grid
+        real = cached.func
+
+        def counted(triple):
+            built.append(triple)
+            return real(triple)
+
+        monkeypatch.setattr(cached, "func", counted)
+        triple = canonical_triple(m, 2, tables)
+        units = units_of(m)
+        assert {indicator_1am(a, m) for a in units} == {0, 1}
+        got = least_witnesses(units, triple)
+        assert triple.odd is triple
+        assert len(built) == 1 and built[0] is triple
+        assert {w.delta for w in got if w} == {0, 1}
+
+    @pytest.mark.parametrize("m, k", [(45, 2), (63, 3)])
+    def test_triple_freed_by_its_reference_count(self, tables, m, k):
+        # the odd triple is the triple at (45, 2) and its own at (63, 3),
+        # where I3 holds 2; neither may leave a cycle for the collector
+        triple = canonical_triple(m, k, tables)
+        least_witnesses(units_of(m), triple)
+        assert (triple.odd is triple) == (k == 2)
+        ref = weakref.ref(triple)
+        gc.disable()
+        try:
+            del triple
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_two_in_i3_leaves_d1_without_witness(self, tables, k):
+        # I3 = (m^(1/k) / 2, m^(1/k)] holds 2 only when m < 4^k, and then
+        # lies within {2, 3}.  With 3 | m, every prime p > 3 of the triple
+        # has p - 1 = 1 (mod 3), so a d = 1 unit (a = 2 mod 3) needs
+        # p3 - 1 = 1 (mod 3), that is p3 = 2, which a d = 1 witness may not
+        # use; the direct count still counts those p3 = 2 triples.
+        seen = 0
+        for m in range(9, 4**k, 6):
+            triple = canonical_triple(m, k, tables)
+            i3 = triple.i3.primes.tolist()
+            if 2 not in i3:
+                continue
+            assert set(i3) <= {2, 3}
+            units = [a for a in units_of(m) if indicator_1am(a, m)]
+            assert least_witnesses(units, triple) == [None] * len(units)
+            r1, r2 = ((iv.primes - 1) % m for iv in (triple.i1, triple.i2))
+            with_two = np.bincount((2 * r1[:, None] * r2 % m).ravel(), minlength=m)
+            counts = direct_counts(units, triple)
+            assert counts == with_two[units].tolist()
+            seen += sum(j > 0 for j in counts)
+        assert seen
 
     def test_minimizes_n(self, tables):
         # every other admissible triple gives a product at least as large
