@@ -188,13 +188,14 @@ def target_class(a: int, d: int, m: int) -> int:
 class ClassGrid(NamedTuple):
     """The forced-class grid of a triple, shared by the direct count and
     the witness search.  x and y are the occupied classes of p - 1 in I3
-    and I2, ascending, read from their primes (PrimeIntervalSet.occupied,
-    never the count vectors), with prime counts cx, cy, least primes px,
-    py (never 0) and inverses inv_x, inv_y mod m, so a target class t
-    (see target_class) forces the class z = t inv_x inv_y of p1 - 1.  I1
-    is the widest interval of a canonical triple, so it has the most
-    occupied classes, and the grid never reads it.  The d = 1 witnesses
-    read the grid of IntervalTriple.odd."""
+    and I2 (or a prefix of I2: IntervalTriple.prefix_grid), ascending,
+    read from their primes (PrimeIntervalSet.occupied, never the count
+    vectors), with prime counts cx, cy, least primes px, py (never 0) and
+    inverses inv_x, inv_y mod m, so a target class t (see target_class)
+    forces the class z = t inv_x inv_y of p1 - 1.  I1 is the widest
+    interval of a canonical triple, so it has the most occupied classes,
+    and the grid never reads it.  The d = 1 witnesses read the grid of
+    IntervalTriple.odd."""
 
     modulus: int
     x: np.ndarray
@@ -234,8 +235,8 @@ class IntervalTriple:
     """I1, I2, I3 over one modulus, checked once to share it and to be
     pairwise disjoint.  The product |I1||I2||I3| and the per-modulus
     tables (class grid, unit group, character sums) are built on first
-    use and cached, so a scan never builds the character side and a
-    search never lists more of I1 than its witness needs."""
+    use and cached, so a scan never builds the character side; a search
+    lists neither I1 nor I2, and reads uncached grids of I2's prefixes."""
 
     i1: PrimeIntervalSet
     i2: PrimeIntervalSet
@@ -262,10 +263,24 @@ class IntervalTriple:
     @functools.cached_property
     def class_grid(self) -> ClassGrid:
         """Built on first use, then shared by every unit a."""
+        return self._grid(self.i2)
+
+    def prefix_grid(self, top: float) -> ClassGrid:
+        """The class grid of I3 and of the primes of I2 up to top, read
+        without listing I2 (PrimeIntervalSet.between); class_grid itself
+        once that is cached, or when top reaches the top of I2 or no prime."""
+        if "class_grid" not in vars(self) and top < self.i2.hi:
+            i2 = self.i2
+            primes = i2.between(i2.lo, top)
+            if primes.size:
+                return self._grid(PrimeIntervalSet(i2.lo, top, i2.modulus, primes))
+        return self.class_grid
+
+    def _grid(self, i2: PrimeIntervalSet) -> ClassGrid:
         m = self.modulus
         if m * m >= 2**63:
             raise BoundsError(f"int64 class products would overflow at m={m}")
-        (x, cx, px), (y, cy, py) = (iv.occupied() for iv in (self.i3, self.i2))
+        (x, cx, px), (y, cy, py) = (iv.occupied() for iv in (self.i3, i2))
         inv = unit_inverses(np.concatenate((x, y)), m)
         return ClassGrid(m, x, y, cx, cy, px, py, inv[: x.size], inv[x.size :])
 

@@ -201,41 +201,46 @@ def least_solutions(
     because the three sets are pairwise disjoint.  The grid's axes are
     I3 and I2, whose least primes it holds, and the least p1 of each
     forced class comes from I1 one window at a time (I1.windows: all of
-    I1 at once when it is listed).  A d = 1 witness takes odd primes
-    only, so the d = 1 units read the grid of triple.odd and the odd
-    part of each window (PrimeIntervalSet.odd).
-    A window pays O(m) for its least primes per class and O(grid) for
-    its products, however few primes it holds, so a window narrower than
-    about m wastes both: the first is _first_window(m) integers wide and
-    each next one twice as wide.
-    Each window is sieved once, and its least primes per class are read
-    once per d.  One masked argmin per ClassGrid.blocks chunk of one d
-    finds every unit's least product in the window, and one gather reads
-    its primes.  A solution with p1 past a window's top B has
-    n >= 4^d (B + 1) p2 p3 with p2, p3 the least primes on its grid's
-    axes, so a unit with a solution no larger reads no further window,
-    and once every unit has one, the rest of I1 is never sieved.
+    I1 at once when it is listed), merged over the windows read.  A d = 1
+    witness takes odd primes only, so the d = 1 units read triple.odd and
+    the odd part of each window (PrimeIntervalSet.odd).
+    A window pays O(m) for its least primes per class however few primes
+    it holds, so the first is _first_window(m) integers wide and each next
+    one twice as wide; each is sieved once, its least primes read once per
+    d.  A window with top B reads the grid of I3 and of the I2 primes up
+    to Y = ceil((B + 1) L2 / L1) - 1, L_j the least integer of I_j, once
+    per view (IntervalTriple.prefix_grid: the full grid at the last window
+    or when no I2 prime is up to Y; a grid without I2 primes ends the d).
+    One masked argmin per ClassGrid.blocks chunk finds every unit's least
+    product, and one gather reads its primes.  A solution with p1 > B, or
+    with p2 > Y, has n >= 4^d (B + 1) L2 p3 with p3 the least prime of I3,
+    so a unit with a solution no larger reads no further window, and once
+    every unit has one, the rest of I1 is never sieved nor I2 listed.
     """
     m = triple.modulus
     best: list[tuple[int, int, int, int] | None] = [None] * len(deltas)
-    # per d: the units still open, the d's class grid, and the largest and
-    # the least products of the grid's least I3 and I2 primes
-    groups = {}
+    # per d: the units still open and the d's view of the triple (groups),
+    # and its least p1 per class over the windows read so far (merged)
+    groups, merged = {}, {}
     for delta in (0, 1):
         units = [u for u, d in enumerate(deltas) if d == delta]
-        if not units:
-            continue
-        grid = (triple.odd if delta else triple).class_grid
-        px, py = grid.px, grid.py
-        if px.size and py.size:
-            top = int(px.max()) * int(py.max())
-            groups[delta] = units, grid, top, int(px.min()) * int(py.min())
+        view = triple.odd if delta else triple
+        if units and view.i3.size:
+            groups[delta] = units, view
+    last = math.floor(triple.i1.hi)
     windows = triple.i1.windows(_first_window(m))
     while groups and (window := next(windows, None)) is not None:
-        for delta, (units, grid, top, least_pair) in groups.items():
+        b, grids = math.floor(window.hi), {}
+        for delta, (units, view) in groups.items():
             scale = 4**delta
-            least = (window.odd() if delta else window).least_per_class()
-            for s, rows in grid.blocks(len(units)):
+            fresh = (window.odd() if delta else window).least_per_class()
+            least = merged.setdefault(delta, fresh)  # the first window's table
+            np.copyto(least, fresh, where=least == 0)
+            l1, l2 = (max(math.floor(iv.lo) + 1, 2) for iv in (view.i1, view.i2))
+            y = math.inf if b >= last else -(-(b + 1) * l2 // l1) - 1
+            grid = grids.get(view) or grids.setdefault(view, view.prefix_grid(y))
+            top = int(grid.px.max()) * int(grid.py.max(initial=0))
+            for s, rows in grid.blocks(len(units)) if top else ():
                 block, px, py = units[s], grid.px[rows], grid.py
                 pz = least[grid.forced([targets[u] for u in block], rows)]
                 at = _least_hits(px, py, pz, scale * top)
@@ -246,8 +251,8 @@ def least_solutions(
                     n = scale * p1 * p2 * p3
                     if hit >= 0 and (best[u] is None or n < best[u][0]):
                         best[u] = (n, p1, p2, p3)
-            reach = scale * least_pair * (math.floor(window.hi) + 1)
-            units[:] = [u for u in units if not best[u] or best[u][0] > reach]
+            reach = scale * (b + 1) * l2 * int(grid.px.min())
+            units[:] = [u for u in units if top and (not best[u] or best[u][0] > reach)]
         groups = {d: group for d, group in groups.items() if group[0]}
     return best
 

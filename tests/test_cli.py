@@ -567,6 +567,9 @@ def test_golden_oracle(case, capsys):
 # at k = 9.  Then the units 2 and m - 2 at m = 100003, 300007 and 1000003
 # (k = 2) and 1000003 (k = 4), frozen while I1's first window was 2^13
 # integers wide at every m, so these searches read 3 to 7 windows of I1.
+# Last, frozen before the search read I2 in prefixes: m = 999999 at a = 2
+# (d = 1) and a = 4 (3 | m, d = 0), m = 300003 at a = 5 (d = 1), and
+# m = 1000003 at k = 3.
 GOLDEN_SEARCH = json.loads(
     (pathlib.Path(__file__).parent / "golden_search.json").read_text()
 )
@@ -618,6 +621,44 @@ def test_search_first_i1_window_spans_2m(m, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["found"]
     first = next(w for w in windows if w[0] >= lo)
     assert first == (lo, lo + max(2**13, 2 * m))
+
+
+@pytest.mark.parametrize("m", [19001, 1000003])
+def test_search_reads_i2_up_to_the_first_windows_reach(m, monkeypatch, capsys):
+    # the first I1 window, with top B, reads the primes of I2 up to
+    # Y(B) = ceil((B + 1) L2 / L1) - 1, L_j the least integer of I_j, and
+    # its witness retires the unit: I2 is never listed and the grid holds
+    # fewer entries than I2 has primes
+    (lo1, _), (lo2, hi2) = (intervals.interval_bounds(j, m, 2) for j in (1, 2))
+    l1, l2 = math.floor(lo1) + 1, math.floor(lo2) + 1
+    top = math.floor(lo1) + max(2**13, 2 * m)
+    reads, entries, triples = [], [], []
+    primes_in, products = SieveTables.primes_in, search._least_products
+    canonical = search.canonical_triple
+
+    def spy_primes_in(tables, a, b):
+        reads.append((a, b))
+        return primes_in(tables, a, b)
+
+    def spy_products(px, py, pz, dtype, empty):
+        entries.append(px.size * py.size)
+        return products(px, py, pz, dtype, empty)
+
+    def spy_triple(*args):
+        triples.append(canonical(*args))
+        return triples[-1]
+
+    monkeypatch.setattr(SieveTables, "primes_in", spy_primes_in)
+    monkeypatch.setattr(search, "_least_products", spy_products)
+    monkeypatch.setattr(search, "canonical_triple", spy_triple)
+    assert cli.main(["search", "--m", str(m), "--a", "2", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["found"]
+    (triple,) = triples
+    assert not triple.i2.listed
+    assert [(a, b) for a, b in reads if a < hi2 and b > lo2] == [
+        (lo2, -(-(top + 1) * l2 // l1) - 1)
+    ]
+    assert 0 < sum(entries) < triple.i2.size
 
 
 @pytest.mark.parametrize("command", ["search", "count"])

@@ -597,7 +597,9 @@ STRADDLE = ((2_106_419, 2_109_479), (2_095_006, 2_095_007), (2_090_002, 2_090_00
 def witness_cases(draw):
     """(m, units, bounds): an odd m below 200 (multiples of 3 and prime
     powers among them), up to six units, and three disjoint intervals in a
-    drawn order, near 2^21 when `far`, from 0 (holding 2) otherwise."""
+    drawn order, near 2^21 when `far`, from 0 (holding 2) otherwise.  Near
+    0 a set reaches up to about 6 times its lower end, so the search reads
+    I2 in growing prefixes, and any upper bound may end in .5."""
     m = draw(
         st.one_of(
             st.integers(0, 99).map(lambda i: 2 * i + 1),
@@ -611,15 +613,17 @@ def witness_cases(draw):
     lo = draw(st.integers(0, 2000)) + (2_096_000 if far else 0)
     bounds = []
     for _ in range(3):
-        width = draw(st.integers(1, 300 if far else 150))
-        bounds.append((lo, lo + width))
-        lo += width + draw(st.integers(0, 100))
+        width = draw(st.integers(1, 300 if far else max(150, min(5 * lo, 3000))))
+        hi = lo + width + draw(st.sampled_from([0, 0.5]))
+        bounds.append((lo, hi))
+        lo = math.floor(hi) + draw(st.integers(0, 100))
     return m, tuple(units), tuple(draw(st.permutations(bounds)))
 
 
 class TestWindowedWitness:
-    """least_witnesses over an unlisted I1, read in windows, against the
-    grid route over all of I1 (reference.full_least_witnesses)."""
+    """least_witnesses over an unlisted I1 and I2, read in windows and
+    prefixes, against the grid route over all of I1
+    (reference.full_least_witnesses)."""
 
     @settings(deadline=None)
     # width None reads I1 in the windows of the unpatched search._first_window
@@ -633,6 +637,12 @@ class TestWindowedWitness:
     @example(case=(STRADDLE_M, (1, 2, 5, 3), STRADDLE), width=8)
     # I3 is empty, so the grid is too and no window is read
     @example(case=(9, (2, 4), ((40, 80), (20, 30), (24, 28))), width=1)
+    # one window ends at floor(1630.5) and must read all of I2: a test of
+    # the last window against the fractional top of I1 took a prefix here
+    @example(
+        case=(327, (10, 11, 17, 20), ((1246, 1630.5), (111, 764), (2, 30))),
+        width=None,
+    )
     def test_matches_full_reference(self, tables2m, case, width):
         m, units, bounds = case
         lazy = IntervalTriple(
@@ -712,6 +722,38 @@ class TestWindowedWitness:
         listed = IntervalTriple(*(shifted_prime_interval(lo, hi, m) for lo, hi in bounds))
         assert [witness_key(w) for w in got] == full_least_witnesses(units, listed)
 
+    @pytest.mark.parametrize(
+        "i2, i3, units, read_to",
+        [
+            # 7 - 1 = 6 shares the factor 3 with m = 9, so I3 has no usable
+            # prime for either d: nothing past I3 is read
+            ((100, 300), (6, 7), [1, 2, 4, 5], 7),
+            # I3 = {2}, which the d = 1 units (a = 2 mod 3) may not use
+            ((100, 300), (1, 2), [2, 5, 8], 2),
+            # I2 = (6, 10] holds only 7, which is not usable either: the
+            # first I1 window finds no I2 prime up to Y = 7 and lists I2,
+            # whose empty grid ends the search
+            ((6, 10), (1, 5), [1, 4, 7], 308),
+        ],
+    )
+    def test_no_usable_prime_reads_no_further_window(
+        self, tables10k, i2, i3, units, read_to, monkeypatch
+    ):
+        m, bounds = 9, ((300, 900), i2, i3)
+        triple = IntervalTriple(
+            *(build_custom_interval(lo, hi, m, tables10k) for lo, hi in bounds)
+        )
+        sieved, primes_in = [], SieveTables.primes_in
+
+        def spy(tables, lo, hi):
+            sieved.append((lo, hi))
+            return primes_in(tables, lo, hi)
+
+        monkeypatch.setattr(SieveTables, "primes_in", spy)
+        monkeypatch.setattr(search, "_first_window", lambda m: 8)
+        assert least_witnesses(units, triple) == [None] * len(units)
+        assert sieved and all(hi <= read_to for _, hi in sieved)
+
     def test_one_unit_mask_per_triple(self, tables, monkeypatch):
         built = []
         real = intervals.unit_mask
@@ -742,6 +784,51 @@ class TestWindowedWitness:
         triple = canonical_triple(m, 2, tables)
         assert sieved == []
         assert not any(iv.listed for iv in triple)
+
+
+class TestReadPaths:
+    """The search over a fresh canonical triple, I1 read in windows and I2
+    in prefixes, against the same triple once its class grid and I1 are
+    listed: the scan's path, one window over the full grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.one_of(
+            st.integers(0, 1499).map(lambda i: 2 * i + 1),
+            st.integers(0, 499).map(lambda i: 6 * i + 3),
+            st.sampled_from([3**j for j in range(1, 8)]),
+        ),
+        k=st.sampled_from([2, 3, 4]),
+        data=st.data(),
+    )
+    @example(m=2187, k=2, data=None)
+    @example(m=2997, k=3, data=None)
+    def test_unlisted_matches_listed(self, tables200k, m, k, data):
+        try:
+            triple = canonical_triple(m, k, tables200k)
+        except DomainError:  # colliding intervals at small m
+            return
+        units = units_of(m)[:8] if data is None else data.draw(
+            st.lists(st.sampled_from(units_of(m)), min_size=1, max_size=8),
+            label="units",
+        )
+        calls, prefix_grid = [], IntervalTriple.prefix_grid
+
+        def spy(view, top):
+            calls.append((id(view), top))
+            return prefix_grid(view, top)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IntervalTriple, "prefix_grid", spy)
+            windowed = least_witnesses(units, triple)
+        # one prefix grid per window and distinct view: d = 0 and d = 1
+        # share it when the odd triple is the triple
+        assert len(calls) == len(set(calls))
+        assert not triple.i1.listed
+        triple.class_grid, triple.i1.primes
+        listed = least_witnesses(units, triple)
+        assert [witness_key(w) for w in windowed] == [witness_key(w) for w in listed]
+        assert [w.delta for w in windowed if w] == [w.delta for w in listed if w]
 
 
 # odd moduli up to 1500: any odd m, the multiples of 3 (where d = 1 occurs)
